@@ -30,7 +30,14 @@ from .errors import (
     InvalidPivot,
     NotApplicable,
 )
-from .network import Weights, global_map, gradient, partial_prefix, partial_suffix
+from .network import (
+    Weights,
+    global_map,
+    gradient,
+    partial_middle,
+    partial_prefix,
+    partial_suffix,
+)
 from .ranktol import RankTolerance, numeric_rank  # re-exported
 
 __all__ = [
@@ -69,14 +76,7 @@ def pivot_blocks(w: Weights, bundle: SigmaBundle, i: int, j: int):
     if not (1 <= j < i <= H):
         raise InvalidPivot(f"need 1 <= j < i <= {H}, got ({i}, {j})")
     block1 = partial_prefix(w, j - 1) @ bundle.sigma_xy @ partial_suffix(w, i + 1)
-    if i == j + 1:
-        block2 = np.eye(w.shape.dims[j])
-    else:
-        block2 = np.eye(w.shape.dims[j + 1])
-        for k in range(j + 2, i):
-            block2 = w.layer(k) @ block2
-        block2 = block2 @ w.layer(j + 1)
-    return block1, block2
+    return block1, partial_middle(w, i, j)
 
 
 def analyze_pivot(

@@ -32,7 +32,14 @@ from .errors import (
     NotCritical,
     TooLarge,
 )
-from .network import NetworkShape, Weights, global_map, gradient, partial_suffix
+from .network import (
+    NetworkShape,
+    Weights,
+    global_map,
+    gradient,
+    partial_middle,
+    partial_suffix,
+)
 from .ranktol import RankTolerance, numeric_rank
 
 TAU_CRIT_REL = 1e-6  # first-order criticality threshold, relative to scale
@@ -457,32 +464,26 @@ def canonical_form(
         z_list[1] = U_Q.T @ W2D1[:, r:]
     else:
         # Peel W_H, then walk down the hidden layers.
-        mid = np.eye(shape.dims[1])
-        for k in range(2, H):
-            mid = w.layer(k) @ mid  # W_{H-1} ... W_2 after the loop
-        D_Hm1, Z_H = _simplif_first(w.layer(H), mid @ D1, U_S, U_Q)
+        D_Hm1, Z_H = _simplif_first(w.layer(H), partial_middle(w, H, 1) @ D1, U_S, U_Q)
         d_list[H - 2] = D_Hm1
         z_list[H - 1] = Z_H
         D_upper = D_Hm1
         for h in range(H - 1, 2, -1):
-            mid_low = np.eye(shape.dims[1])
-            for k in range(2, h):
-                mid_low = w.layer(k) @ mid_low  # W_{h-1} ... W_2
             Bm = np.linalg.solve(D_upper, w.layer(h))
-            D_prev, Z_h = _simplif_step(Bm, mid_low @ D1, r)
+            D_prev, Z_h = _simplif_step(Bm, partial_middle(w, h, 1) @ D1, r)
             d_list[h - 2] = D_prev
             z_list[h - 1] = Z_h
             D_upper = D_prev
-        if H >= 3:
-            W2t = np.linalg.solve(d_list[1], w.layer(2) @ D1)
-            z_list[1] = W2t[r:, r:]
+        W2t = np.linalg.solve(d_list[1], w.layer(2) @ D1)
+        z_list[1] = W2t[r:, r:]
 
     z_list[0] = (D_clem @ w.layer(1))[r:, :]
 
     # Verify the canonical equations on the transformed weights.
     scale = 1.0 + w.frob_norm() + np.linalg.norm(C_map)
     tol = eps_canon * scale
-    Wt = _transform(w, d_list)
+    wt = transform_weights(w, d_list)
+    Wt = wt.layers
     errs = [np.linalg.norm(Wt[-1] - np.hstack([U_S, U_Q @ z_list[H - 1]]))]
     errs.append(np.linalg.norm(Wt[0][:r, :] - U_S.T @ C_map))
     errs.append(np.linalg.norm(Wt[0][r:, :] - z_list[0]))
@@ -491,11 +492,9 @@ def canonical_form(
         B[:r, :r] = np.eye(r)
         B[r:, r:] = z_list[h - 1]
         errs.append(np.linalg.norm(Wt[h - 1] - B))
-    prod = np.eye(shape.dims[1])
-    for M in Wt[1:]:
-        prod = M @ prod
+    K_t = partial_suffix(wt, 2)
     errs.append(
-        np.linalg.norm(prod - np.hstack([U_S, np.zeros((bundle.d_y, shape.dims[1] - r))]))
+        np.linalg.norm(K_t - np.hstack([U_S, np.zeros((bundle.d_y, shape.dims[1] - r))]))
     )
     if max(errs) > tol:
         raise DegenerateBasis(
@@ -515,18 +514,13 @@ def canonical_form(
     return spec
 
 
-def _transform(w: Weights, d_list):
-    """Apply the D-transformation: Wt_H = W_H D_{H-1}, Wt_1 = D_1^{-1} W_1,
-    Wt_h = D_h^{-1} W_h D_{h-1}."""
+def transform_weights(w: Weights, d_list) -> Weights:
+    """Re-parameterize weights by invertible D_h blocks (keeps the global
+    map and the nature of the critical point unchanged): Wt_H = W_H D_{H-1},
+    Wt_1 = D_1^{-1} W_1, Wt_h = D_h^{-1} W_h D_{h-1}."""
     H = w.shape.H
     out = [np.linalg.solve(d_list[0], w.layer(1))]
     for h in range(2, H):
         out.append(np.linalg.solve(d_list[h - 1], w.layer(h) @ d_list[h - 2]))
     out.append(w.layer(H) @ d_list[H - 2])
-    return out
-
-
-def transform_weights(w: Weights, d_list) -> Weights:
-    """Re-parameterize weights by invertible D_h blocks (keeps the global
-    map and the nature of the critical point unchanged)."""
-    return Weights(_transform(w, list(d_list)), w.shape)
+    return Weights(out, w.shape)

@@ -2,7 +2,7 @@
 
 The square loss restricted to a line is a polynomial of degree 2H in t; its
 quadratic coefficient c2 decides strictness of saddles.  This module provides
-the exact polynomial expansion, a cached evaluator and Hessian for c2,
+the exact polynomial expansion, an O(H) evaluator and Hessian for c2,
 negative-curvature witness constructions for the two saddle mechanisms
 (eigenvector swap and untightened pivots), and the nonnegative decomposition
 of c2 at tightened points.
@@ -27,7 +27,14 @@ from .errors import (
     TooDeep,
     TooLarge,
 )
-from .network import Direction, Weights, partial_prefix, partial_suffix
+from .network import (
+    Direction,
+    NetworkShape,
+    Weights,
+    partial_middle,
+    partial_prefix,
+    partial_suffix,
+)
 from .ranktol import RankTolerance, numeric_rank
 
 MAX_TAYLOR_DEPTH = 12
@@ -54,26 +61,30 @@ class TaylorCoeffs:
         return float(self.coeffs[2])
 
 
-def taylor_coeffs(w: Weights, v: Direction, data: DataMatrices) -> TaylorCoeffs:
-    """Exact coefficients of the degree-2H polynomial t -> L(W + t V).
+def _line_orders(w: Weights, v: Direction, X: np.ndarray, order: int) -> list:
+    """A_0 .. A_order: the terms of (W_H + t V_H) ... (W_1 + t V_1) X grouped
+    by their power of t, where A_k sums every way of substituting k layers by
+    their perturbations.  One pass over the layers updates all orders
+    (A_k <- W_h A_k + V_h A_{k-1}); orders above `order` are dropped."""
+    A = [X]
+    for Wh, Vh in zip(w.layers, v.layers):
+        new = [Wh @ A[0]]
+        for k in range(1, len(A)):
+            new.append(Wh @ A[k] + Vh @ A[k - 1])
+        if len(A) <= order:
+            new.append(Vh @ A[-1])
+        A = new
+    return A
 
-    Grouped by perturbation order: A_k = sum over all ways of substituting k
-    layers by their perturbations, applied to X.  One pass over the layers
-    updates all orders (A_k <- W_h A_k + V_h A_{k-1}).
-    """
+
+def taylor_coeffs(w: Weights, v: Direction, data: DataMatrices) -> TaylorCoeffs:
+    """Exact coefficients of the degree-2H polynomial t -> L(W + t V)."""
     H = w.shape.H
     if H > MAX_TAYLOR_DEPTH:
         raise TooDeep(f"depth {H} exceeds exact-expansion guard {MAX_TAYLOR_DEPTH}")
     if v.shape.dims != w.shape.dims:
         raise InvalidShape("direction shape does not match weights")
-    A = [data.X]
-    for h in range(1, H + 1):
-        Wh, Vh = w.layer(h), v.layer(h)
-        new = [Wh @ A[0]]
-        for k in range(1, len(A)):
-            new.append(Wh @ A[k] + Vh @ A[k - 1])
-        new.append(Vh @ A[-1])
-        A = new
+    A = _line_orders(w, v, data.X, H)
     B = [A[0] - data.Y] + A[1:]
     coeffs = np.zeros(2 * H + 1)
     for k in range(H + 1):
@@ -83,16 +94,19 @@ def taylor_coeffs(w: Weights, v: Direction, data: DataMatrices) -> TaylorCoeffs:
 
 
 # ---------------------------------------------------------------------------
-# Cached quadratic form and Hessian.
+# Quadratic form and Hessian at a fixed point, in O(H) products each.
 # ---------------------------------------------------------------------------
 
 class CurvatureCache:
-    """Precomputed layer products at a fixed W for repeated c2 evaluation.
+    """Forward and backward passes at a fixed W for repeated c2 evaluation
+    and Hessian-vector products.
 
-    c2(V) = ||sum_h S_{h+1} V_h P_{h-1}||^2
-            + 2 sum_{i>j} <S_{i+1} V_i M_{i,j} V_j P_{j-1}, R>
-    with P_h = W_h..W_1 X, S_h = W_H..W_h, M_{i,j} = W_{i-1}..W_{j+1} and
-    R = W_H..W_1 X - Y the residual.
+    Keeps the forward products P_h = W_h..W_1 X (P_0 = X), the residual
+    R = P_H - Y and the backward adjoints B_h = (W_H..W_{h+1})^T R (B_H = R),
+    all read off the weights' product table: O(H) arrays of m columns.
+    c2(V) = ||A_1||^2 + 2 <A_2, R> from the order-2 truncation of the line
+    expansion, and the Hessian acts on V by Pearlmutter's R-operator on the
+    same two passes.  Each costs O(H) matrix products.
     """
 
     def __init__(self, w: Weights, data: DataMatrices):
@@ -102,57 +116,43 @@ class CurvatureCache:
         self.data = data
         H = w.shape.H
         self.H = H
-        P = [data.X]
-        for h in range(1, H + 1):
-            P.append(w.layer(h) @ P[-1])
-        self.P = P  # P[h] = W_h..W_1 X
-        S = [None] * (H + 2)
-        S[H + 1] = np.eye(w.shape.d_y)
-        for h in range(H, 0, -1):
-            S[h] = S[h + 1] @ w.layer(h)
-        self.S = S  # S[h] = W_H..W_h
-        self.R = P[H] - data.Y
-        self.M = {}
-        for j in range(1, H):
-            M = np.eye(w.shape.dims[j])
-            self.M[(j + 1, j)] = M
-            for i in range(j + 2, H + 1):
-                M = w.layer(i - 1) @ M
-                self.M[(i, j)] = M
+        self.P = [partial_prefix(w, h) @ data.X for h in range(H + 1)]
+        self.R = self.P[H] - data.Y
+        self.B = [partial_suffix(w, h + 1).T @ self.R for h in range(H + 1)]
 
     def c2(self, v: Direction) -> float:
-        H = self.H
-        F = sum(self.S[h + 1] @ v.layer(h) @ self.P[h - 1] for h in range(1, H + 1))
-        val = float(np.sum(F * F))
-        for i in range(2, H + 1):
-            for j in range(1, i):
-                T = self.S[i + 1] @ v.layer(i) @ self.M[(i, j)] @ v.layer(j) @ self.P[j - 1]
-                val += 2.0 * float(np.sum(T * self.R))
-        return val
+        _, A1, A2 = _line_orders(self.w, v, self.data.X, 2)
+        return float(np.sum(A1 * A1)) + 2.0 * float(np.sum(A2 * self.R))
 
     def hessian_matvec(self, flat: np.ndarray) -> np.ndarray:
-        """Action of the Hessian of t -> L(W + tV) at t=0 (i.e. of 2 c2)."""
-        v = self._unflatten(flat)
-        H = self.H
-        F = sum(self.S[h + 1] @ v[h - 1] @ self.P[h - 1] for h in range(1, H + 1))
-        out = []
-        for h in range(1, H + 1):
-            G = self.S[h + 1].T @ F @ self.P[h - 1].T
-            for j in range(1, h):
-                # cross term with a lower layer
-                G += (self.S[h + 1].T @ self.R @ self.P[j - 1].T) @ v[j - 1].T @ self.M[(h, j)].T
-            for i in range(h + 1, H + 1):
-                G += self.M[(i, h)].T @ v[i - 1].T @ (self.S[i + 1].T @ self.R @ self.P[h - 1].T)
-            out.append(2.0 * G)
-        return np.concatenate([g.ravel() for g in out])
+        """Action of the Hessian of t -> L(W + tV) at t=0 (i.e. of 2 c2).
 
-    def _unflatten(self, flat: np.ndarray):
-        mats, off = [], 0
-        for h in range(1, self.H + 1):
-            rows, cols = self.w.shape.layer_shape(h)
-            mats.append(flat[off:off + rows * cols].reshape(rows, cols))
-            off += rows * cols
-        return mats
+        With dP_h and dB_h the derivatives of P_h and B_h along V, the
+        gradient 2 B_h P_{h-1}^T has derivative
+        2 (dB_h P_{h-1}^T + B_h dP_{h-1}^T)."""
+        v = _unflatten(flat, self.w.shape)
+        H, W, P, B = self.H, self.w.layers, self.P, self.B
+        dP = [np.zeros_like(P[0])]
+        for h in range(1, H + 1):
+            dP.append(W[h - 1] @ dP[-1] + v[h - 1] @ P[h - 1])
+        dB = [None] * (H + 1)
+        dB[H] = dP[H]
+        for h in range(H, 1, -1):
+            dB[h - 1] = W[h - 1].T @ dB[h] + v[h - 1].T @ B[h]
+        return np.concatenate([
+            (2.0 * (dB[h] @ P[h - 1].T + B[h] @ dP[h - 1].T)).ravel()
+            for h in range(1, H + 1)
+        ])
+
+
+def _unflatten(flat: np.ndarray, shape) -> list:
+    """Split a flat parameter vector into layer-shaped views W_1 .. W_H."""
+    mats, off = [], 0
+    for h in range(1, shape.H + 1):
+        rows, cols = shape.layer_shape(h)
+        mats.append(flat[off:off + rows * cols].reshape(rows, cols))
+        off += rows * cols
+    return mats
 
 
 def c2_value(w: Weights, v: Direction, data: DataMatrices) -> float:
@@ -161,29 +161,13 @@ def c2_value(w: Weights, v: Direction, data: DataMatrices) -> float:
 
 def hessian_dense(w: Weights, data: DataMatrices) -> np.ndarray:
     """Dense Hessian of the loss at W (second derivative along lines is
-    2 c2).  Assembled block-wise from the closed form of c2, guarded by a
+    2 c2): the Hessian-vector products with the unit vectors, guarded by a
     parameter-count limit."""
     n = w.shape.n_params
     if n > MAX_DENSE_PARAMS:
         raise TooLarge(f"{n} parameters exceed dense-Hessian guard {MAX_DENSE_PARAMS}")
     cache = CurvatureCache(w, data)
-    H = w.shape.H
-    sizes = [w.shape.dims[h] * w.shape.dims[h - 1] for h in range(1, H + 1)]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    B = np.zeros((n, n))
-    for h in range(1, H + 1):
-        for hp in range(1, h + 1):
-            left = cache.S[h + 1].T @ cache.S[hp + 1]
-            right = cache.P[h - 1] @ cache.P[hp - 1].T
-            blk = np.einsum("ac,bd->abcd", left, right)
-            if h > hp:
-                G = cache.S[h + 1].T @ cache.R @ cache.P[hp - 1].T
-                blk = blk + np.einsum("ad,bc->abcd", G, cache.M[(h, hp)])
-            blk = blk.reshape(sizes[h - 1], sizes[hp - 1])
-            B[offs[h - 1]:offs[h], offs[hp - 1]:offs[hp]] = blk
-            if h != hp:
-                B[offs[hp - 1]:offs[hp], offs[h - 1]:offs[h]] = blk.T
-    return 2.0 * B
+    return np.column_stack([cache.hessian_matvec(e) for e in np.eye(n)])
 
 
 def hessian_min_eig(
@@ -198,30 +182,21 @@ def hessian_min_eig(
         if not return_vector:
             return float(np.linalg.eigvalsh(M)[0])
         vals, vecs = np.linalg.eigh(M)
-        return float(vals[0]), _flat_to_direction(vecs[:, 0], w.shape)
-    if mode != "probe":
-        raise ValueError(f"unknown mode {mode!r}")
-    cache = CurvatureCache(w, data)
-    n = w.shape.n_params
-    op = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=cache.hessian_matvec, dtype=float
-    )
-    if not return_vector:
-        vals = scipy.sparse.linalg.eigsh(
-            op, k=1, which="SA", tol=tol, return_eigenvectors=False
+    elif mode == "probe":
+        cache = CurvatureCache(w, data)
+        n = w.shape.n_params
+        op = scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=cache.hessian_matvec, dtype=float
         )
-        return float(vals[0])
-    vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=tol)
-    return float(vals[0]), _flat_to_direction(vecs[:, 0], w.shape)
-
-
-def _flat_to_direction(flat: np.ndarray, shape) -> Direction:
-    mats, off = [], 0
-    for h in range(1, shape.H + 1):
-        rows, cols = shape.layer_shape(h)
-        mats.append(flat[off:off + rows * cols].reshape(rows, cols))
-        off += rows * cols
-    return Direction(mats, shape)
+        if not return_vector:
+            vals = scipy.sparse.linalg.eigsh(
+                op, k=1, which="SA", tol=tol, return_eigenvectors=False
+            )
+            return float(vals[0])
+        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=tol)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return float(vals[0]), Direction(_unflatten(vecs[:, 0], w.shape), w.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +236,8 @@ def witness_eigenswap(
     V = np.outer(bundle.U[:, i - 1], np.eye(r)[g])  # d_y x r
     C = bundle.sigma_yx_sigma_xx_inv()
     shape = w.shape
-    mats = [np.zeros(shape.layer_shape(h)) for h in range(1, shape.H + 1)]
-    W1p = np.zeros(shape.layer_shape(1))
-    W1p[:, :] = D_inv @ np.vstack(
-        [V.T @ C, np.zeros((shape.dims[1] - r, shape.d_x))]
-    )
-    mats[0] = W1p
+    mats = _zero_direction(shape)
+    mats[0] = D_inv @ np.vstack([V.T @ C, np.zeros((shape.dims[1] - r, shape.d_x))])
     mats[-1] = V @ (bundle.u_cols(S).T @ w.layer(shape.H))
     c2_pred = float(bundle.lambdas[j - 1] - bundle.lambdas[i - 1])
     return WitnessCase(
@@ -342,15 +313,30 @@ def _zero_direction(shape):
     return [np.zeros(shape.layer_shape(h)) for h in range(1, shape.H + 1)]
 
 
+def _scaled_witness(w, data, mats, top, top_dir, c_coef, case, pivot, **diagnostics):
+    """Complete `mats` with beta * top_dir at layer `top`, beta minimizing the
+    restricted c2 = a beta^2 + c_coef beta, where
+    a = ||W_H..W_{top+1} top_dir W_{top-1}..W_1 X||^2."""
+    N = partial_suffix(w, top + 1) @ top_dir @ partial_prefix(w, top - 1)
+    a_coef = float(np.sum((N @ data.X) ** 2))
+    beta, c2_pred = _choose_beta(a_coef, c_coef)
+    mats[top - 1] = beta * top_dir
+    return WitnessCase(
+        direction=Direction(mats, w.shape),
+        case=case,
+        c2_predicted=c2_pred,
+        pivot=pivot,
+        diagnostics={"beta": beta, "quad_coeff": a_coef, "lin_coeff": c_coef,
+                     **diagnostics},
+    )
+
+
 def _feed_column(w: Weights, D_inv: np.ndarray, r: int, upto: int):
     """Pick the kernel direction of W_H..W_2 that survives W_upto..W_2 best.
 
     Returns (g0, col): a 0-based column index g0 >= r into D_inv and the
     image col = W_upto..W_2 D_inv[:, g0]."""
-    M = np.eye(w.shape.dims[1])
-    for k in range(2, upto + 1):
-        M = w.layer(k) @ M
-    cand = M @ D_inv[:, r:]
+    cand = partial_middle(w, upto + 1, 1) @ D_inv[:, r:]
     if cand.size == 0:
         raise NotApplicable("no kernel direction available (r = d_1)")
     norms = np.linalg.norm(cand, axis=0)
@@ -378,28 +364,13 @@ def _witness_case1(w, bundle, data, S, comp, i, rank_tol):
     a_vec = col / float(col @ col)
 
     mats = _zero_direction(shape)
-    e_l = np.eye(shape.dims[i])[:, l0]
-    mats[i - 1] = np.outer(e_l, a_vec)  # scaled by beta below
     C = bundle.sigma_yx_sigma_xx_inv()
     mats[0] = np.outer(D_inv[:, g0], bundle.U[:, k - 1] @ C)
-
-    N = suf @ np.outer(e_l, a_vec) @ partial_prefix(w, i - 1)
-    a_coef = float(np.sum((N @ data.X) ** 2))
-    c_coef = -2.0 * lam_k * float(T[k_rel, l0])
-    beta, c2_pred = _choose_beta(a_coef, c_coef)
-    mats[i - 1] = beta * mats[i - 1]
-    return WitnessCase(
-        direction=Direction(mats, shape),
-        case="untightened_interior_first",
-        c2_predicted=c2_pred,
-        pivot=(i, 1),
-        diagnostics={
-            "beta": beta,
-            "quad_coeff": a_coef,
-            "lin_coeff": c_coef,
-            "eig_index": k,
-            "cond_D": float(np.linalg.cond(D)),
-        },
+    e_l = np.eye(shape.dims[i])[:, l0]
+    return _scaled_witness(
+        w, data, mats, i, np.outer(e_l, a_vec), -2.0 * lam_k * float(T[k_rel, l0]),
+        "untightened_interior_first", (i, 1),
+        eig_index=k, cond_D=float(np.linalg.cond(D)),
     )
 
 
@@ -417,24 +388,10 @@ def _witness_case2(w, bundle, data, S, comp, rank_tol):
     U_k = bundle.U[:, k - 1]
     C = bundle.sigma_yx_sigma_xx_inv()
     mats[0] = np.outer(D_inv[:, g0], U_k @ C)
-    WH_dir = np.outer(U_k, a_vec)
-    N = WH_dir @ partial_prefix(w, shape.H - 1)
-    a_coef = float(np.sum((N @ data.X) ** 2))
-    c_coef = -2.0 * lam_k
-    beta, c2_pred = _choose_beta(a_coef, c_coef)
-    mats[-1] = beta * WH_dir
-    return WitnessCase(
-        direction=Direction(mats, shape),
-        case="untightened_last_first",
-        c2_predicted=c2_pred,
-        pivot=(shape.H, 1),
-        diagnostics={
-            "beta": beta,
-            "quad_coeff": a_coef,
-            "lin_coeff": c_coef,
-            "eig_index": k,
-            "cond_D": float(np.linalg.cond(D)),
-        },
+    return _scaled_witness(
+        w, data, mats, shape.H, np.outer(U_k, a_vec), -2.0 * lam_k,
+        "untightened_last_first", (shape.H, 1),
+        eig_index=k, cond_D=float(np.linalg.cond(D)),
     )
 
 
@@ -444,10 +401,7 @@ def _kernel_feed(w, i, j, rank_tol):
     N1 = _kernel_basis(suf, rank_tol)
     if N1.size == 0:
         raise NotApplicable("upper layers past the pivot have trivial kernel")
-    M = np.eye(w.shape.dims[j])
-    for k in range(j + 1, i):
-        M = w.layer(k) @ M  # W_{i-1} .. W_{j+1}
-    imgs = M @ N1
+    imgs = partial_middle(w, i, j) @ N1
     norms = np.linalg.norm(imgs, axis=0)
     idx = int(np.argmax(norms))
     if norms[idx] <= BETA_ZERO_TOL:
@@ -474,23 +428,9 @@ def _witness_case3(w, bundle, data, S, comp, i, j, rank_tol):
     mats = _zero_direction(shape)
     U_k = bundle.U[:, k - 1]
     mats[j - 1] = np.outer(b, np.eye(shape.dims[j - 1])[:, l0])
-    WH_dir = np.outer(U_k, a_vec)
-    N = WH_dir @ partial_prefix(w, shape.H - 1)
-    a_coef = float(np.sum((N @ data.X) ** 2))
-    c_coef = -2.0 * float(T[l0, k_rel])
-    beta, c2_pred = _choose_beta(a_coef, c_coef)
-    mats[-1] = beta * WH_dir
-    return WitnessCase(
-        direction=Direction(mats, shape),
-        case="untightened_last_interior",
-        c2_predicted=c2_pred,
-        pivot=(shape.H, j),
-        diagnostics={
-            "beta": beta,
-            "quad_coeff": a_coef,
-            "lin_coeff": c_coef,
-            "eig_index": k,
-        },
+    return _scaled_witness(
+        w, data, mats, shape.H, np.outer(U_k, a_vec), -2.0 * float(T[l0, k_rel]),
+        "untightened_last_interior", (shape.H, j), eig_index=k,
     )
 
 
@@ -511,22 +451,9 @@ def _witness_case4(w, bundle, data, S, comp, i, j, rank_tol):
     mats = _zero_direction(shape)
     mats[j - 1] = np.outer(b, np.eye(shape.dims[j - 1])[:, l0])
     e_k = np.eye(shape.dims[i])[:, k0]
-    Wi_dir = np.outer(e_k, a_vec)
-    N = suf @ Wi_dir @ partial_prefix(w, i - 1)
-    a_coef = float(np.sum((N @ data.X) ** 2))
-    c_coef = -2.0 * float(T[l0, k0])
-    beta, c2_pred = _choose_beta(a_coef, c_coef)
-    mats[i - 1] = beta * Wi_dir
-    return WitnessCase(
-        direction=Direction(mats, shape),
-        case="untightened_interior_interior",
-        c2_predicted=c2_pred,
-        pivot=(i, j),
-        diagnostics={
-            "beta": beta,
-            "quad_coeff": a_coef,
-            "lin_coeff": c_coef,
-        },
+    return _scaled_witness(
+        w, data, mats, i, np.outer(e_k, a_vec), -2.0 * float(T[l0, k0]),
+        "untightened_interior_interior", (i, j),
     )
 
 
@@ -559,7 +486,10 @@ class FtStDecomposition:
 
 
 def _canonical_blocks(w: Weights, bundle: SigmaBundle, rank_tol, eps):
-    """Verify canonical block structure and extract (r, Z_1..Z_H)."""
+    """Verify canonical block structure and extract r and the blocks
+    Z_1..Z_H, as the weights of the network with widths
+    (d_x, d_1 - r, ..., d_{H-1} - r, d_y - r) so that their products come
+    from its product table."""
     shape = w.shape
     H = shape.H
     G = partial_suffix(w, 1)
@@ -575,13 +505,13 @@ def _canonical_blocks(w: Weights, bundle: SigmaBundle, rank_tol, eps):
     z = [None] * H
     W1 = w.layer(1)
     errs.append(np.linalg.norm(W1[:r, :] - U_S.T @ C))
-    z[0] = W1[r:, :].copy()
+    z[0] = W1[r:, :]
     for h in range(2, H):
         Wh = w.layer(h)
         errs.append(np.linalg.norm(Wh[:r, :r] - np.eye(r)))
         errs.append(np.linalg.norm(Wh[:r, r:]))
         errs.append(np.linalg.norm(Wh[r:, :r]))
-        z[h - 1] = Wh[r:, r:].copy()
+        z[h - 1] = Wh[r:, r:]
     WH = w.layer(H)
     errs.append(np.linalg.norm(WH[:, :r] - U_S))
     z[H - 1] = bundle.U[:, r:].T @ WH[:, r:]
@@ -594,7 +524,8 @@ def _canonical_blocks(w: Weights, bundle: SigmaBundle, rank_tol, eps):
         raise NeedsCanonicalization(
             f"weights deviate from canonical block form by {max(errs):.3g}"
         )
-    return r, z
+    z_shape = NetworkShape((shape.d_x,) + tuple(d - r for d in shape.dims[1:]))
+    return r, Weights(z, z_shape)
 
 
 def tightened_structure(
@@ -605,6 +536,14 @@ def tightened_structure(
 ) -> TightenedStructure:
     """Locate the rank-collapse indices (p, q) of a tightened canonical point
     and verify the product identities they imply."""
+    return _tightened(w, bundle, rank_tol, eps)[0]
+
+
+def _tightened(w: Weights, bundle: SigmaBundle, rank_tol, eps):
+    """``tightened_structure`` together with the r and Z blocks of
+    ``_canonical_blocks``."""
+    from .classifier import is_tightened  # classifier imports this module
+
     shape = w.shape
     H = shape.H
     if H < 3:
@@ -612,19 +551,9 @@ def tightened_structure(
     r, z = _canonical_blocks(w, bundle, rank_tol, eps)
 
     # All pivots must be tightened: the smaller of the two block ranks is r.
-    for i in range(2, H + 1):
-        for j in range(1, i):
-            b1 = partial_prefix(w, j - 1) @ bundle.sigma_xy @ partial_suffix(w, i + 1)
-            rank1 = numeric_rank(b1, rank_tol)
-            if i == j + 1:
-                rank2 = shape.dims[j]
-            else:
-                b2 = np.eye(shape.dims[j + 1])
-                for k in range(j + 2, i):
-                    b2 = w.layer(k) @ b2
-                rank2 = numeric_rank(b2 @ w.layer(j + 1), rank_tol)
-            if min(rank1, rank2) > r:
-                raise NotTightened(f"pivot ({i}, {j}) is not tightened")
+    for pv in is_tightened(w, bundle, r, rank_tol)[1]:
+        if min(pv.rank1, pv.rank2) > r:
+            raise NotTightened(f"pivot ({pv.i}, {pv.j}) is not tightened")
 
     p = None
     for h in range(H, 2, -1):
@@ -652,33 +581,23 @@ def tightened_structure(
                 suf - np.hstack([U_S, np.zeros((shape.d_y, suf.shape[1] - r))])
             )
         )
-    for i in range(p, H + 1):
-        mid = np.eye(shape.dims[1])
-        for k in range(2, i):
-            mid = w.layer(k) @ mid
+    # W_{i-1}..W_2 for i >= p and W_{H-1}..W_{i+1} for i <= q are [[I_r, 0], [0, 0]].
+    mids = [partial_middle(w, i, 1) for i in range(p, H + 1)]
+    mids += [partial_middle(w, H, i) for i in range(1, q + 1)]
+    for mid in mids:
         tgt = np.zeros_like(mid)
         tgt[:r, :r] = np.eye(r)
         errs.append(np.linalg.norm(mid - tgt))
     U_Q = bundle.U[:, r:]
     for i in range(q + 1, H + 1):
         # Z_{i-1} .. Z_1 Sigma_XY U_Q = 0
-        acc = z[0]
-        for k in range(2, i):
-            acc = z[k - 1] @ acc
-        errs.append(np.linalg.norm(acc @ bundle.sigma_xy @ U_Q))
-    for i in range(1, q + 1):
-        mid = np.eye(shape.dims[i])
-        for k in range(i + 1, H):
-            mid = w.layer(k) @ mid
-        tgt = np.zeros_like(mid)
-        tgt[:r, :r] = np.eye(r)
-        errs.append(np.linalg.norm(mid - tgt))
+        errs.append(np.linalg.norm(partial_prefix(z, i - 1) @ bundle.sigma_xy @ U_Q))
     residual = max(errs)
     if residual > eps * scale:
         raise InternalInconsistency(
             f"tightened product identities violated by {residual:.3g}"
         )
-    return TightenedStructure(p=p, q=q, residual=float(residual))
+    return TightenedStructure(p=p, q=q, residual=float(residual)), r, z
 
 
 def ft_st_decomposition(
@@ -696,26 +615,14 @@ def ft_st_decomposition(
     tightened, depth >= 3.  The decomposition certifies the absence of
     second-order descent directions.
     """
-    shape = w.shape
-    H = shape.H
-    st = tightened_structure(w, bundle, rank_tol=rank_tol, eps=eps)
-    r, z = _canonical_blocks(w, bundle, rank_tol, eps)
+    H = w.shape.H
+    st, r, z = _tightened(w, bundle, rank_tol, eps)
     p, q = st.p, st.q
-    d_y = bundle.d_y
     X = data.X
 
     J1 = range(p, H)
     J2 = range(q + 1, p)
     J3 = range(2, q + 1)
-
-    # products of Z blocks from the top: G[i] = Z_H Z_{H-1} .. Z_{i+1}
-    G = {H - 1: z[H - 1]}
-    for i in range(H - 2, 0, -1):
-        G[i] = G[i + 1] @ z[i]
-    # products from the bottom: Kz[i] = Z_{i-1} .. Z_1  (Kz[2] = Z_1)
-    Kz = {2: z[0]}
-    for i in range(3, H + 1):
-        Kz[i] = z[i - 2] @ Kz[i - 1]
 
     lam = bundle.lambdas
     U_S, U_Q = bundle.U[:, :r], bundle.U[:, r:]
@@ -726,10 +633,11 @@ def ft_st_decomposition(
     XV_Q = X @ bundle.v_q_cols(r)
     delta_q = np.sqrt(lam[r:])
 
-    # a1: swap-type quadratic with eigenvalue gaps as weights.
+    # a1: swap-type quadratic with eigenvalue gaps as weights; the Z products
+    # Z_H..Z_{i+1} and Z_{i-1}..Z_1 are suffixes and prefixes of z.
     T1 = U_Q.T @ v.layer(H)[:, :r]
     for i in J1:
-        T1 = T1 + G[i] @ v.layer(i)[r:, :r]
+        T1 = T1 + partial_suffix(z, i + 1) @ v.layer(i)[r:, :r]
     gaps = lam[:r][None, :] - lam[r:][:, None]  # (d_y - r) x r, all > 0
     a1 = float(np.sum(gaps * T1 * T1))
 
@@ -738,15 +646,17 @@ def ft_st_decomposition(
     for i in J1:
         A2 = A2 + v.layer(i)[:r, :r] @ P_S
     for i in J2:
-        A2 = A2 + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ (Kz[i] @ X)
+        Kz = partial_prefix(z, i - 1)
+        A2 = A2 + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ (Kz @ X)
     for i in J3:
-        A2 = A2 + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ (Kz[i] @ X @ Pi_sp)
+        Kz = partial_prefix(z, i - 1)
+        A2 = A2 + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ (Kz @ X @ Pi_sp)
     A2 = A2 + v.layer(1)[:r, :] @ X @ Pi_sp
 
     A3 = delta_q[:, None] * T1
     A4 = v.layer(1)[:r, :] @ XV_Q
     for i in J3:
-        A4 = A4 + v.layer(i)[:r, r:] @ (Kz[i] @ XV_Q)
+        A4 = A4 + v.layer(i)[:r, r:] @ (partial_prefix(z, i - 1) @ XV_Q)
     A4 = A4.T
 
     return FtStDecomposition(a1=a1, A2=A2, A3=A3, A4=A4, structure=st)

@@ -96,12 +96,13 @@ def run_optimizer(
     if opt.algorithm not in ("adam", "gd"):
         raise ValueError(f"unknown optimizer {opt.algorithm!r}")
     gscale = 1.0 / (data.m * data.d_y) if opt.mse_scaling else 1.0
-    W = [M.copy() for M in w0.layers]
-    trace = [loss(w0, bundle, data)]
+    W = list(w0.layers)
+    cur = w0  # the weights W, whose loss and product table are reused
+    trace = [loss(cur, bundle, data)]
     m1 = [np.zeros_like(M) for M in W]
     m2 = [np.zeros_like(M) for M in W]
     for epoch in range(1, max_epochs + 1):
-        g = gradient(Weights(W, w0.shape), bundle)
+        g = gradient(cur, bundle)
         if opt.algorithm == "gd":
             for h in range(len(W)):
                 W[h] = W[h] - opt.lr * gscale * g.layers[h]
@@ -120,7 +121,7 @@ def run_optimizer(
         trace.append(val)
         if not np.isfinite(val) or val > DIVERGE_LIMIT:
             raise Diverged(f"loss {val:.3g} at epoch {epoch}", trace=trace)
-    return Weights(W, w0.shape), trace
+    return cur, trace
 
 
 def escape_threshold(bundle: SigmaBundle, r: int, margin_index: int | None = None) -> float:

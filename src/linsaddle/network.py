@@ -4,6 +4,15 @@ Layers are stored input-to-output (W_1 first), so ``layers[h-1]`` is the
 d_h x d_{h-1} matrix W_h and the realized global map is
 W_H ... W_1 = layers[-1] @ ... @ layers[0].
 Empty index ranges in products denote identity matrices throughout.
+
+This module is the one place where layer products are formed.  Each
+``Weights``/``Direction`` carries a product table, built on first use by any
+of ``partial_prefix``, ``partial_suffix``, ``global_map`` or ``gradient``:
+the H + 1 prefixes W_h..W_1 and the H + 1 suffixes W_H..W_h, read-only and
+shared by every later caller (the layers are read-only, so the table cannot
+go stale).  Building it costs 2H matrix products and O(H) memory.  Middle
+products W_{i-1}..W_{j+1} come from ``partial_middle``; there are O(H^2) of
+them, so they are formed on demand and not kept.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ class NetworkShape:
 class _LayerStack:
     """Immutable ordered list of layer matrices compatible with a shape."""
 
-    __slots__ = ("layers", "shape")
+    __slots__ = ("layers", "shape", "_products")
 
     def __init__(self, layers, shape: NetworkShape):
         mats = []
@@ -75,6 +84,7 @@ class _LayerStack:
             raise InvalidShape(f"expected {shape.H} layers, got {len(mats)}")
         object.__setattr__(self, "layers", tuple(mats))
         object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "_products", None)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("immutable")
@@ -102,28 +112,57 @@ def zeros_like(shape: NetworkShape) -> Direction:
     return Direction([np.zeros(shape.layer_shape(h)) for h in range(1, shape.H + 1)], shape)
 
 
+def _product_table(w: _LayerStack):
+    """(prefixes, suffixes) with prefixes[h] = W_h ... W_1 for h in [0, H]
+    and suffixes[h] = W_H ... W_h for h in [1, H + 1] (suffixes[0] unused)."""
+    table = w._products
+    if table is None:
+        prefixes = [np.eye(w.shape.d_x)]
+        for M in w.layers:
+            prefixes.append(M @ prefixes[-1])
+        H = w.shape.H
+        suffixes = [None] * (H + 2)
+        suffixes[H + 1] = np.eye(w.shape.d_y)
+        for h in range(H, 0, -1):
+            suffixes[h] = suffixes[h + 1] @ w.layer(h)
+        for P in prefixes + suffixes[1:]:
+            P.flags.writeable = False
+        table = (tuple(prefixes), tuple(suffixes))
+        object.__setattr__(w, "_products", table)
+    return table
+
+
+def _check_index(h: int, lo: int, hi: int) -> None:
+    if not lo <= h <= hi:
+        raise IndexError(f"layer index {h} outside [{lo}, {hi}]")
+
+
 def global_map(w: _LayerStack) -> np.ndarray:
     """The product W_H ... W_1 (identity for empty ranges by convention)."""
-    P = np.eye(w.shape.d_x)
-    for M in w.layers:
-        P = M @ P
-    return P
+    return _product_table(w)[0][-1]
 
 
 def partial_prefix(w: _LayerStack, h: int) -> np.ndarray:
     """W_h ... W_1, with h = 0 giving I_{d_x}."""
-    P = np.eye(w.shape.d_x)
-    for k in range(1, h + 1):
-        P = w.layer(k) @ P
-    return P
+    _check_index(h, 0, w.shape.H)
+    return _product_table(w)[0][h]
 
 
 def partial_suffix(w: _LayerStack, h: int) -> np.ndarray:
     """W_H ... W_h, with h = H + 1 giving I_{d_y}."""
-    P = np.eye(w.shape.d_y)
-    for k in range(w.shape.H, h - 1, -1):
-        P = P @ w.layer(k)
-    return P
+    _check_index(h, 1, w.shape.H + 1)
+    return _product_table(w)[1][h]
+
+
+def partial_middle(w: _LayerStack, i: int, j: int) -> np.ndarray:
+    """W_{i-1} ... W_{j+1} for 0 <= j < i <= H + 1, with i = j + 1 giving
+    I_{d_j}.  Formed afresh on every call."""
+    _check_index(i, j + 1, w.shape.H + 1)
+    _check_index(j, 0, w.shape.H)
+    M = np.eye(w.shape.dims[j])
+    for k in range(j + 1, i):
+        M = w.layer(k) @ M
+    return M
 
 
 def loss(w: Weights, bundle: SigmaBundle, data: DataMatrices) -> float:
@@ -143,16 +182,7 @@ def gradient(w: Weights, bundle: SigmaBundle) -> Direction:
     if w.shape.d_x != bundle.d_x or w.shape.d_y != bundle.d_y:
         raise InvalidShape("weights incompatible with bundle dimensions")
     H = w.shape.H
-    # prefixes[h] = W_h ... W_1  (prefixes[0] = I)
-    prefixes = [np.eye(w.shape.d_x)]
-    for h in range(1, H + 1):
-        prefixes.append(w.layer(h) @ prefixes[-1])
-    # suffixes[h] = W_H ... W_h  (suffixes[H + 1] = I)
-    suffixes = [None] * (H + 2)
-    suffixes[H + 1] = np.eye(w.shape.d_y)
-    for h in range(H, 0, -1):
-        suffixes[h] = suffixes[h + 1] @ w.layer(h)
-
+    prefixes, suffixes = _product_table(w)
     G = prefixes[H] @ bundle.sigma_xx - bundle.sigma_yx
     grads = [
         2.0 * suffixes[h + 1].T @ G @ prefixes[h - 1].T for h in range(1, H + 1)

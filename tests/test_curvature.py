@@ -5,6 +5,7 @@ import linsaddle as ls
 from linsaddle.curvature import (
     MAX_DENSE_PARAMS,
     MAX_TAYLOR_DEPTH,
+    CurvatureCache,
     _choose_beta,
 )
 from linsaddle.critical_points import transform_weights
@@ -128,6 +129,48 @@ def test_hessian_min_eig_probe_agrees(deep_problem):
     assert probe == pytest.approx(dense, rel=1e-5, abs=1e-6)
     with pytest.raises(ValueError):
         ls.hessian_min_eig(w, data, mode="exactly")
+
+
+@pytest.fixture(scope="module")
+def depth16_point():
+    """H = 16 with widths 3, beyond the exact expansion's depth guard."""
+    shape = ls.NetworkShape((4,) + (3,) * 15 + (3,))
+    data = ls.generate_gaussian_data(4, 3, 20, seed=4)
+    w = random_weights(shape, np.random.default_rng(50), scale=0.8)
+    return data, shape, w
+
+
+def test_c2_at_depth_16_matches_second_difference(depth16_point):
+    data, shape, w = depth16_point
+    rng = np.random.default_rng(51)
+    assert shape.H > MAX_TAYLOR_DEPTH
+    with pytest.raises(ls.TooDeep):
+        ls.taylor_coeffs(w, random_direction(shape, rng), data)
+    for _ in range(4):
+        v = random_direction(shape, rng)
+        sd = second_difference_c2(list(w.layers), list(v.layers), data.X, data.Y)
+        assert ls.c2_value(w, v, data) == pytest.approx(sd, rel=1e-4, abs=1e-4)
+
+
+def test_hessian_matvec_at_depth_16_matches_polarization(depth16_point):
+    # u^T Hess v = c2(u + v) - c2(u) - c2(v), each c2 from second differences.
+    data, shape, w = depth16_point
+    rng = np.random.default_rng(52)
+    cache = CurvatureCache(w, data)
+
+    def sd(mats):
+        return second_difference_c2(list(w.layers), mats, data.X, data.Y)
+
+    for _ in range(4):
+        u, v = random_direction(shape, rng), random_direction(shape, rng)
+        flat_u = np.concatenate([M.ravel() for M in u.layers])
+        flat_v = np.concatenate([M.ravel() for M in v.layers])
+        uv = [a + b for a, b in zip(u.layers, v.layers)]
+        ref = sd(uv) - sd(list(u.layers)) - sd(list(v.layers))
+        scale = abs(sd(uv)) + abs(sd(list(u.layers))) + abs(sd(list(v.layers)))
+        assert float(flat_u @ cache.hessian_matvec(flat_v)) == pytest.approx(
+            ref, abs=1e-4 * (1.0 + scale)
+        )
 
 
 def test_hessian_size_guard():

@@ -6,6 +6,7 @@ import pytest
 import linsaddle as ls
 from linsaddle.network import (
     best_rank_r_map,
+    partial_middle,
     partial_prefix,
     partial_suffix,
     zeros_like,
@@ -113,3 +114,40 @@ def test_weights_are_immutable(small_problem):
     w = random_weights(shape, np.random.default_rng(4))
     with pytest.raises(ValueError):
         w.layers[0][0, 0] = 5.0
+
+
+def test_product_table_matches_naive_loops_at_depth_16():
+    # Uneven widths, so that a product over a wrong index range cannot even
+    # be compared with the naive one.
+    dims = (5,) + tuple(2 + (h % 4) for h in range(1, 16)) + (3,)
+    shape = ls.NetworkShape(dims)
+    assert shape.H == 16
+    w = random_weights(shape, np.random.default_rng(7), scale=0.7)
+    H = shape.H
+
+    def naive(lo, hi):  # W_hi ... W_lo, identity of size d_{lo-1} when empty
+        P = np.eye(dims[lo - 1])
+        for k in range(lo, hi + 1):
+            P = w.layer(k) @ P
+        return P
+
+    def close(A, B):
+        return A.shape == B.shape and np.allclose(A, B, rtol=1e-12, atol=1e-14)
+
+    for h in range(H + 1):
+        assert close(partial_prefix(w, h), naive(1, h))
+    for h in range(1, H + 2):
+        assert close(partial_suffix(w, h), naive(h, H))
+    for i in range(1, H + 2):
+        for j in range(i):
+            assert close(partial_middle(w, i, j), naive(j + 1, i - 1))
+    assert close(ls.global_map(w), naive(1, H))
+
+    # The table is built once and shared, so callers may not write to it.
+    assert partial_prefix(w, 3) is partial_prefix(w, 3)
+    with pytest.raises(ValueError):
+        partial_suffix(w, 2)[0, 0] = 1.0
+    for bad in (lambda: partial_prefix(w, -1), lambda: partial_suffix(w, 0),
+                lambda: partial_middle(w, 3, 3), lambda: partial_middle(w, H + 2, 1)):
+        with pytest.raises(IndexError):
+            bad()
