@@ -79,11 +79,13 @@ from .experiments import (
     ExperimentConfig,
     OptimizerConfig,
     escape_epoch,
+    escape_gate,
     escape_threshold,
     perturb_near,
     run_experiment,
     run_optimizer,
     summarize_runs,
+    train_runs,
 )
 from .network import (
     Direction,

@@ -70,13 +70,26 @@ class Pivot:
     tightened: bool
 
 
+def _block1(w: Weights, bundle: SigmaBundle, i: int, j: int) -> np.ndarray:
+    """W_{j-1}..W_1 Sigma_XY W_H..W_{i+1}."""
+    return partial_prefix(w, j - 1) @ bundle.sigma_xy @ partial_suffix(w, i + 1)
+
+
 def pivot_blocks(w: Weights, bundle: SigmaBundle, i: int, j: int):
     """The two matrices whose ranks define pivot (i, j)."""
     H = w.shape.H
     if not (1 <= j < i <= H):
         raise InvalidPivot(f"need 1 <= j < i <= {H}, got ({i}, {j})")
-    block1 = partial_prefix(w, j - 1) @ bundle.sigma_xy @ partial_suffix(w, i + 1)
-    return block1, partial_middle(w, i, j)
+    return _block1(w, bundle, i, j), partial_middle(w, i, j)
+
+
+def _check_certified(p: Pivot, r: int) -> Pivot:
+    if min(p.rank1, p.rank2) < r:
+        raise InternalInconsistency(
+            f"pivot ({p.i}, {p.j}) rank {min(p.rank1, p.rank2)} < r = {r} "
+            "at a certified critical point"
+        )
+    return p
 
 
 def analyze_pivot(
@@ -87,17 +100,15 @@ def analyze_pivot(
     r: int,
     rank_tol: RankTolerance = RankTolerance(),
     certified: bool = False,
+    blocks: tuple | None = None,
 ) -> Pivot:
-    b1, b2 = pivot_blocks(w, bundle, i, j)
+    """Ranks of pivot (i, j); ``blocks`` is its ``pivot_blocks`` pair if the
+    caller has already formed it."""
+    b1, b2 = pivot_blocks(w, bundle, i, j) if blocks is None else blocks
     rank1 = numeric_rank(b1, rank_tol)
     rank2 = numeric_rank(b2, rank_tol)
-    if certified and min(rank1, rank2) < r:
-        raise InternalInconsistency(
-            f"pivot ({i}, {j}) rank {min(rank1, rank2)} < r = {r} "
-            "at a certified critical point"
-        )
-    return Pivot(i=i, j=j, rank1=rank1, rank2=rank2,
-                 tightened=(min(rank1, rank2) == r))
+    p = Pivot(i=i, j=j, rank1=rank1, rank2=rank2, tightened=(min(rank1, rank2) == r))
+    return _check_certified(p, r) if certified else p
 
 
 def all_pivots(
@@ -107,12 +118,18 @@ def all_pivots(
     rank_tol: RankTolerance = RankTolerance(),
     certified: bool = False,
 ):
-    """All H(H-1)/2 pivots in (i ascending, j ascending) order."""
-    return [
-        analyze_pivot(w, bundle, i, j, r, rank_tol, certified)
-        for i in range(2, w.shape.H + 1)
-        for j in range(1, i)
-    ]
+    """All H(H-1)/2 pivots in (i ascending, j ascending) order.  For each j
+    the middle products W_{i-1}..W_{j+1} are built by walking i upward, one
+    layer product per pivot, in the order ``partial_middle`` multiplies."""
+    found = {}
+    for j in range(1, w.shape.H):
+        middle = np.eye(w.shape.dims[j])
+        for i in range(j + 1, w.shape.H + 1):
+            blocks = (_block1(w, bundle, i, j), middle)
+            found[i, j] = analyze_pivot(w, bundle, i, j, r, rank_tol, blocks=blocks)
+            middle = w.layer(i) @ middle
+    pivots = [found[key] for key in sorted(found)]
+    return [_check_certified(p, r) for p in pivots] if certified else pivots
 
 
 def is_tightened(

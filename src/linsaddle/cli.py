@@ -40,6 +40,7 @@ from .errors import InternalInconsistency, LinSaddleError
 from .experiments import (
     ExperimentConfig,
     OptimizerConfig,
+    escape_gate,
     run_experiment,
     summarize_runs,
     summary_to_json,
@@ -210,11 +211,13 @@ def cmd_experiment(args) -> int:
         all_runs.extend(runs)
         summaries.append(summarize_runs(runs))
         write_runs_csv(f"{args.out_prefix}_{var}.csv", runs)
+    extra = {}
     if args.variant == "both":
         write_histogram_csv(
             f"{args.out_prefix}_histogram.csv", all_runs, max_epochs=args.max_epochs
         )
-    text = summary_to_json(summaries)
+        extra["gate"] = escape_gate(*summaries)
+    text = summary_to_json(summaries, **extra)
     with open(f"{args.out_prefix}_summary.json", "w") as f:
         f.write(text)
     print(text)

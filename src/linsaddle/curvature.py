@@ -11,6 +11,7 @@ of c2 at tightened points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse.linalg
@@ -31,9 +32,12 @@ from .network import (
     Direction,
     NetworkShape,
     Weights,
+    flatten,
+    global_map,
     partial_middle,
     partial_prefix,
     partial_suffix,
+    unflatten,
 )
 from .ranktol import RankTolerance, numeric_rank
 
@@ -101,12 +105,13 @@ class CurvatureCache:
     """Forward and backward passes at a fixed W for repeated c2 evaluation
     and Hessian-vector products.
 
-    Keeps the forward products P_h = W_h..W_1 X (P_0 = X), the residual
-    R = P_H - Y and the backward adjoints B_h = (W_H..W_{h+1})^T R (B_H = R),
-    all read off the weights' product table: O(H) arrays of m columns.
+    Keeps the residual R = W_H..W_1 X - Y and, built on the first
+    Hessian-vector product, the forward products P_h = W_h..W_1 X (P_0 = X)
+    and the backward adjoints B_h = (W_H..W_{h+1})^T R (B_H = R), all read
+    off the weights' product table: O(H) arrays of m columns.
     c2(V) = ||A_1||^2 + 2 <A_2, R> from the order-2 truncation of the line
-    expansion, and the Hessian acts on V by Pearlmutter's R-operator on the
-    same two passes.  Each costs O(H) matrix products.
+    expansion needs only R; the Hessian acts on V by Pearlmutter's
+    R-operator on the two passes.  Each costs O(H) matrix products.
     """
 
     def __init__(self, w: Weights, data: DataMatrices):
@@ -114,11 +119,16 @@ class CurvatureCache:
             raise InvalidShape("weights incompatible with data")
         self.w = w
         self.data = data
-        H = w.shape.H
-        self.H = H
-        self.P = [partial_prefix(w, h) @ data.X for h in range(H + 1)]
-        self.R = self.P[H] - data.Y
-        self.B = [partial_suffix(w, h + 1).T @ self.R for h in range(H + 1)]
+        self.H = w.shape.H
+        self.R = global_map(w) @ data.X - data.Y
+
+    @cached_property
+    def P(self) -> list:
+        return [partial_prefix(self.w, h) @ self.data.X for h in range(self.H + 1)]
+
+    @cached_property
+    def B(self) -> list:
+        return [partial_suffix(self.w, h + 1).T @ self.R for h in range(self.H + 1)]
 
     def c2(self, v: Direction) -> float:
         _, A1, A2 = _line_orders(self.w, v, self.data.X, 2)
@@ -130,7 +140,7 @@ class CurvatureCache:
         With dP_h and dB_h the derivatives of P_h and B_h along V, the
         gradient 2 B_h P_{h-1}^T has derivative
         2 (dB_h P_{h-1}^T + B_h dP_{h-1}^T)."""
-        v = _unflatten(flat, self.w.shape)
+        v = unflatten(np.ravel(flat), self.w.shape)
         H, W, P, B = self.H, self.w.layers, self.P, self.B
         dP = [np.zeros_like(P[0])]
         for h in range(1, H + 1):
@@ -139,20 +149,9 @@ class CurvatureCache:
         dB[H] = dP[H]
         for h in range(H, 1, -1):
             dB[h - 1] = W[h - 1].T @ dB[h] + v[h - 1].T @ B[h]
-        return np.concatenate([
-            (2.0 * (dB[h] @ P[h - 1].T + B[h] @ dP[h - 1].T)).ravel()
-            for h in range(1, H + 1)
+        return flatten([
+            2.0 * (dB[h] @ P[h - 1].T + B[h] @ dP[h - 1].T) for h in range(1, H + 1)
         ])
-
-
-def _unflatten(flat: np.ndarray, shape) -> list:
-    """Split a flat parameter vector into layer-shaped views W_1 .. W_H."""
-    mats, off = [], 0
-    for h in range(1, shape.H + 1):
-        rows, cols = shape.layer_shape(h)
-        mats.append(flat[off:off + rows * cols].reshape(rows, cols))
-        off += rows * cols
-    return mats
 
 
 def c2_value(w: Weights, v: Direction, data: DataMatrices) -> float:
@@ -196,7 +195,7 @@ def hessian_min_eig(
         vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=tol)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return float(vals[0]), Direction(_unflatten(vecs[:, 0], w.shape), w.shape)
+    return float(vals[0]), Direction(unflatten(vecs[:, 0], w.shape), w.shape)
 
 
 # ---------------------------------------------------------------------------

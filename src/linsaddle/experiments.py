@@ -5,7 +5,12 @@ point and trained with full-batch Adam or gradient descent.  The observable
 is the escape epoch: the first epoch whose loss drops below the midpoint
 between the plateau value and the next-best critical value.  Non-strict
 saddles (tightened points) delay escape sharply compared to strict saddles of
-the same loss value.
+the same loss value; ``escape_gate`` reports the ratio of the two medians and
+its margin to the paper's 3x contrast.
+
+All runs of a variant train together, as one stack, in ``train_runs``; each
+run's results are bitwise those of training it alone (``run_optimizer``, the
+batch of one), and run k perturbs with seed data_seed + k.
 
 Protocol notes: the optimizer minimizes the mean squared error (the summed
 square loss divided by m * d_y), matching common deep-learning framework
@@ -24,10 +29,19 @@ import numpy as np
 
 from .critical_points import build_example_family, critical_value
 from .data_model import DataMatrices, SigmaBundle, build_sigma_bundle, generate_gaussian_data
-from .errors import Diverged, InvalidRank
-from .network import NetworkShape, Weights, gradient, loss
+from .errors import Diverged, InvalidRank, InvalidShape
+from .network import (
+    NetworkShape,
+    Weights,
+    flatten,
+    layer_products,
+    products_gradient,
+    products_loss,
+    unflatten,
+)
 
 DIVERGE_LIMIT = 1e12
+ESCAPE_GATE = 3.0  # tightened / non-tightened median escape epoch, paper's contrast
 
 
 @dataclass(frozen=True)
@@ -82,6 +96,77 @@ def perturb_near(w: Weights, scale: float, seed: int) -> Weights:
     return Weights(mats, w.shape)
 
 
+def train_runs(
+    w0s,
+    bundle: SigmaBundle,
+    data: DataMatrices,
+    opt: OptimizerConfig = OptimizerConfig(),
+    max_epochs: int = 2000,
+):
+    """Full-batch training of the networks w0s (one shape) side by side; one
+    epoch = one parameter update of every run still training.
+
+    The runs' parameter vectors are the rows of one array, whose layer views
+    are (n, d_h, d_{h-1}) stacks; each epoch is one batched pass (layer
+    products, gradient, Adam or GD step, loss) in which every run gets
+    exactly the arithmetic it would get alone.  A run stops at the first
+    epoch whose (unnormalized) loss is non-finite or above DIVERGE_LIMIT:
+    that epoch ends its trace, and the run takes no further part.
+
+    Returns (layers, traces, diverged): the final layers as (n, d_h, d_{h-1})
+    stacks (a diverged run keeps the weights of its last epoch), the loss
+    traces as 1-D arrays (length max_epochs + 1 for runs that did not
+    diverge, including the initial loss) and a boolean array flagging the
+    diverged runs."""
+    if opt.algorithm not in ("adam", "gd"):
+        raise ValueError(f"unknown optimizer {opt.algorithm!r}")
+    n = len(w0s)
+    if not n:
+        return [], [], np.zeros(0, dtype=bool)
+    shape = w0s[0].shape
+    if any(w.shape != shape for w in w0s):
+        raise InvalidShape("runs of different shapes")
+    if shape.d_x != data.d_x or shape.d_y != data.d_y:
+        raise InvalidShape("weights incompatible with data dimensions")
+    gscale = 1.0 / (data.m * data.d_y) if opt.mse_scaling else 1.0
+    W = np.stack([flatten(w.layers) for w in w0s])  # one row per live run
+    live = np.arange(n)  # the run index of each row of W
+    final = np.empty_like(W)
+    traces = np.empty((n, max_epochs + 1))
+    lengths = np.full(n, max_epochs + 1)
+    diverged = np.zeros(n, dtype=bool)
+    table = layer_products(unflatten(W, shape))
+    traces[:, 0] = products_loss(table, data)
+    m1 = np.zeros_like(W)
+    m2 = np.zeros_like(W)
+    for epoch in range(1, max_epochs + 1):
+        g = flatten(products_gradient(table, bundle))
+        if opt.algorithm == "gd":
+            W = W - opt.lr * gscale * g
+        else:
+            b1t = 1.0 - opt.beta1**epoch
+            b2t = 1.0 - opt.beta2**epoch
+            g = gscale * g
+            m1 = opt.beta1 * m1 + (1.0 - opt.beta1) * g
+            m2 = opt.beta2 * m2 + (1.0 - opt.beta2) * g * g
+            W = W - opt.lr * (m1 / b1t) / (np.sqrt(m2 / b2t) + opt.eps)
+        table = layer_products(unflatten(W, shape))
+        val = products_loss(table, data)
+        traces[live, epoch] = val
+        ok = val <= DIVERGE_LIMIT  # false for nan and inf as well
+        if not ok.all():
+            stop = live[~ok]
+            lengths[stop] = epoch + 1
+            diverged[stop] = True
+            final[stop] = W[~ok]
+            live, W, m1, m2 = live[ok], W[ok], m1[ok], m2[ok]
+            if not live.size:
+                break
+            table = layer_products(unflatten(W, shape))
+    final[live] = W
+    return unflatten(final, shape), [traces[k, :lengths[k]] for k in range(n)], diverged
+
+
 def run_optimizer(
     w0: Weights,
     bundle: SigmaBundle,
@@ -89,39 +174,15 @@ def run_optimizer(
     opt: OptimizerConfig = OptimizerConfig(),
     max_epochs: int = 2000,
 ) -> tuple[Weights, list]:
-    """Full-batch training; one epoch = one parameter update.  Returns the
-    final weights and the unnormalized loss trace (length max_epochs + 1,
-    including the initial loss).  Raises Diverged (with the partial trace
-    attached) when the loss exceeds a hard ceiling or turns non-finite."""
-    if opt.algorithm not in ("adam", "gd"):
-        raise ValueError(f"unknown optimizer {opt.algorithm!r}")
-    gscale = 1.0 / (data.m * data.d_y) if opt.mse_scaling else 1.0
-    W = list(w0.layers)
-    cur = w0  # the weights W, whose loss and product table are reused
-    trace = [loss(cur, bundle, data)]
-    m1 = [np.zeros_like(M) for M in W]
-    m2 = [np.zeros_like(M) for M in W]
-    for epoch in range(1, max_epochs + 1):
-        g = gradient(cur, bundle)
-        if opt.algorithm == "gd":
-            for h in range(len(W)):
-                W[h] = W[h] - opt.lr * gscale * g.layers[h]
-        else:
-            b1t = 1.0 - opt.beta1**epoch
-            b2t = 1.0 - opt.beta2**epoch
-            for h in range(len(W)):
-                gh = gscale * g.layers[h]
-                m1[h] = opt.beta1 * m1[h] + (1.0 - opt.beta1) * gh
-                m2[h] = opt.beta2 * m2[h] + (1.0 - opt.beta2) * gh * gh
-                W[h] = W[h] - opt.lr * (m1[h] / b1t) / (
-                    np.sqrt(m2[h] / b2t) + opt.eps
-                )
-        cur = Weights(W, w0.shape)
-        val = loss(cur, bundle, data)
-        trace.append(val)
-        if not np.isfinite(val) or val > DIVERGE_LIMIT:
-            raise Diverged(f"loss {val:.3g} at epoch {epoch}", trace=trace)
-    return cur, trace
+    """``train_runs`` on w0 alone.  Returns the final weights and the
+    unnormalized loss trace (length max_epochs + 1, including the initial
+    loss).  Raises Diverged (with the partial trace attached) when the loss
+    exceeds a hard ceiling or turns non-finite."""
+    layers, (trace,), diverged = train_runs([w0], bundle, data, opt, max_epochs)
+    trace = trace.tolist()
+    if diverged[0]:
+        raise Diverged(f"loss {trace[-1]:.3g} at epoch {len(trace) - 1}", trace=trace)
+    return Weights([M[0] for M in layers], w0.shape), trace
 
 
 def escape_threshold(bundle: SigmaBundle, r: int, margin_index: int | None = None) -> float:
@@ -136,10 +197,8 @@ def escape_threshold(bundle: SigmaBundle, r: int, margin_index: int | None = Non
 
 def escape_epoch(trace, threshold: float) -> int | None:
     """First epoch (index into the trace) with loss below the threshold."""
-    for epoch, val in enumerate(trace):
-        if val < threshold:
-            return epoch
-    return None
+    below = np.flatnonzero(np.asarray(trace, dtype=float) < threshold)
+    return int(below[0]) if below.size else None
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -154,27 +213,22 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     )
     threshold = escape_threshold(bundle, cfg.r, cfg.escape_margin_index)
 
-    runs = []
-    for k in range(cfg.n_runs):
-        w0 = perturb_near(w_star, cfg.perturb_scale, cfg.data_seed + k)
-        try:
-            _, trace = run_optimizer(w0, bundle, data, cfg.optimizer, cfg.max_epochs)
-            diverged = False
-        except Diverged as err:
-            trace = err.trace
-            diverged = True
-        ep = None if diverged else escape_epoch(trace, threshold)
-        runs.append(
-            EscapeRun(
-                run_index=k,
-                variant=cfg.variant,
-                escape_epoch=ep,
-                final_loss=float(trace[-1]),
-                diverged=diverged,
-                loss_trace=list(trace) if cfg.keep_traces else None,
-            )
+    w0s = [
+        perturb_near(w_star, cfg.perturb_scale, cfg.data_seed + k)
+        for k in range(cfg.n_runs)
+    ]
+    _, traces, diverged = train_runs(w0s, bundle, data, cfg.optimizer, cfg.max_epochs)
+    return [
+        EscapeRun(
+            run_index=k,
+            variant=cfg.variant,
+            escape_epoch=None if diverged[k] else escape_epoch(trace, threshold),
+            final_loss=float(trace[-1]),
+            diverged=bool(diverged[k]),
+            loss_trace=trace.tolist() if cfg.keep_traces else None,
         )
-    return runs
+        for k, trace in enumerate(traces)
+    ]
 
 
 def summarize_runs(runs) -> dict:
@@ -201,6 +255,18 @@ def summarize_runs(runs) -> dict:
         "fraction_never_escaped": float(np.mean(~np.isfinite(eps))) if n else 0.0,
         "n_diverged": sum(1 for r in runs if r.diverged),
     }
+
+
+def escape_gate(tight: dict, loose: dict) -> dict | None:
+    """The experiment's acceptance statistic from the ``summarize_runs`` of
+    the tightened and the non-tightened variant: the ratio of their median
+    escape epochs and its margin to ESCAPE_GATE.  None when either median is
+    censored or the non-tightened median is 0."""
+    tm, lm = tight["median_escape_epoch"], loose["median_escape_epoch"]
+    if tm is None or not lm:
+        return None
+    ratio = tm / lm
+    return {"median_ratio": ratio, "threshold": ESCAPE_GATE, "margin": ratio - ESCAPE_GATE}
 
 
 def write_runs_csv(path, runs) -> None:
@@ -235,5 +301,5 @@ def write_histogram_csv(path, runs, n_bins: int = 20, max_epochs: int | None = N
             wr.writerow([var, "never", "never", sum(1 for e in eps if e is None)])
 
 
-def summary_to_json(summaries) -> str:
-    return json.dumps({"variants": summaries}, indent=2)
+def summary_to_json(summaries, **extra) -> str:
+    return json.dumps({"variants": summaries, **extra}, indent=2)

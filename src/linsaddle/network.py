@@ -13,6 +13,12 @@ shared by every later caller (the layers are read-only, so the table cannot
 go stale).  Building it costs 2H matrix products and O(H) memory.  Middle
 products W_{i-1}..W_{j+1} come from ``partial_middle``; there are O(H^2) of
 them, so they are formed on demand and not kept.
+
+``layer_products`` builds the table, and ``products_loss`` and
+``products_gradient`` read it.  All three also take a stack of n networks,
+each layer an (n, d_h, d_{h-1}) array: numpy's batched matmul makes the same
+BLAS call per network as for one network alone, so each network of a stack
+gets bitwise the results it would get by itself.
 """
 
 from __future__ import annotations
@@ -112,19 +118,28 @@ def zeros_like(shape: NetworkShape) -> Direction:
     return Direction([np.zeros(shape.layer_shape(h)) for h in range(1, shape.H + 1)], shape)
 
 
+def layer_products(layers):
+    """(prefixes, suffixes) of a layer list, with prefixes[h] = W_h ... W_1 for
+    h in [0, H] and suffixes[h] = W_H ... W_h for h in [1, H + 1]
+    (suffixes[0] unused).  The layers are either the 2-D matrices of one
+    network or a stack of n networks, each layer an (n, d_h, d_{h-1}) array;
+    the identities at the ends are 2-D and broadcast over the stack."""
+    H = len(layers)
+    prefixes = [np.eye(layers[0].shape[-1])]
+    for M in layers:
+        prefixes.append(M @ prefixes[-1])
+    suffixes = [None] * (H + 2)
+    suffixes[H + 1] = np.eye(layers[-1].shape[-2])
+    for h in range(H, 0, -1):
+        suffixes[h] = suffixes[h + 1] @ layers[h - 1]
+    return prefixes, suffixes
+
+
 def _product_table(w: _LayerStack):
-    """(prefixes, suffixes) with prefixes[h] = W_h ... W_1 for h in [0, H]
-    and suffixes[h] = W_H ... W_h for h in [1, H + 1] (suffixes[0] unused)."""
+    """The read-only ``layer_products`` of w, built on first use."""
     table = w._products
     if table is None:
-        prefixes = [np.eye(w.shape.d_x)]
-        for M in w.layers:
-            prefixes.append(M @ prefixes[-1])
-        H = w.shape.H
-        suffixes = [None] * (H + 2)
-        suffixes[H + 1] = np.eye(w.shape.d_y)
-        for h in range(H, 0, -1):
-            suffixes[h] = suffixes[h + 1] @ w.layer(h)
+        prefixes, suffixes = layer_products(w.layers)
         for P in prefixes + suffixes[1:]:
             P.flags.writeable = False
         table = (tuple(prefixes), tuple(suffixes))
@@ -165,29 +180,55 @@ def partial_middle(w: _LayerStack, i: int, j: int) -> np.ndarray:
     return M
 
 
+def flatten(mats) -> np.ndarray:
+    """Layer matrices W_1 .. W_H, each 2-D or stacked, concatenated row-major
+    into parameter vectors of shape (..., n_params)."""
+    return np.concatenate([M.reshape(M.shape[:-2] + (-1,)) for M in mats], axis=-1)
+
+
+def unflatten(flat: np.ndarray, shape: NetworkShape) -> list:
+    """Inverse of ``flatten``: views W_1 .. W_H of shape (..., d_h, d_{h-1})
+    into parameter vectors of shape (..., n_params)."""
+    mats, off = [], 0
+    for h in range(1, shape.H + 1):
+        rows, cols = shape.layer_shape(h)
+        mats.append(flat[..., off:off + rows * cols].reshape(flat.shape[:-1] + (rows, cols)))
+        off += rows * cols
+    return mats
+
+
+def products_loss(table, data: DataMatrices):
+    """Square loss ||W_H..W_1 X - Y||^2 from a ``layer_products`` table: a
+    float64 scalar for one network, an (n,) array for a stack of n."""
+    R = table[0][-1] @ data.X - data.Y
+    return (R * R).reshape(R.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def products_gradient(table, bundle: SigmaBundle) -> list:
+    """Partial gradients of the square loss from a ``layer_products`` table,
+    one (stacked) array per layer h:
+    2 (W_H...W_{h+1})^T (W_H...W_1 Sigma_XX - Sigma_YX) (W_{h-1}...W_1)^T."""
+    prefixes, suffixes = table
+    H = len(prefixes) - 1
+    G = 2.0 * (prefixes[H] @ bundle.sigma_xx - bundle.sigma_yx)
+    return [
+        suffixes[h + 1].swapaxes(-1, -2) @ G @ prefixes[h - 1].swapaxes(-1, -2)
+        for h in range(1, H + 1)
+    ]
+
+
 def loss(w: Weights, bundle: SigmaBundle, data: DataMatrices) -> float:
     if w.shape.d_x != data.d_x or w.shape.d_y != data.d_y:
         raise InvalidShape("weights incompatible with data dimensions")
-    R = global_map(w) @ data.X - data.Y
-    return float(np.sum(R * R))
+    return float(products_loss(_product_table(w), data))
 
 
 def gradient(w: Weights, bundle: SigmaBundle) -> Direction:
-    """Exact partial gradients of the square loss.
-
-    For every layer h the partial gradient is
-    2 (W_H...W_{h+1})^T (W_H...W_1 Sigma_XX - Sigma_YX) (W_{h-1}...W_1)^T,
-    with empty products equal to identity.
-    """
+    """Exact partial gradients of the square loss (see ``products_gradient``),
+    with empty products equal to identity."""
     if w.shape.d_x != bundle.d_x or w.shape.d_y != bundle.d_y:
         raise InvalidShape("weights incompatible with bundle dimensions")
-    H = w.shape.H
-    prefixes, suffixes = _product_table(w)
-    G = prefixes[H] @ bundle.sigma_xx - bundle.sigma_yx
-    grads = [
-        2.0 * suffixes[h + 1].T @ G @ prefixes[h - 1].T for h in range(1, H + 1)
-    ]
-    return Direction(grads, w.shape)
+    return Direction(products_gradient(_product_table(w), bundle), w.shape)
 
 
 def best_rank_r_map(bundle: SigmaBundle, r: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import linsaddle as ls
-from linsaddle.classifier import classification_to_json, pivot_blocks
+from linsaddle.classifier import all_pivots, analyze_pivot, classification_to_json, pivot_blocks
 from linsaddle.critical_points import build_critical_point, z_block_shape, CriticalPointSpec
 
 from conftest import random_certified_spec, random_weights
@@ -153,3 +153,24 @@ def test_classification_json(deep_problem):
     assert all(p["tightened"] for p in obj["pivots"])
     assert obj["witness"] is None
     assert obj["approximate"] is False
+
+
+@pytest.mark.parametrize("variant", ["tightened", "non_tightened"])
+def test_all_pivots_equals_each_pivot_alone_at_depth_16(variant):
+    data = ls.generate_gaussian_data(5, 4, 30, seed=21)
+    b = ls.build_sigma_bundle(data)
+    shape = ls.NetworkShape((5,) + (6,) * 15 + (4,))
+    w = ls.build_example_family(2, variant, b, shape)
+    each = [
+        analyze_pivot(w, b, i, j, 2)
+        for i in range(2, shape.H + 1)
+        for j in range(1, i)
+    ]
+    assert all_pivots(w, b, 2) == each
+    assert all_pivots(w, b, 2, certified=True) == each
+    for p in each[::17]:
+        _, middle = pivot_blocks(w, b, p.i, p.j)
+        walked = np.eye(shape.dims[p.j])
+        for k in range(p.j + 1, p.i):
+            walked = w.layer(k) @ walked
+        assert np.array_equal(middle, walked)

@@ -161,6 +161,25 @@ def test_experiment_command(tmp_path, capsys):
     assert json.loads(out) == summary
 
 
+def test_experiment_summary_reports_the_gate(tmp_path, capsys):
+    prefix = str(tmp_path / "exp")
+    args = ["experiment", "--dims", "6,5,5,4", "--m", "30", "--r", "2", "--runs", "2",
+            "--max-epochs", "300", "--out-prefix", prefix]
+    code, out = run_cli(capsys, *args, "--variant", "both")
+    assert code == 0
+    summary = json.loads(out)
+    tight, loose = summary["variants"]
+    gate = summary["gate"]
+    if tight["median_escape_epoch"] is None or loose["median_escape_epoch"] is None:
+        assert gate is None
+    else:
+        ratio = tight["median_escape_epoch"] / loose["median_escape_epoch"]
+        assert gate["median_ratio"] == pytest.approx(ratio)
+        assert gate["margin"] == pytest.approx(ratio - 3.0)
+    code, out = run_cli(capsys, *args, "--variant", "tightened")
+    assert code == 0 and "gate" not in json.loads(out)
+
+
 def test_missing_file_exits_two(tmp_path, capsys, data_files):
     x, y = data_files
     code, _ = run_cli(capsys, "classify", "--x", x, "--y", y,

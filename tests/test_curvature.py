@@ -304,3 +304,18 @@ def test_ft_st_rejects_full_rank(deep_problem):
     )
     with pytest.raises(ls.NotApplicable):
         ls.ft_st_decomposition(w, random_direction(shape, rng), b, data)
+
+
+def test_c2_value_reads_only_the_residual(depth16_point):
+    # c2 needs R alone; the forward/backward passes come with the first
+    # Hessian-vector product and must give the same R and the same c2.
+    data, shape, w = depth16_point
+    rng = np.random.default_rng(53)
+    cache = CurvatureCache(w, data)
+    assert "P" not in vars(cache) and "B" not in vars(cache)
+    v = random_direction(shape, rng)
+    c2 = cache.c2(v)
+    cache.hessian_matvec(np.concatenate([M.ravel() for M in v.layers]))
+    assert np.array_equal(cache.R, cache.P[shape.H] - data.Y)
+    assert np.array_equal(cache.B[shape.H], cache.R)
+    assert ls.c2_value(w, v, data) == cache.c2(v) == c2

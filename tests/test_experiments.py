@@ -1,17 +1,21 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import linsaddle as ls
 from linsaddle.experiments import (
+    DIVERGE_LIMIT,
     EscapeRun,
     escape_epoch,
+    escape_gate,
     escape_threshold,
     run_optimizer,
     summarize_runs,
     summary_to_json,
+    train_runs,
     write_histogram_csv,
     write_runs_csv,
 )
@@ -195,3 +199,111 @@ def test_small_escape_contrast():
     assert st["median_escape_epoch"] is None or (
         st["median_escape_epoch"] > sl["median_escape_epoch"]
     )
+
+
+def serial_reference(w0, bundle, data, opt, max_epochs):
+    """One run, one epoch at a time, from the public Weights, gradient and
+    loss: (final layers, trace, diverged)."""
+    gscale = 1.0 / (data.m * data.d_y) if opt.mse_scaling else 1.0
+    W = list(w0.layers)
+    cur = w0
+    trace = [ls.loss(cur, bundle, data)]
+    m1 = [np.zeros_like(M) for M in W]
+    m2 = [np.zeros_like(M) for M in W]
+    for epoch in range(1, max_epochs + 1):
+        g = ls.gradient(cur, bundle)
+        if opt.algorithm == "gd":
+            for h in range(len(W)):
+                W[h] = W[h] - opt.lr * gscale * g.layers[h]
+        else:
+            b1t = 1.0 - opt.beta1**epoch
+            b2t = 1.0 - opt.beta2**epoch
+            for h in range(len(W)):
+                gh = gscale * g.layers[h]
+                m1[h] = opt.beta1 * m1[h] + (1.0 - opt.beta1) * gh
+                m2[h] = opt.beta2 * m2[h] + (1.0 - opt.beta2) * gh * gh
+                W[h] = W[h] - opt.lr * (m1[h] / b1t) / (np.sqrt(m2[h] / b2t) + opt.eps)
+        cur = ls.Weights(W, w0.shape)
+        trace.append(ls.loss(cur, bundle, data))
+        if not np.isfinite(trace[-1]) or trace[-1] > DIVERGE_LIMIT:
+            return W, trace, True
+    return W, trace, False
+
+
+@pytest.mark.parametrize("opt", [
+    ls.OptimizerConfig(algorithm="adam", lr=1e-2),
+    ls.OptimizerConfig(algorithm="gd", lr=0.5),
+])
+def test_train_runs_is_bitwise_the_serial_loop(small_problem, opt):
+    data, b, shape = small_problem
+    rng = np.random.default_rng(7)
+    w0s = [random_weights(shape, rng, scale=0.5) for _ in range(4)]
+    layers, traces, diverged = train_runs(w0s, b, data, opt, max_epochs=60)
+    assert not diverged.any()
+    for k, w0 in enumerate(w0s):
+        ref_layers, ref_trace, ref_div = serial_reference(w0, b, data, opt, 60)
+        assert not ref_div
+        assert traces[k].tolist() == ref_trace  # exact, not approximate
+        for h in range(shape.H):
+            assert np.array_equal(layers[h][k], ref_layers[h])
+    w, trace = run_optimizer(w0s[1], b, data, opt, max_epochs=60)
+    assert trace == traces[1].tolist()
+    assert all(np.array_equal(w.layers[h], layers[h][1]) for h in range(shape.H))
+
+
+def test_diverging_run_is_frozen_alone(small_problem):
+    data, b, shape = small_problem
+    rng = np.random.default_rng(8)
+    opt = ls.OptimizerConfig(algorithm="gd", lr=0.05)
+    w0s = [random_weights(shape, rng, scale=0.5) for _ in range(3)]
+    w0s[1] = ls.Weights([20.0 * M for M in w0s[1].layers], shape)
+    with warnings.catch_warnings():
+        # A frozen run that kept training would overflow within these epochs.
+        warnings.simplefilter("error")
+        _, traces, diverged = train_runs(w0s, b, data, opt, max_epochs=200)
+    assert diverged.tolist() == [False, True, False]
+    assert len(traces[1]) < 201 and not traces[1][-1] <= DIVERGE_LIMIT
+    for k, w0 in enumerate(w0s):
+        _, (alone,), div = train_runs([w0], b, data, opt, max_epochs=200)
+        assert np.array_equal(traces[k], alone) and div[0] == diverged[k]
+    _, ref_trace, ref_div = serial_reference(w0s[1], b, data, opt, 200)
+    assert ref_div and ref_trace == traces[1].tolist()
+    with pytest.raises(ls.Diverged) as exc:
+        run_optimizer(w0s[1], b, data, opt, max_epochs=200)
+    assert exc.value.trace == traces[1].tolist()
+
+
+def test_train_runs_edge_cases(small_problem):
+    data, b, shape = small_problem
+    w = random_weights(shape, np.random.default_rng(9))
+    layers, traces, diverged = train_runs([], b, data)
+    assert layers == [] and traces == [] and diverged.size == 0
+    _, (trace,), diverged = train_runs([w], b, data, max_epochs=0)
+    assert trace.tolist() == [ls.loss(w, b, data)] and not diverged[0]
+    other = random_weights(ls.NetworkShape((6, 3, 5, 4)), np.random.default_rng(9))
+    with pytest.raises(ls.InvalidShape):
+        train_runs([w, other], b, data)
+
+
+def test_run_experiment_matches_run_optimizer_per_run():
+    cfg = ls.ExperimentConfig(variant="tightened", n_runs=3, max_epochs=50,
+                              keep_traces=True, **SMALL_CFG)
+    runs = ls.run_experiment(cfg)
+    data = ls.generate_gaussian_data(6, 4, 30, 0)
+    b = ls.build_sigma_bundle(data)
+    w_star = ls.build_example_family(2, "tightened", b, ls.NetworkShape(SMALL_CFG["dims"]))
+    for k, run in enumerate(runs):
+        w0 = ls.perturb_near(w_star, cfg.perturb_scale, cfg.data_seed + k)
+        _, trace = run_optimizer(w0, b, data, cfg.optimizer, cfg.max_epochs)
+        assert run.loss_trace == trace
+
+
+def test_escape_gate():
+    def summary(median):
+        return {"median_escape_epoch": median}
+
+    gate = escape_gate(summary(120.0), summary(30.0))
+    assert gate == {"median_ratio": 4.0, "threshold": 3.0, "margin": 1.0}
+    assert escape_gate(summary(None), summary(30.0)) is None
+    assert escape_gate(summary(120.0), summary(None)) is None
+    assert escape_gate(summary(12.0), summary(0.0)) is None
