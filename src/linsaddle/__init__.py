@@ -71,6 +71,7 @@ from .errors import (
     NotCertifiedCritical,
     NotCritical,
     NotTightened,
+    ProbeNotConverged,
     TooDeep,
     TooLarge,
 )

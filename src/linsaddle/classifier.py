@@ -213,12 +213,16 @@ def classify(
         )
 
     def validated(wit: WitnessCase) -> float:
-        c2 = CurvatureCache(w, data).c2(wit.direction)
-        wscale = (1.0 + w.sq_norm()) * float(np.sum(data.X * data.X))
-        if not (c2 < -eps_witness * wscale):
+        # c2 = ||A_1||^2 + 2 <A_2, R> must be negative by more than the
+        # relative rounding of its own two terms, so the threshold has the
+        # units of c2 whatever the scale of X and Y.
+        quad, cross = CurvatureCache(w, data).c2_terms(wit.direction)
+        c2 = quad + cross
+        thr = -eps_witness * (quad + abs(cross))
+        if not (c2 < thr):
             raise InternalInconsistency(
                 f"witness c2 = {c2:.3g} is not certifiably negative "
-                f"(threshold {-eps_witness * wscale:.3g})"
+                f"(threshold {thr:.3g})"
             )
         return c2
 

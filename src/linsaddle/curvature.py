@@ -25,6 +25,7 @@ from .errors import (
     NeedsCanonicalization,
     NotApplicable,
     NotTightened,
+    ProbeNotConverged,
     TooDeep,
     TooLarge,
 )
@@ -43,6 +44,10 @@ from .ranktol import RankTolerance, numeric_rank
 
 MAX_TAYLOR_DEPTH = 12
 MAX_DENSE_PARAMS = 2000
+# Restart cycles the Lanczos probe may take.  With eigsh's ncv = 20 a cycle
+# costs 10 to 19 Hessian-vector products, so a probe stops after about 1000
+# to 1900 of them; converging probes at deep example points need at most 51.
+PROBE_MAXITER = 100
 BETA_ZERO_TOL = 1e-12
 
 
@@ -130,9 +135,14 @@ class CurvatureCache:
     def B(self) -> list:
         return [partial_suffix(self.w, h + 1).T @ self.R for h in range(self.H + 1)]
 
-    def c2(self, v: Direction) -> float:
+    def c2_terms(self, v: Direction) -> tuple[float, float]:
+        """The two terms of c2(V): ||A_1||^2 and 2 <A_2, R>."""
         _, A1, A2 = _line_orders(self.w, v, self.data.X, 2)
-        return float(np.sum(A1 * A1)) + 2.0 * float(np.sum(A2 * self.R))
+        return float(np.sum(A1 * A1)), 2.0 * float(np.sum(A2 * self.R))
+
+    def c2(self, v: Direction) -> float:
+        quad, cross = self.c2_terms(v)
+        return quad + cross
 
     def hessian_matvec(self, flat: np.ndarray) -> np.ndarray:
         """Action of the Hessian of t -> L(W + tV) at t=0 (i.e. of 2 c2).
@@ -175,7 +185,9 @@ def hessian_min_eig(
 ):
     """Smallest eigenvalue of the Hessian at W: dense eigh for small nets,
     matrix-free Lanczos probe otherwise.  With return_vector the matching
-    eigenvector is reshaped to a Direction and returned alongside."""
+    eigenvector is reshaped to a Direction and returned alongside.  A probe
+    that has not converged after PROBE_MAXITER restart cycles raises
+    ProbeNotConverged."""
     if mode == "dense":
         M = hessian_dense(w, data)
         if not return_vector:
@@ -187,12 +199,18 @@ def hessian_min_eig(
         op = scipy.sparse.linalg.LinearOperator(
             (n, n), matvec=cache.hessian_matvec, dtype=float
         )
-        if not return_vector:
-            vals = scipy.sparse.linalg.eigsh(
-                op, k=1, which="SA", tol=tol, return_eigenvectors=False
+        try:
+            out = scipy.sparse.linalg.eigsh(
+                op, k=1, which="SA", tol=tol, maxiter=PROBE_MAXITER,
+                return_eigenvectors=return_vector,
             )
-            return float(vals[0])
-        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="SA", tol=tol)
+        except scipy.sparse.linalg.ArpackNoConvergence as err:
+            raise ProbeNotConverged(
+                f"Lanczos probe did not converge in {PROBE_MAXITER} restart cycles"
+            ) from err
+        if not return_vector:
+            return float(out[0])
+        vals, vecs = out
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return float(vals[0]), Direction(unflatten(vecs[:, 0], w.shape), w.shape)
@@ -470,9 +488,9 @@ class TightenedStructure:
 @dataclass(frozen=True)
 class FtStDecomposition:
     a1: float
-    A2: np.ndarray
-    A3: np.ndarray
-    A4: np.ndarray
+    A2: np.ndarray  # r x d_x, M L with Sigma_XX = L L^T
+    A3: np.ndarray  # (d_y - r) x r
+    A4: np.ndarray  # (d_y - r) x r
     structure: TightenedStructure
 
     @property
@@ -613,11 +631,18 @@ def ft_st_decomposition(
     Requires weights in canonical block form with support [1, r], r < r_max,
     tightened, depth >= 3.  The decomposition certifies the absence of
     second-order descent directions.
+
+    Only second moments enter.  With V_Q the right singular vectors of
+    Sigma_YX Sigma_XX^{-1} X for lambda_{r+1..d_y}, X V_Q is
+    Sigma_XY U_Q Lambda_Q^{-1/2}, and X times the projector onto the other
+    sample directions is Pi X with the d_x x d_x
+    Pi = I - X V_Q Lambda_Q^{-1/2} U_Q^T Sigma_YX Sigma_XX^{-1}.  The fitting
+    aggregate is thus M X for an r x d_x matrix M, and A2 = M L (r x d_x,
+    Sigma_XX = L L^T) has the same squared norm.  ``data`` is not read.
     """
     H = w.shape.H
     st, r, z = _tightened(w, bundle, rank_tol, eps)
     p, q = st.p, st.q
-    X = data.X
 
     J1 = range(p, H)
     J2 = range(q + 1, p)
@@ -626,11 +651,10 @@ def ft_st_decomposition(
     lam = bundle.lambdas
     U_S, U_Q = bundle.U[:, :r], bundle.U[:, r:]
     C = bundle.sigma_yx_sigma_xx_inv()
-    P_S = U_S.T @ C @ X  # r x m
-    V_sp = bundle.v_sprime_cols(r)
-    Pi_sp = V_sp @ V_sp.T  # m x m projector onto the kept spectrum directions
-    XV_Q = X @ bundle.v_q_cols(r)
+    P_S = U_S.T @ C  # r x d_x
     delta_q = np.sqrt(lam[r:])
+    XV_Q = bundle.sigma_xy @ U_Q / delta_q  # d_x x (d_y - r)
+    Pi = np.eye(bundle.d_x) - (XV_Q / delta_q) @ U_Q.T @ C
 
     # a1: swap-type quadratic with eigenvalue gaps as weights; the Z products
     # Z_H..Z_{i+1} and Z_{i-1}..Z_1 are suffixes and prefixes of z.
@@ -640,17 +664,16 @@ def ft_st_decomposition(
     gaps = lam[:r][None, :] - lam[r:][:, None]  # (d_y - r) x r, all > 0
     a1 = float(np.sum(gaps * T1 * T1))
 
-    # A2: the fitting-direction aggregate.
-    A2 = U_S.T @ v.layer(H)[:, :r] @ P_S
+    # A2: the fitting-direction aggregate M, then M L.
+    M = U_S.T @ v.layer(H)[:, :r] @ P_S
     for i in J1:
-        A2 = A2 + v.layer(i)[:r, :r] @ P_S
+        M = M + v.layer(i)[:r, :r] @ P_S
     for i in J2:
-        Kz = partial_prefix(z, i - 1)
-        A2 = A2 + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ (Kz @ X)
+        M = M + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ partial_prefix(z, i - 1)
     for i in J3:
         Kz = partial_prefix(z, i - 1)
-        A2 = A2 + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ (Kz @ X @ Pi_sp)
-    A2 = A2 + v.layer(1)[:r, :] @ X @ Pi_sp
+        M = M + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ (Kz @ Pi)
+    A2 = (M + v.layer(1)[:r, :] @ Pi) @ bundle.L
 
     A3 = delta_q[:, None] * T1
     A4 = v.layer(1)[:r, :] @ XV_Q

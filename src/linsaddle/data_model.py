@@ -1,17 +1,22 @@
 """Training data, second-moment matrices and the spectral bundle.
 
 Everything downstream is phrased in terms of the matrices gathered here:
-the second moments of the data, the whitened cross-covariance
-sigma_half = Sigma_YX Sigma_XX^{-1} X and its (sign-fixed, hence
-deterministic) singular value decomposition U diag(sqrt(lambda)) V^T.
+the second moments Sigma_XX, Sigma_XY, Sigma_YY of the data and the
+eigensystem of Sigma = Sigma_YX Sigma_XX^{-1} Sigma_XY.  One O(m d^2) pass
+over the samples forms the moments; nothing after it depends on m.  The
+eigensystem comes from the Cholesky factor Sigma_XX = L L^T and the thin,
+sign-fixed (hence deterministic) SVD of the d_x x d_y matrix
+L^{-1} Sigma_XY = P diag(sqrt(lambda)) U^T, whose right singular vectors are
+the eigenvectors U of Sigma and whose squared singular values are its
+eigenvalues lambda.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import AssumptionViolated, InvalidShape
 from .ranktol import RankTolerance, numeric_rank
@@ -60,17 +65,16 @@ class DataMatrices:
 
 @dataclass(frozen=True)
 class SigmaBundle:
-    """All data-derived matrices plus the deterministic SVD of sigma_half."""
+    """The second moments of the data and the eigensystem of Sigma; every
+    array is d_x- or d_y-sized, none has an axis of length m."""
 
-    sigma_xx: np.ndarray
-    sigma_xy: np.ndarray
-    sigma_yx: np.ndarray
-    sigma_yy: np.ndarray
-    sigma_half: np.ndarray  # d_y x m
-    sigma: np.ndarray  # d_y x d_y
-    U: np.ndarray  # d_y x d_y orthogonal
-    delta: np.ndarray  # d_y x m rectangular diagonal
-    V: np.ndarray  # m x m orthogonal
+    sigma_xx: np.ndarray  # d_x x d_x
+    sigma_xy: np.ndarray  # d_x x d_y
+    sigma_yx: np.ndarray  # d_y x d_x
+    sigma_yy: np.ndarray  # d_y x d_y
+    sigma: np.ndarray  # d_y x d_y, Sigma_YX Sigma_XX^{-1} Sigma_XY
+    L: np.ndarray  # d_x x d_x lower-triangular, Sigma_XX = L L^T
+    U: np.ndarray  # d_y x d_y orthogonal, eigenvectors of sigma
     lambdas: np.ndarray  # strictly decreasing, positive, length d_y
 
     @property
@@ -81,10 +85,6 @@ class SigmaBundle:
     def d_y(self) -> int:
         return self.U.shape[0]
 
-    @property
-    def m(self) -> int:
-        return self.V.shape[0]
-
     def u_cols(self, support) -> np.ndarray:
         """Columns of U selected by a 1-based index set (sorted)."""
         idx = [s - 1 for s in sorted(support)]
@@ -94,15 +94,6 @@ class SigmaBundle:
         """Columns of U outside a 1-based support set."""
         sel = sorted(set(range(1, self.d_y + 1)) - set(support))
         return self.U[:, [s - 1 for s in sel]]
-
-    def v_q_cols(self, r: int) -> np.ndarray:
-        """Columns r+1..d_y of V (associated with the discarded spectrum)."""
-        return self.V[:, r:self.d_y]
-
-    def v_sprime_cols(self, r: int) -> np.ndarray:
-        """Columns of V indexed by [1,r] union [d_y+1, m]."""
-        idx = list(range(r)) + list(range(self.d_y, self.m))
-        return self.V[:, idx]
 
     def sigma_yx_sigma_xx_inv(self) -> np.ndarray:
         return np.linalg.solve(self.sigma_xx.T, self.sigma_yx.T).T
@@ -132,29 +123,61 @@ def generate_gaussian_data(d_x: int, d_y: int, m: int, seed: int) -> DataMatrice
     return DataMatrices(X=X, Y=Y)
 
 
-def check_assumption_h(
-    data: DataMatrices,
-    tol: RankTolerance = RankTolerance(),
-    eps_gap: float = EPS_GAP,
-) -> AssumptionReport:
-    """Report on the standing assumption: dimension ordering, full ranks,
-    and distinct positive eigenvalues of sigma."""
+def _moments(data: DataMatrices):
+    """The one pass over the samples: Sigma_XX, Sigma_XY and Sigma_YY."""
+    X, Y = data.X, data.Y
+    return X @ X.T, X @ Y.T, Y @ Y.T
+
+
+def _fix_svd_signs(U: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign convention making the SVD deterministic: the first entry of each
+    U column whose magnitude is non-negligible is made nonnegative, and the
+    matching column of the other factor P is flipped along."""
+    U = U.copy()
+    P = P.copy()
+    for k in range(U.shape[1]):
+        col = U[:, k]
+        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))[0]
+        if nz.size and col[nz[0]] < 0:
+            U[:, k] = -col
+            P[:, k] = -P[:, k]
+    return U, P
+
+
+def _eigensystem(sigma_xx: np.ndarray, sigma_xy: np.ndarray):
+    """(L, K, P, s, U) with Sigma_XX = L L^T and K = L^{-1} Sigma_XY =
+    P diag(s) U^T its thin, sign-fixed SVD, so that K^T K = Sigma has
+    eigenvectors U and eigenvalues s**2.  Raises LinAlgError when Sigma_XX
+    is not numerically positive definite."""
+    L = np.linalg.cholesky(sigma_xx)
+    K = scipy.linalg.solve_triangular(L, sigma_xy, lower=True)
+    P, s, Ut = np.linalg.svd(K, full_matrices=False)
+    U, P = _fix_svd_signs(Ut.T, P)
+    return L, K, P, s, U
+
+
+def _assess(data: DataMatrices, tol: RankTolerance, eps_gap: float):
+    """The moments, the assumption report and, when Sigma_XX has full rank
+    and a Cholesky factor, the eigensystem (else None), from one pass."""
     checks = []
     dims_ok = data.d_y <= data.d_x <= data.m
     checks.append(("dimension_order", dims_ok, (data.d_y, data.d_x, data.m), None))
 
-    sigma_xx = data.X @ data.X.T
-    sigma_xy = data.X @ data.Y.T
+    moments = _moments(data)
+    sigma_xx, sigma_xy, _ = moments
     rk_xx = numeric_rank(sigma_xx, tol)
     checks.append(("sigma_xx_full_rank", rk_xx == data.d_x, rk_xx, data.d_x))
     rk_xy = numeric_rank(sigma_xy, tol)
     checks.append(("sigma_xy_full_rank", rk_xy == data.d_y, rk_xy, data.d_y))
 
+    eig = None
     if dims_ok and rk_xx == data.d_x:
-        sigma_half = np.linalg.solve(sigma_xx, data.X).T @ sigma_xy
-        sigma_half = sigma_half.T  # d_y x m
-        s = np.linalg.svd(sigma_half, compute_uv=False)
-        lambdas = s**2
+        try:
+            eig = _eigensystem(sigma_xx, sigma_xy)
+        except np.linalg.LinAlgError:
+            pass  # not positive definite in floating point: the checks below fail
+    if eig is not None:
+        lambdas = eig[3] ** 2
         gaps = lambdas[:-1] - lambdas[1:]
         min_gap = float(gaps.min()) if gaps.size else float("inf")
         checks.append(("eigenvalue_gaps", min_gap > eps_gap, min_gap, eps_gap))
@@ -164,29 +187,18 @@ def check_assumption_h(
         checks.append(("eigenvalue_gaps", False, None, eps_gap))
         checks.append(("sigma_invertible", False, None, eps_gap))
 
-    return AssumptionReport(holds=all(c[1] for c in checks), checks=checks)
+    return AssumptionReport(holds=all(c[1] for c in checks), checks=checks), moments, eig
 
 
-def _fix_svd_signs(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign convention making the SVD deterministic: the first entry of each
-    U column whose magnitude is non-negligible is made nonnegative (matching
-    V columns flipped along).  V columns beyond d_y get the same treatment
-    on their own (they never touch the reconstruction)."""
-    U = U.copy()
-    V = V.copy()
-    d_y = U.shape[1]
-    for k in range(d_y):
-        col = U[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))[0]
-        if nz.size and col[nz[0]] < 0:
-            U[:, k] = -col
-            V[:, k] = -V[:, k]
-    for k in range(d_y, V.shape[1]):
-        col = V[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))[0]
-        if nz.size and col[nz[0]] < 0:
-            V[:, k] = -col
-    return U, V
+def check_assumption_h(
+    data: DataMatrices,
+    tol: RankTolerance = RankTolerance(),
+    eps_gap: float = EPS_GAP,
+) -> AssumptionReport:
+    """Report on the standing assumption: dimension ordering, full ranks,
+    and distinct positive eigenvalues of sigma.  A Sigma_XX without a
+    Cholesky factor fails the two eigenvalue checks."""
+    return _assess(data, tol, eps_gap)[0]
 
 
 def build_sigma_bundle(
@@ -194,59 +206,43 @@ def build_sigma_bundle(
     tol: RankTolerance = RankTolerance(),
     eps_gap: float = EPS_GAP,
 ) -> SigmaBundle:
-    report = check_assumption_h(data, tol=tol, eps_gap=eps_gap)
+    """The bundle of `data`, after the checks of ``check_assumption_h``
+    (AssumptionViolated if any fails), from one pass over the samples."""
+    report, (sigma_xx, sigma_xy, sigma_yy), eig = _assess(data, tol, eps_gap)
     if not report.holds:
         names = ", ".join(c[0] for c in report.failed())
         raise AssumptionViolated(f"assumption checks failed: {names}")
 
-    X, Y = data.X, data.Y
-    sigma_xx = X @ X.T
-    sigma_xy = X @ Y.T
-    sigma_yx = sigma_xy.T.copy()
-    sigma_yy = Y @ Y.T
-    sigma_half = np.linalg.solve(sigma_xx.T, sigma_yx.T).T @ X  # d_y x m
-
-    U, s, Vt = np.linalg.svd(sigma_half, full_matrices=True)
-    V = Vt.T
-    U, V = _fix_svd_signs(U, V)
-
-    d_y, m = sigma_half.shape
-    delta = np.zeros((d_y, m))
-    delta[:d_y, :d_y] = np.diag(s)
-    lambdas = s**2
-    sigma = sigma_half @ sigma_half.T
-
+    L, K, P, s, U = eig
     bundle = SigmaBundle(
         sigma_xx=sigma_xx,
         sigma_xy=sigma_xy,
-        sigma_yx=sigma_yx,
+        sigma_yx=sigma_xy.T.copy(),
         sigma_yy=sigma_yy,
-        sigma_half=sigma_half,
-        sigma=sigma,
+        sigma=K.T @ K,
+        L=L,
         U=U,
-        delta=delta,
-        V=V,
-        lambdas=lambdas,
+        lambdas=s**2,
     )
-    _validate_bundle(bundle)
+    _validate_bundle(bundle, K, P)
     return bundle
 
 
-def _validate_bundle(b: SigmaBundle) -> None:
+def _validate_bundle(b: SigmaBundle, K: np.ndarray, P: np.ndarray) -> None:
+    """Orthogonality of both singular-vector factors of K = L^{-1} Sigma_XY
+    and the reconstruction K = P diag(sqrt(lambda)) U^T, all d_x x d_y."""
     d_y = b.d_y
     if np.linalg.norm(b.U.T @ b.U - np.eye(d_y)) > EPS_ORTH * d_y:
         raise AssumptionViolated("U failed orthogonality check")
-    if np.linalg.norm(b.V.T @ b.V - np.eye(b.m)) > EPS_ORTH * b.m:
-        raise AssumptionViolated("V failed orthogonality check")
-    recon = b.U @ b.delta @ b.V.T
-    if np.linalg.norm(recon - b.sigma_half) > EPS_SVD * max(
-        1.0, np.linalg.norm(b.sigma_half)
-    ):
+    if np.linalg.norm(P.T @ P - np.eye(d_y)) > EPS_ORTH * d_y:
+        raise AssumptionViolated("P failed orthogonality check")
+    recon = (P * np.sqrt(b.lambdas)) @ b.U.T
+    if np.linalg.norm(recon - K) > EPS_SVD * max(1.0, np.linalg.norm(K)):
         raise AssumptionViolated("SVD reconstruction check failed")
 
 
 # ---------------------------------------------------------------------------
-# External interfaces: CSV matrices and JSON bundle export.
+# External interface: CSV matrices.
 # ---------------------------------------------------------------------------
 
 def write_matrix_csv(path, M: np.ndarray) -> None:
@@ -271,12 +267,3 @@ def read_matrix_csv(path) -> np.ndarray:
         raise InvalidShape(f"{path}: header says {(rows, cols)}, got {M.shape}")
     return M
 
-
-def bundle_to_json(b: SigmaBundle, include_v_q: bool = False, r: int | None = None) -> str:
-    obj = {
-        "lambdas": b.lambdas.tolist(),
-        "U": b.U.tolist(),
-    }
-    if include_v_q and r is not None:
-        obj["V_Q_cols"] = b.v_q_cols(r).tolist()
-    return json.dumps(obj)

@@ -65,6 +65,10 @@ class TooDeep(LinSaddleError):
     """Network depth exceeds the guard for exact polynomial expansion."""
 
 
+class ProbeNotConverged(LinSaddleError):
+    """The Lanczos probe for the smallest Hessian eigenvalue did not converge."""
+
+
 class InternalInconsistency(LinSaddleError):
     """A certified property failed to hold numerically; indicates a tolerance misconfiguration."""
 

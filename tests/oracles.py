@@ -80,6 +80,66 @@ def reference_eigensystem(X, Y):
     return evals[order], evecs[:, order]
 
 
+def full_svd_bundle(X, Y):
+    """sigma_half = Sigma_YX Sigma_XX^{-1} X (d_y x m) and its full SVD
+    U delta V^T, with the rectangular-diagonal delta and the m x m orthogonal
+    V.  The first entry of each U column above 1e-12 of its largest is made
+    nonnegative, and the matching V column is flipped along."""
+    sxx = X @ X.T
+    syx = Y @ X.T
+    sigma_half = syx @ np.linalg.inv(sxx) @ X
+    U, s, Vt = np.linalg.svd(sigma_half, full_matrices=True)
+    V = Vt.T.copy()
+    for k in range(U.shape[1]):
+        col = U[:, k]
+        first = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+        if col[first] < 0:
+            U[:, k] = -col
+            V[:, k] = -V[:, k]
+    delta = np.zeros(sigma_half.shape)
+    delta[:, :len(s)] = np.diag(s)
+    return sigma_half, U, delta, V
+
+
+def m_column_ftst(layers, dirs, X, Y, r, p, q):
+    """A2 (r x m) and A4 of the tightened-point decomposition in their
+    m-column form, from the full SVD: P_S = U_S^T C X with
+    C = Sigma_YX Sigma_XX^{-1}, X V_Q with V_Q the columns r+1..d_y of V,
+    and the m x m projector Pi = V_S' V_S'^T onto the columns [1, r] and
+    [d_y+1, m] of V.  The Z blocks are the lower-right blocks of layers
+    1..H-1 of canonical weights with support [1, r]."""
+    H = len(layers)
+    _, U, _, V = full_svd_bundle(X, Y)
+    d_y, m = U.shape[0], X.shape[1]
+    C = (Y @ X.T) @ np.linalg.inv(X @ X.T)
+    U_S = U[:, :r]
+    P_S = U_S.T @ C @ X
+    keep = list(range(r)) + list(range(d_y, m))
+    Pi = V[:, keep] @ V[:, keep].T
+    XV_Q = X @ V[:, r:d_y]
+    z = [layers[0][r:, :]] + [W[r:, r:] for W in layers[1:H - 1]]
+
+    def zx(k):  # Z_k .. Z_1 X
+        out = X
+        for Z in z[:k]:
+            out = Z @ out
+        return out
+
+    v = dirs
+    A2 = U_S.T @ v[H - 1][:, :r] @ P_S
+    for i in range(p, H):
+        A2 = A2 + v[i - 1][:r, :r] @ P_S
+    for i in range(q + 1, p):
+        A2 = A2 + v[i - 1][:r, :r] @ P_S + v[i - 1][:r, r:] @ zx(i - 1)
+    for i in range(2, q + 1):
+        A2 = A2 + v[i - 1][:r, :r] @ P_S + v[i - 1][:r, r:] @ zx(i - 1) @ Pi
+    A2 = A2 + v[0][:r, :] @ X @ Pi
+    A4 = v[0][:r, :] @ XV_Q
+    for i in range(2, q + 1):
+        A4 = A4 + v[i - 1][:r, r:] @ (zx(i - 1) @ V[:, r:d_y])
+    return A2, A4.T
+
+
 def polarization_hessian(c2_fn, shapes):
     """Dense Hessian of 2*c2 from the literal polarization identity
     Q(u, v) = c2(u + v) - c2(u) - c2(v), one basis pair at a time."""

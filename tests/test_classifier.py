@@ -142,6 +142,32 @@ def test_witness_is_validated_against_measured_c2(deep_problem):
     assert meas == pytest.approx(res.witness.c2_predicted, rel=1e-6)
 
 
+@pytest.fixture(scope="module")
+def eigenswap_repro():
+    """The support-(1, 3) eigenswap saddle on d_x=8, d_y=4, m=40 data, seed 3,
+    widths (8, 6, 6, 6, 4), with its unit-scale classification."""
+    data = ls.generate_gaussian_data(8, 4, 40, 3)
+    shape = ls.NetworkShape((8, 6, 6, 6, 4))
+    b = ls.build_sigma_bundle(data)
+    z = tuple(np.zeros(z_block_shape(shape, 2, h)) for h in range(1, shape.H + 1))
+    w = build_critical_point(CriticalPointSpec(support=(1, 3), z_blocks=z), b, shape)
+    return data, shape, w, ls.classify(w, b, data)
+
+
+@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("b", [1e-3, 1.0, 1e3])
+def test_verdict_is_invariant_under_data_rescaling(eigenswap_repro, a, b):
+    # X -> aX, Y -> bY, W_1 -> (b/a) W_1 maps critical points to critical
+    # points with the same support and verdict; the witness c2 scales by b^2.
+    data, shape, w, unit = eigenswap_repro
+    assert (unit.verdict, unit.support) == ("strict_saddle", (1, 3))
+    scaled = ls.DataMatrices(data.X * a, data.Y * b)
+    ws = ls.Weights([w.layer(1) * (b / a)] + list(w.layers[1:]), shape)
+    res = ls.classify(ws, ls.build_sigma_bundle(scaled), scaled)
+    assert (res.verdict, res.support) == (unit.verdict, unit.support)
+    assert res.witness_c2 == pytest.approx(unit.witness_c2 * b * b, rel=1e-8)
+
+
 def test_classification_json(deep_problem):
     data, b, shape = deep_problem
     res = ls.classify(ls.build_example_family(2, "tightened", b, shape), b, data)

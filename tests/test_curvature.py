@@ -2,16 +2,24 @@ import numpy as np
 import pytest
 
 import linsaddle as ls
+import linsaddle.curvature as curvature
 from linsaddle.curvature import (
     MAX_DENSE_PARAMS,
     MAX_TAYLOR_DEPTH,
+    PROBE_MAXITER,
     CurvatureCache,
     _choose_beta,
 )
-from linsaddle.critical_points import transform_weights
+from linsaddle.critical_points import CriticalPointSpec, transform_weights, z_block_shape
 
 from conftest import random_certified_spec, random_direction, random_weights
-from oracles import line_loss, polarization_hessian, polyfit_c2, second_difference_c2
+from oracles import (
+    line_loss,
+    m_column_ftst,
+    polarization_hessian,
+    polyfit_c2,
+    second_difference_c2,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +137,24 @@ def test_hessian_min_eig_probe_agrees(deep_problem):
     assert probe == pytest.approx(dense, rel=1e-5, abs=1e-6)
     with pytest.raises(ValueError):
         ls.hessian_min_eig(w, data, mode="exactly")
+
+
+def test_probe_is_capped_and_raises_a_library_error(monkeypatch, deep_problem):
+    import scipy.sparse.linalg as sla
+
+    data, b, shape = deep_problem
+    w = ls.build_example_family(2, "tightened", b, shape)
+    seen = []
+
+    def stalled(op, **kwargs):
+        seen.append(kwargs)
+        raise sla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(curvature.scipy.sparse.linalg, "eigsh", stalled)
+    for return_vector in (False, True):
+        with pytest.raises(ls.ProbeNotConverged):
+            ls.hessian_min_eig(w, data, mode="probe", return_vector=return_vector)
+    assert [kw["maxiter"] for kw in seen] == [PROBE_MAXITER] * 2
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +330,33 @@ def test_ft_st_rejects_full_rank(deep_problem):
     )
     with pytest.raises(ls.NotApplicable):
         ls.ft_st_decomposition(w, random_direction(shape, rng), b, data)
+
+
+def test_ft_st_matches_m_column_form_at_m_3000():
+    # A tightened point whose Z_1 and Z_2 are nonzero (Z_2 Z_1 Sigma_XY U_Q =
+    # 0, Z_3 = Z_4 = 0), so q = 2 and both the projector and the Z-prefix
+    # terms enter A2 and A4.
+    m, r = 3000, 2
+    data = ls.generate_gaussian_data(10, 4, m, seed=11)
+    b = ls.build_sigma_bundle(data)
+    shape = ls.NetworkShape((10, 8, 8, 8, 4))
+    rng = np.random.default_rng(12)
+    Z1 = rng.standard_normal(z_block_shape(shape, r, 1))
+    N = Z1 @ b.sigma_xy @ b.U[:, r:]
+    Z2 = rng.standard_normal(z_block_shape(shape, r, 2))
+    Z2 = Z2 - Z2 @ N @ np.linalg.pinv(N)
+    z = (Z1, Z2, np.zeros(z_block_shape(shape, r, 3)), np.zeros(z_block_shape(shape, r, 4)))
+    w = ls.build_critical_point(CriticalPointSpec(support=(1, 2), z_blocks=z), b, shape)
+    for _ in range(2):
+        v = random_direction(shape, rng)
+        dec = ls.ft_st_decomposition(w, v, b, data)
+        assert (dec.structure.p, dec.structure.q) == (4, 2)
+        assert dec.A2.shape == (r, shape.d_x)
+        A2, A4 = m_column_ftst(w.layers, v.layers, data.X, data.Y, r, 4, 2)
+        assert A2.shape == (r, m)
+        assert float(np.sum(dec.A2**2)) == pytest.approx(float(np.sum(A2**2)), rel=1e-9)
+        assert np.allclose(dec.A4, A4, rtol=1e-9, atol=1e-9 * np.abs(A4).max())
+        assert dec.c2 == pytest.approx(ls.c2_value(w, v, data), rel=1e-8)
 
 
 def test_c2_value_reads_only_the_residual(depth16_point):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import linsaddle as ls
-from linsaddle.data_model import bundle_to_json, read_matrix_csv, write_matrix_csv
+from linsaddle import data_model
+from linsaddle.data_model import read_matrix_csv, write_matrix_csv
 
-from oracles import reference_eigensystem
+from oracles import full_svd_bundle, reference_eigensystem
 
 
 def test_generate_is_deterministic():
@@ -51,21 +52,28 @@ def test_bundle_against_reference_eigensystem(small_problem):
 
 
 def test_bundle_svd_structure(small_problem):
+    # U and sqrt(lambda) are the left factor and the singular values of the
+    # full SVD sigma_half = U delta V^T, sign convention included.
     data, b, _ = small_problem
-    assert np.allclose(b.U @ b.delta @ b.V.T, b.sigma_half, atol=1e-10)
+    sigma_half, U, delta, V = full_svd_bundle(data.X, data.Y)
+    assert np.allclose(U @ delta @ V.T, sigma_half, atol=1e-10)
+    assert np.allclose(b.U, U, atol=1e-10)
+    assert np.allclose(np.sqrt(b.lambdas), np.diag(delta), rtol=1e-10)
     assert np.allclose(b.U.T @ b.U, np.eye(b.d_y), atol=1e-10)
-    assert np.allclose(b.V.T @ b.V, np.eye(b.m), atol=1e-10)
     assert np.all(np.diff(b.lambdas) < 0)  # strictly decreasing
     assert b.lambdas[-1] > 0
     # sigma = sigma_half sigma_half^T and its trace identity
-    assert np.allclose(b.sigma, b.sigma_half @ b.sigma_half.T, atol=1e-8)
+    assert np.allclose(b.sigma, sigma_half @ sigma_half.T, atol=1e-8)
     assert float(np.trace(b.sigma)) == pytest.approx(float(np.sum(b.lambdas)))
+    # L is the lower-triangular Cholesky factor of Sigma_XX
+    assert np.array_equal(b.L, np.tril(b.L))
+    assert np.allclose(b.L @ b.L.T, b.sigma_xx, atol=1e-10 * np.abs(b.sigma_xx).max())
 
 
 def test_sign_convention_is_deterministic(small_problem):
     data, b, _ = small_problem
     b2 = ls.build_sigma_bundle(data)
-    assert np.array_equal(b.U, b2.U) and np.array_equal(b.V, b2.V)
+    assert np.array_equal(b.U, b2.U) and np.array_equal(b.lambdas, b2.lambdas)
     # first non-negligible entry of each U column is nonnegative
     for k in range(b.d_y):
         col = b.U[:, k]
@@ -74,15 +82,59 @@ def test_sign_convention_is_deterministic(small_problem):
 
 
 def test_sigma_half_identity(small_problem):
-    # Sigma_YX Sigma_XX^{-1} X reproduces sigma_half, and
-    # Sigma_XY U_Q = X V_Q Delta_Q
+    # Sigma_YX Sigma_XX^{-1} X reproduces sigma_half; the certificate's
+    # second-moment forms reproduce X V_Q = Sigma_XY U_Q Lambda_Q^{-1/2} and
+    # X V_S' V_S'^T = Pi X with Pi = I - X V_Q Lambda_Q^{-1/2} U_Q^T C.
     data, b, _ = small_problem
+    sigma_half, _, _, V = full_svd_bundle(data.X, data.Y)
     C = b.sigma_yx_sigma_xx_inv()
-    assert np.allclose(C @ data.X, b.sigma_half, atol=1e-8)
+    assert np.allclose(C @ data.X, sigma_half, atol=1e-8)
     r = 2
-    lhs = b.sigma_xy @ b.U[:, r:]
-    rhs = data.X @ b.v_q_cols(r) @ np.diag(np.sqrt(b.lambdas[r:]))
-    assert np.allclose(lhs, rhs, atol=1e-8)
+    root_q = np.sqrt(b.lambdas[r:])
+    XV_Q = b.sigma_xy @ b.U[:, r:] / root_q
+    assert np.allclose(XV_Q, data.X @ V[:, r:b.d_y], atol=1e-8)
+    keep = list(range(r)) + list(range(b.d_y, data.m))
+    Pi = np.eye(b.d_x) - (XV_Q / root_q) @ b.U[:, r:].T @ C
+    assert np.allclose(Pi @ data.X, data.X @ V[:, keep] @ V[:, keep].T, atol=1e-8)
+
+
+def test_bundle_has_no_sample_axis():
+    # Every bundle array is d_x- or d_y-sized, and the bundle no longer
+    # exposes the sample count or the m-sized SVD factors.
+    m = 500
+    b = ls.build_sigma_bundle(ls.generate_gaussian_data(6, 4, m, seed=9))
+    arrays = {k: v for k, v in vars(b).items() if isinstance(v, np.ndarray)}
+    assert set(arrays) == {"sigma_xx", "sigma_xy", "sigma_yx", "sigma_yy", "sigma",
+                           "L", "U", "lambdas"}
+    for name, arr in arrays.items():
+        assert m not in arr.shape, name
+        assert max(arr.shape) <= 6, name
+    for gone in ("m", "V", "delta", "sigma_half", "v_q_cols", "v_sprime_cols"):
+        assert not hasattr(b, gone)
+
+
+def test_bundle_makes_one_pass_over_the_samples(monkeypatch, small_problem):
+    data, b, _ = small_problem
+    calls = []
+    moments = data_model._moments
+    monkeypatch.setattr(data_model, "_moments", lambda d: calls.append(d) or moments(d))
+    b2 = ls.build_sigma_bundle(data)
+    assert len(calls) == 1
+    assert np.array_equal(b2.U, b.U) and np.array_equal(b2.sigma_xx, b.sigma_xx)
+
+
+def test_cholesky_failure_is_an_assumption_violation(monkeypatch, small_problem):
+    data, _, _ = small_problem
+
+    def no_factor(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    rep = ls.check_assumption_h(data)
+    assert not rep.holds
+    assert {c[0] for c in rep.failed()} == {"eigenvalue_gaps", "sigma_invertible"}
+    with pytest.raises(ls.AssumptionViolated, match="eigenvalue_gaps"):
+        ls.build_sigma_bundle(data)
 
 
 def test_csv_roundtrip(tmp_path):
@@ -100,15 +152,6 @@ def test_csv_rejects_bad_header(tmp_path):
     p.write_text("1.0,2.0\n3.0,4.0\n")
     with pytest.raises(ls.InvalidShape):
         read_matrix_csv(p)
-
-
-def test_bundle_json(small_problem):
-    import json
-
-    _, b, _ = small_problem
-    obj = json.loads(bundle_to_json(b, include_v_q=True, r=2))
-    assert obj["lambdas"] == b.lambdas.tolist()
-    assert np.asarray(obj["V_Q_cols"]).shape == (b.m, b.d_y - 2)
 
 
 def test_data_matrices_validation():
