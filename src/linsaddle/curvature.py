@@ -3,9 +3,13 @@
 The square loss restricted to a line is a polynomial of degree 2H in t; its
 quadratic coefficient c2 decides strictness of saddles.  This module provides
 the exact polynomial expansion, an O(H) evaluator and Hessian for c2,
-negative-curvature witness constructions for the two saddle mechanisms
-(eigenvector swap and untightened pivots), and the nonnegative decomposition
-of c2 at tightened points.
+negative-curvature witnesses for the two saddle mechanisms, and the
+nonnegative decomposition of c2 at tightened points.  The eigenvector-swap
+witness moves mass from a used to a larger unused eigenvalue.  The
+untightened-pivot witness is one construction for every pivot (i, j): a
+rank-one perturbation of layer j from the kernel of the layers above it,
+fed by a rank-one perturbation of layer i, both taken from singular vectors
+rather than from coordinates or from a particular kernel basis.
 """
 
 from __future__ import annotations
@@ -287,6 +291,10 @@ def _kernel_basis(M: np.ndarray, rank_tol: RankTolerance) -> np.ndarray:
     return vt[rk:, :].T
 
 
+def _zero_direction(shape):
+    return [np.zeros(shape.layer_shape(h)) for h in range(1, shape.H + 1)]
+
+
 def witness_untightened(
     w: Weights,
     bundle: SigmaBundle,
@@ -297,180 +305,62 @@ def witness_untightened(
 ) -> WitnessCase:
     """Descent direction exploiting an untightened pivot (i, j).
 
-    Two layers are perturbed: one injects mass along an unused output
-    eigendirection, the other feeds it from the kernel of the upper layers so
-    the linear term vanishes exactly.  The restricted c2 is a beta^2 + c beta
-    with a >= 0 and c != 0; beta is chosen to make it negative.
+    At a critical point with support S the residual R = W_H..W_1 X - Y
+    satisfies R X^T = -U_Q U_Q^T Sigma_YX, U_Q the unused eigenvectors.
+    Perturb layer j by b a^T, with b in the kernel of W_H..W_{j+1}, and
+    layer i by beta e c^T, with c^T W_{i-1}..W_{j+1} b = 1.  The layer-j
+    term of A_1 vanishes and A_2 = beta W_H..W_{i+1} e a^T W_{j-1}..W_1 X, so
+
+        c2 = a_coef beta^2 - 2 beta a^T T e,
+        T = W_{j-1}..W_1 Sigma_XY U_Q U_Q^T W_H..W_{i+1},
+        a_coef = ||W_H..W_{i+1} e c^T W_{i-1}..W_1 X||^2 >= 0.
+
+    (a, e) is the top singular pair of T, so a^T T e = sigma_1(T) > 0.  With
+    N a kernel basis of W_H..W_{j+1}, b = N v for the top right singular
+    vector v of W_{i-1}..W_{j+1} N, and c is the image of b over its squared
+    norm.  beta minimizes c2, which is then negative.  When both top
+    singular values are simple the witness does not depend on the kernel
+    basis; at i = j + 1 the inner product is the identity, every kernel
+    direction is stretched equally and b is the first one the SVD returns.
+    When rank(W_H..W_{j+1}) exceeds r the pivot reduces to (j, 1).
     """
     i, j = pivot
     H = w.shape.H
     if not (1 <= j < i <= H):
         raise InvalidPivot(f"pivot must satisfy 1 <= j < i <= H, got {pivot}")
     S = tuple(sorted(support))
-    r = len(S)
-    comp = sorted(set(range(1, bundle.d_y + 1)) - set(S))
-    if not comp:
+    U_Q = bundle.u_complement(S)
+    if not U_Q.size:
         raise NotApplicable("support already uses every output eigendirection")
+    suf = partial_suffix(w, j + 1)
+    if j > 1 and numeric_rank(suf, rank_tol) > len(S):
+        return witness_untightened(w, bundle, data, S, (j, 1), rank_tol)
 
-    if j > 1:
-        # If the layers above j already exceed rank r the problem reduces to
-        # a pivot anchored at the first layer.
-        suf_j1 = partial_suffix(w, j + 1)
-        if numeric_rank(suf_j1, rank_tol) > r:
-            return witness_untightened(w, bundle, data, S, (j, 1), rank_tol)
-        if i == H:
-            return _witness_case3(w, bundle, data, S, comp, i, j, rank_tol)
-        return _witness_case4(w, bundle, data, S, comp, i, j, rank_tol)
-    if i == H:
-        return _witness_case2(w, bundle, data, S, comp, rank_tol)
-    return _witness_case1(w, bundle, data, S, comp, i, rank_tol)
+    T = partial_prefix(w, j - 1) @ bundle.sigma_xy @ U_Q @ (U_Q.T @ partial_suffix(w, i + 1))
+    u, s, vt = np.linalg.svd(T)
+    if s[0] <= BETA_ZERO_TOL:
+        raise NotApplicable("pivot data block vanishes outside the support")
+    N = _kernel_basis(suf, rank_tol)
+    if not N.size:
+        raise NotApplicable("upper layers past the pivot have trivial kernel")
+    u_img, s_img, vt_img = np.linalg.svd(partial_middle(w, i, j) @ N, full_matrices=False)
+    if s_img[0] <= BETA_ZERO_TOL:
+        raise NotApplicable("kernel past the pivot is annihilated by the inner layers")
 
-
-def _zero_direction(shape):
-    return [np.zeros(shape.layer_shape(h)) for h in range(1, shape.H + 1)]
-
-
-def _scaled_witness(w, data, mats, top, top_dir, c_coef, case, pivot, **diagnostics):
-    """Complete `mats` with beta * top_dir at layer `top`, beta minimizing the
-    restricted c2 = a beta^2 + c_coef beta, where
-    a = ||W_H..W_{top+1} top_dir W_{top-1}..W_1 X||^2."""
-    N = partial_suffix(w, top + 1) @ top_dir @ partial_prefix(w, top - 1)
-    a_coef = float(np.sum((N @ data.X) ** 2))
+    top_dir = np.outer(vt[0], u_img[:, 0] / s_img[0])  # e c^T
+    A = partial_suffix(w, i + 1) @ top_dir @ partial_prefix(w, i - 1) @ data.X
+    a_coef, c_coef = float(np.sum(A * A)), -2.0 * float(s[0])
     beta, c2_pred = _choose_beta(a_coef, c_coef)
-    mats[top - 1] = beta * top_dir
+    mats = _zero_direction(w.shape)
+    mats[j - 1] = np.outer(N @ vt_img[0], u[:, 0])
+    mats[i - 1] = beta * top_dir
     return WitnessCase(
         direction=Direction(mats, w.shape),
-        case=case,
+        case=f"untightened_{'last' if i == H else 'interior'}_"
+             f"{'first' if j == 1 else 'interior'}",
         c2_predicted=c2_pred,
-        pivot=pivot,
-        diagnostics={"beta": beta, "quad_coeff": a_coef, "lin_coeff": c_coef,
-                     **diagnostics},
-    )
-
-
-def _feed_column(w: Weights, D_inv: np.ndarray, r: int, upto: int):
-    """Pick the kernel direction of W_H..W_2 that survives W_upto..W_2 best.
-
-    Returns (g0, col): a 0-based column index g0 >= r into D_inv and the
-    image col = W_upto..W_2 D_inv[:, g0]."""
-    cand = partial_middle(w, upto + 1, 1) @ D_inv[:, r:]
-    if cand.size == 0:
-        raise NotApplicable("no kernel direction available (r = d_1)")
-    norms = np.linalg.norm(cand, axis=0)
-    g_rel = int(np.argmax(norms))
-    if norms[g_rel] <= BETA_ZERO_TOL:
-        raise NotApplicable("kernel of W_H..W_2 is annihilated by the lower layers")
-    return r + g_rel, cand[:, g_rel]
-
-
-def _witness_case1(w, bundle, data, S, comp, i, rank_tol):
-    """Pivot (i, 1) with 2 <= i <= H-1: perturb layers i and 1."""
-    shape = w.shape
-    r = len(S)
-    U_Q = bundle.u_complement(S)
-    suf = partial_suffix(w, i + 1)  # W_H .. W_{i+1}
-    T = U_Q.T @ suf
-    if not T.size or np.max(np.abs(T)) <= BETA_ZERO_TOL:
-        raise NotApplicable("upper layers have no output outside the support")
-    k_rel, l0 = np.unravel_index(int(np.argmax(np.abs(T))), T.shape)
-    k = comp[k_rel]
-    lam_k = float(bundle.lambdas[k - 1])
-
-    D, D_inv, _ = clem_d_matrix(w, bundle, S, rank_tol)
-    g0, col = _feed_column(w, D_inv, r, i - 1)
-    a_vec = col / float(col @ col)
-
-    mats = _zero_direction(shape)
-    C = bundle.sigma_yx_sigma_xx_inv()
-    mats[0] = np.outer(D_inv[:, g0], bundle.U[:, k - 1] @ C)
-    e_l = np.eye(shape.dims[i])[:, l0]
-    return _scaled_witness(
-        w, data, mats, i, np.outer(e_l, a_vec), -2.0 * lam_k * float(T[k_rel, l0]),
-        "untightened_interior_first", (i, 1),
-        eig_index=k, cond_D=float(np.linalg.cond(D)),
-    )
-
-
-def _witness_case2(w, bundle, data, S, comp, rank_tol):
-    """Pivot (H, 1): perturb the outermost layers."""
-    shape = w.shape
-    r = len(S)
-    k = comp[0]
-    lam_k = float(bundle.lambdas[k - 1])
-    D, D_inv, _ = clem_d_matrix(w, bundle, S, rank_tol)
-    g0, col = _feed_column(w, D_inv, r, shape.H - 1)
-    a_vec = col / float(col @ col)
-
-    mats = _zero_direction(shape)
-    U_k = bundle.U[:, k - 1]
-    C = bundle.sigma_yx_sigma_xx_inv()
-    mats[0] = np.outer(D_inv[:, g0], U_k @ C)
-    return _scaled_witness(
-        w, data, mats, shape.H, np.outer(U_k, a_vec), -2.0 * lam_k,
-        "untightened_last_first", (shape.H, 1),
-        eig_index=k, cond_D=float(np.linalg.cond(D)),
-    )
-
-
-def _kernel_feed(w, i, j, rank_tol):
-    """Direction b in ker(W_H..W_{j+1}) not killed by W_{i-1}..W_{j+1}."""
-    suf = partial_suffix(w, j + 1)
-    N1 = _kernel_basis(suf, rank_tol)
-    if N1.size == 0:
-        raise NotApplicable("upper layers past the pivot have trivial kernel")
-    imgs = partial_middle(w, i, j) @ N1
-    norms = np.linalg.norm(imgs, axis=0)
-    idx = int(np.argmax(norms))
-    if norms[idx] <= BETA_ZERO_TOL:
-        raise InternalInconsistency(
-            "untightened pivot promised a surviving kernel direction, found none"
-        )
-    return N1[:, idx], imgs[:, idx]
-
-
-def _witness_case3(w, bundle, data, S, comp, i, j, rank_tol):
-    """Pivot (H, j) with interior j and rank(W_H..W_{j+1}) = r."""
-    shape = w.shape
-    U_Q = bundle.u_complement(S)
-    pre = partial_prefix(w, j - 1)
-    T = pre @ bundle.sigma_xy @ U_Q
-    if not T.size or np.max(np.abs(T)) <= BETA_ZERO_TOL:
-        raise NotApplicable("pivot data block vanishes outside the support")
-    l0, k_rel = np.unravel_index(int(np.argmax(np.abs(T))), T.shape)
-    k = comp[k_rel]
-
-    b, w_img = _kernel_feed(w, shape.H, j, rank_tol)
-    a_vec = w_img / float(w_img @ w_img)
-
-    mats = _zero_direction(shape)
-    U_k = bundle.U[:, k - 1]
-    mats[j - 1] = np.outer(b, np.eye(shape.dims[j - 1])[:, l0])
-    return _scaled_witness(
-        w, data, mats, shape.H, np.outer(U_k, a_vec), -2.0 * float(T[l0, k_rel]),
-        "untightened_last_interior", (shape.H, j), eig_index=k,
-    )
-
-
-def _witness_case4(w, bundle, data, S, comp, i, j, rank_tol):
-    """Interior pivot (i, j), 2 <= j < i <= H-1, rank(W_H..W_{j+1}) = r."""
-    shape = w.shape
-    U_Q = bundle.u_complement(S)
-    pre = partial_prefix(w, j - 1)
-    suf = partial_suffix(w, i + 1)
-    T = pre @ bundle.sigma_xy @ U_Q @ U_Q.T @ suf
-    if not T.size or np.max(np.abs(T)) <= BETA_ZERO_TOL:
-        raise NotApplicable("pivot data block vanishes outside the support")
-    l0, k0 = np.unravel_index(int(np.argmax(np.abs(T))), T.shape)
-
-    b, w_img = _kernel_feed(w, i, j, rank_tol)
-    a_vec = w_img / float(w_img @ w_img)
-
-    mats = _zero_direction(shape)
-    mats[j - 1] = np.outer(b, np.eye(shape.dims[j - 1])[:, l0])
-    e_k = np.eye(shape.dims[i])[:, k0]
-    return _scaled_witness(
-        w, data, mats, i, np.outer(e_k, a_vec), -2.0 * float(T[l0, k0]),
-        "untightened_interior_interior", (i, j),
+        pivot=(i, j),
+        diagnostics={"beta": beta, "quad_coeff": a_coef, "lin_coeff": c_coef},
     )
 
 

@@ -24,7 +24,7 @@ from .ranktol import RankTolerance, numeric_rank
 # Default tolerances (relative unless stated otherwise).
 EPS_ORTH = 1e-10
 EPS_SVD = 1e-10
-EPS_GAP = 1e-8  # absolute gap between consecutive eigenvalues
+EPS_GAP = 1e-10  # eigenvalue gaps and lambda_min, relative to lambda_1
 
 
 @dataclass(frozen=True)
@@ -178,14 +178,15 @@ def _assess(data: DataMatrices, tol: RankTolerance, eps_gap: float):
             pass  # not positive definite in floating point: the checks below fail
     if eig is not None:
         lambdas = eig[3] ** 2
+        thr = eps_gap * float(lambdas.max(initial=0.0))  # eps_gap * lambda_1
         gaps = lambdas[:-1] - lambdas[1:]
         min_gap = float(gaps.min()) if gaps.size else float("inf")
-        checks.append(("eigenvalue_gaps", min_gap > eps_gap, min_gap, eps_gap))
+        checks.append(("eigenvalue_gaps", min_gap > thr, min_gap, thr))
         lam_min = float(lambdas[-1]) if lambdas.size else 0.0
-        checks.append(("sigma_invertible", lam_min > eps_gap, lam_min, eps_gap))
+        checks.append(("sigma_invertible", lam_min > thr, lam_min, thr))
     else:
-        checks.append(("eigenvalue_gaps", False, None, eps_gap))
-        checks.append(("sigma_invertible", False, None, eps_gap))
+        checks.append(("eigenvalue_gaps", False, None, None))
+        checks.append(("sigma_invertible", False, None, None))
 
     return AssumptionReport(holds=all(c[1] for c in checks), checks=checks), moments, eig
 
@@ -196,8 +197,10 @@ def check_assumption_h(
     eps_gap: float = EPS_GAP,
 ) -> AssumptionReport:
     """Report on the standing assumption: dimension ordering, full ranks,
-    and distinct positive eigenvalues of sigma.  A Sigma_XX without a
-    Cholesky factor fails the two eigenvalue checks."""
+    and distinct positive eigenvalues of sigma.  The smallest eigenvalue gap
+    and lambda_min are compared with eps_gap * lambda_1, so the verdict does
+    not depend on the units of X and Y.  A Sigma_XX without a Cholesky
+    factor fails the two eigenvalue checks."""
     return _assess(data, tol, eps_gap)[0]
 
 

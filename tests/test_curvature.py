@@ -259,7 +259,52 @@ def test_untightened_witnesses_match_measured_c2(deep_problem):
             meas = ls.c2_value(w, wit.direction, data)
             assert meas == pytest.approx(wit.c2_predicted, rel=1e-6, abs=1e-10)
             assert meas < 0
-    assert len(seen) >= 2  # several distinct cases get exercised
+    assert seen == {
+        "untightened_interior_first", "untightened_last_first",
+        "untightened_last_interior", "untightened_interior_interior",
+    }
+
+
+def _orthogonal(n, rng):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def test_untightened_witness_is_invariant_under_hidden_rotations(deep_problem):
+    # W_h -> Q_h W_h Q_{h-1}^T with orthogonal hidden-layer Q_h (Q_0 = I_dx,
+    # Q_H = I_dy) maps T, the kernel past the pivot and its image covariantly,
+    # so the witness c2 must not change.  At i = j + 1 the inner product is
+    # the identity and every kernel direction is stretched equally, so only
+    # pivots with i >= j + 2 have a unique witness.  Zero blocks Z_i and Z_j
+    # (and random others) leave the pivot (i, j) untightened.
+    data, b, shape = deep_problem
+    rng = np.random.default_rng(33)
+    compared = 0
+    for zero in [(1, 3), (1, 4), (2, 4)] * 2:
+        z = tuple(
+            np.zeros(z_block_shape(shape, 2, h)) if h in zero
+            else rng.standard_normal(z_block_shape(shape, 2, h))
+            for h in range(1, shape.H + 1)
+        )
+        d = tuple(np.eye(n) + 0.2 * rng.standard_normal((n, n)) for n in shape.dims[1:-1])
+        spec = CriticalPointSpec(support=(1, 2), z_blocks=z, d_blocks=d)
+        w = ls.build_critical_point(spec, b, shape)
+        Q = [np.eye(shape.d_x)] + [_orthogonal(n, rng) for n in shape.dims[1:-1]]
+        Q.append(np.eye(shape.d_y))
+        w_rot = ls.Weights(
+            [Q[h] @ w.layer(h) @ Q[h - 1].T for h in range(1, shape.H + 1)], shape
+        )
+        for p in ls.all_pivots(w, b, 2):
+            if p.tightened or p.i < p.j + 2:
+                continue
+            wit = ls.witness_untightened(w, b, data, spec.support, (p.i, p.j))
+            if wit.pivot != (p.i, p.j):
+                continue  # reduced to (j, 1)
+            rot = ls.witness_untightened(w_rot, b, data, spec.support, (p.i, p.j))
+            assert rot.pivot == wit.pivot
+            assert rot.c2_predicted == pytest.approx(wit.c2_predicted, rel=1e-10)
+            compared += 1
+    assert compared == 6
 
 
 def test_choose_beta_minimizes():

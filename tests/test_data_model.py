@@ -137,6 +137,20 @@ def test_cholesky_failure_is_an_assumption_violation(monkeypatch, small_problem)
         ls.build_sigma_bundle(data)
 
 
+@pytest.mark.parametrize("a", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("b", [1e-4, 1.0, 1e4])
+def test_assumption_and_lambdas_under_rescaling(a, b):
+    # Sigma = Sigma_YX Sigma_XX^{-1} Sigma_XY scales by b^2 under X -> aX,
+    # Y -> bY; the assumption, which holds at unit scale, must hold at every
+    # scale.
+    data = ls.generate_gaussian_data(8, 4, 40, seed=3)
+    unit = ls.build_sigma_bundle(data)
+    scaled = ls.DataMatrices(a * data.X, b * data.Y)
+    assert ls.check_assumption_h(scaled).holds
+    bundle = ls.build_sigma_bundle(scaled)
+    np.testing.assert_allclose(bundle.lambdas, unit.lambdas * b * b, rtol=1e-8)
+
+
 def test_csv_roundtrip(tmp_path):
     M = np.random.default_rng(3).standard_normal((4, 7))
     p = tmp_path / "m.csv"
