@@ -453,7 +453,10 @@ def canonical_form(
     U_Q = bundle.u_complement(S)
     C_map = bundle.sigma_yx_sigma_xx_inv()
 
-    D_clem, D1, _K = clem_d_matrix(w, bundle, S, rank_tol)
+    # The rank cut of W_H..W_2 uses the same product-rounding floor as
+    # classify, so that a point classify accepted is not rejected here.
+    eff_tol = product_rank_tolerance(w, bundle, rank_tol)
+    D_clem, D1, _K = clem_d_matrix(w, bundle, S, eff_tol)
 
     d_list = [None] * (H - 1)  # D_1 .. D_{H-1}
     z_list = [None] * H  # Z_1 .. Z_H

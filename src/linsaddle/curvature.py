@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .critical_points import clem_d_matrix
 from .data_model import DataMatrices, SigmaBundle
@@ -48,10 +47,10 @@ from .ranktol import RankTolerance, numeric_rank
 
 MAX_TAYLOR_DEPTH = 12
 MAX_DENSE_PARAMS = 2000
-# Restart cycles the Lanczos probe may take.  With eigsh's ncv = 20 a cycle
-# costs 10 to 19 Hessian-vector products, so a probe stops after about 1000
-# to 1900 of them; converging probes at deep example points need at most 51.
-PROBE_MAXITER = 100
+# Lanczos steps, one Hessian-vector product each, before the probe raises
+# ProbeNotConverged; probes at deep example points converge in 20 to 40.
+PROBE_MAXITER = 300
+PROBE_SEED = 0  # of the probe's start vector, so that probes repeat exactly
 BETA_ZERO_TOL = 1e-12
 
 
@@ -183,41 +182,64 @@ def hessian_dense(w: Weights, data: DataMatrices) -> np.ndarray:
     return np.column_stack([cache.hessian_matvec(e) for e in np.eye(n)])
 
 
+def _lanczos_min(matvec, n: int, tol: float):
+    """Smallest eigenpair (theta, x) of the symmetric operator `matvec` on R^n.
+
+    Lanczos from a seeded start vector, with full reorthogonalization (two
+    classical Gram-Schmidt passes) and no restarts, so that a zero
+    eigenvalue is not skipped as it is by restarted solvers that lock onto
+    the smallest nonzero one.  The basis grows with the steps taken.  Stops
+    when the Ritz residual |beta_k s_k| of the smallest Ritz value is at
+    most tol * max|theta|, or when beta_k <= 1e-12 * max|theta| (the Krylov
+    space is invariant); after PROBE_MAXITER steps raises ProbeNotConverged.
+    """
+    q = np.random.default_rng(PROBE_SEED).standard_normal(n)
+    Q = np.empty((min(16, n), n))
+    Q[0] = q / np.linalg.norm(q)
+    alpha, beta = [], []
+    for k in range(1, min(PROBE_MAXITER, n) + 1):
+        v = matvec(Q[k - 1])
+        alpha.append(float(Q[k - 1] @ v))
+        for _ in range(2):
+            v -= Q[:k].T @ (Q[:k] @ v)
+        b = float(np.linalg.norm(v))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        scale = float(np.abs(theta).max())
+        if abs(b * s[-1, 0]) <= tol * scale or b <= 1e-12 * scale:
+            return float(theta[0]), Q[:k].T @ s[:, 0]
+        if k == len(Q):
+            Q = np.concatenate([Q, np.empty_like(Q)])
+        Q[k] = v / b
+        beta.append(b)
+    raise ProbeNotConverged(f"Lanczos probe did not converge in {k} steps")
+
+
 def hessian_min_eig(
     w: Weights, data: DataMatrices, mode: str = "dense", tol: float = 1e-6,
     return_vector: bool = False,
 ):
     """Smallest eigenvalue of the Hessian at W: dense eigh for small nets,
     matrix-free Lanczos probe otherwise.  With return_vector the matching
-    eigenvector is reshaped to a Direction and returned alongside.  A probe
-    that has not converged after PROBE_MAXITER restart cycles raises
-    ProbeNotConverged."""
+    eigenvector is reshaped to a Direction and returned alongside.
+
+    The probe (``_lanczos_min``) starts from a seeded vector, so it repeats
+    exactly, and finds a zero lambda_min at non-strict saddles.  It stops
+    when its Ritz residual is at most tol times the largest Ritz value's
+    magnitude, or when the Krylov space is invariant; a probe short of that
+    after PROBE_MAXITER Lanczos steps raises ProbeNotConverged."""
     if mode == "dense":
         M = hessian_dense(w, data)
         if not return_vector:
             return float(np.linalg.eigvalsh(M)[0])
         vals, vecs = np.linalg.eigh(M)
+        lam, vec = float(vals[0]), vecs[:, 0]
     elif mode == "probe":
-        cache = CurvatureCache(w, data)
-        n = w.shape.n_params
-        op = scipy.sparse.linalg.LinearOperator(
-            (n, n), matvec=cache.hessian_matvec, dtype=float
-        )
-        try:
-            out = scipy.sparse.linalg.eigsh(
-                op, k=1, which="SA", tol=tol, maxiter=PROBE_MAXITER,
-                return_eigenvectors=return_vector,
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as err:
-            raise ProbeNotConverged(
-                f"Lanczos probe did not converge in {PROBE_MAXITER} restart cycles"
-            ) from err
+        lam, vec = _lanczos_min(CurvatureCache(w, data).hessian_matvec, w.shape.n_params, tol)
         if not return_vector:
-            return float(out[0])
-        vals, vecs = out
+            return lam
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return float(vals[0]), Direction(unflatten(vecs[:, 0], w.shape), w.shape)
+    return lam, Direction(unflatten(vec, w.shape), w.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AssumptionViolated, InvalidShape
 from .ranktol import RankTolerance, numeric_rank
@@ -150,7 +149,7 @@ def _eigensystem(sigma_xx: np.ndarray, sigma_xy: np.ndarray):
     eigenvectors U and eigenvalues s**2.  Raises LinAlgError when Sigma_XX
     is not numerically positive definite."""
     L = np.linalg.cholesky(sigma_xx)
-    K = scipy.linalg.solve_triangular(L, sigma_xy, lower=True)
+    K = np.linalg.solve(L, sigma_xy)
     P, s, Ut = np.linalg.svd(K, full_matrices=False)
     U, P = _fix_svd_signs(Ut.T, P)
     return L, K, P, s, U

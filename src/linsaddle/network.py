@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import DataMatrices, SigmaBundle
-from .errors import InvalidRank, InvalidShape
+from .errors import InvalidShape
 
 
 @dataclass(frozen=True)
@@ -229,17 +229,6 @@ def gradient(w: Weights, bundle: SigmaBundle) -> Direction:
     if w.shape.d_x != bundle.d_x or w.shape.d_y != bundle.d_y:
         raise InvalidShape("weights incompatible with bundle dimensions")
     return Direction(products_gradient(_product_table(w), bundle), w.shape)
-
-
-def best_rank_r_map(bundle: SigmaBundle, r: int) -> np.ndarray:
-    """U_S U_S^T Sigma_YX Sigma_XX^{-1} with S = [1, r]; the rank-r least
-    squares optimum.  r = 0 gives the zero map."""
-    if not (0 <= r <= bundle.d_y):
-        raise InvalidRank(f"r must be in [0, {bundle.d_y}], got {r}")
-    if r == 0:
-        return np.zeros((bundle.d_y, bundle.d_x))
-    U_S = bundle.U[:, :r]
-    return U_S @ (U_S.T @ bundle.sigma_yx_sigma_xx_inv())
 
 
 # ---------------------------------------------------------------------------

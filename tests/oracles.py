@@ -166,3 +166,12 @@ def polarization_hessian(c2_fn, shapes):
             q = c2_fn(eab) - qaa - c2_fn(eb)
             H[a, b] = H[b, a] = q
     return H
+
+
+def best_rank_r_map(X, Y, r):
+    """The rank-r least-squares map U_r U_r^T C, C = Y X^T (X X^T)^{-1}, with
+    U_r the top r eigenvectors of C X Y^T, all formed densely from the
+    samples."""
+    C = Y @ X.T @ np.linalg.inv(X @ X.T)
+    U = np.linalg.eigh(C @ X @ Y.T)[1][:, ::-1][:, :r]
+    return U @ U.T @ C

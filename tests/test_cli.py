@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -201,3 +203,13 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert ls.__version__ in capsys.readouterr().out
+
+
+def test_import_loads_numpy_only():
+    # A fresh interpreter, so that modules other tests imported do not count.
+    src = str(Path(ls.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import linsaddle, linsaddle.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -15,7 +15,7 @@ from linsaddle.critical_points import (
 )
 from linsaddle.network import partial_suffix
 
-from conftest import random_certified_spec, random_weights
+from conftest import random_certified_spec, random_direction, random_weights
 
 
 def grad_ok(w, bundle, tol=1e-9):
@@ -234,6 +234,47 @@ def test_canonical_form_h2(shallow_problem):
     assert rec.support == (1, 2)
     w2 = build_critical_point(rec, b, shape, require_certified=False)
     assert np.allclose(ls.global_map(w2), ls.global_map(w), atol=1e-8)
+
+
+def _certify_corpus_point(seed, index):
+    """Point `index` of the benchmark's certify corpus for `seed`, replaying
+    the draws of perfbench/workloads.py's ``certify_setup``: X -> aX,
+    Y -> bY and W_1 -> (b/a) W_1.  Returns (data, weights, support)."""
+    rng = np.random.default_rng(seed)
+    count = 0
+    while True:
+        H = (2, 3, 5)[count % 3]
+        d_x = int(rng.integers(2, 13))
+        d_y = int(rng.integers(1, d_x + 1))
+        dims = tuple([d_x] + [int(rng.integers(1, 13)) for _ in range(H - 1)] + [d_y])
+        m = d_x + int(rng.integers(3, 20))
+        data = ls.generate_gaussian_data(d_x, d_y, m, seed=int(rng.integers(2**31)))
+        if not ls.check_assumption_h(data).holds:
+            continue
+        shape = ls.NetworkShape(dims)
+        spec = random_certified_spec(shape, d_y, rng)
+        a, b = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        if count == index:
+            w = build_critical_point(spec, ls.build_sigma_bundle(data), shape)
+            layers = [w.layer(1) * (b / a)] + list(w.layers[1:])
+            return ls.DataMatrices(data.X * a, data.Y * b), ls.Weights(layers, shape), spec.support
+        for _ in range(3):  # the corpus's certificate directions
+            random_direction(shape, rng)
+        count += 1
+
+
+def test_canonical_form_cuts_ranks_like_classify():
+    # sigma_2(W_H..W_2) = 5.0e-15 here: above the plain relative cut of
+    # 3.1e-15, below the product-rounding floor that classify applies.
+    data, w, support = _certify_corpus_point(107, 11)
+    assert w.shape.dims == (10, 11, 11, 6, 4, 2) and support == (1,)
+    b = ls.build_sigma_bundle(data)
+    assert ls.classify(w, b, data).verdict == "non_strict_saddle"
+    rec = canonical_form(w, b)
+    assert rec.support == support
+    w2 = build_critical_point(rec, b, w.shape, require_certified=False)
+    gm, gm2 = ls.global_map(w), ls.global_map(w2)
+    assert np.linalg.norm(gm - gm2) <= 1e-8 * (1 + np.linalg.norm(gm))
 
 
 def test_canonical_form_rejects_noncritical(small_problem):

@@ -5,7 +5,6 @@ import pytest
 
 import linsaddle as ls
 from linsaddle.network import (
-    best_rank_r_map,
     partial_middle,
     partial_prefix,
     partial_suffix,
@@ -13,7 +12,7 @@ from linsaddle.network import (
 )
 
 from conftest import random_weights
-from oracles import fd_gradient, naive_loss
+from oracles import best_rank_r_map, fd_gradient, naive_loss
 
 
 def test_shape_properties():
@@ -78,16 +77,9 @@ def test_gradient_zero_at_best_map(small_problem):
     # a one-hidden-layer factorization of the full-rank optimum is critical
     data, bundle, _ = small_problem
     shape = ls.NetworkShape((6, 4, 4))
-    M = best_rank_r_map(bundle, 4)
+    M = best_rank_r_map(data.X, data.Y, 4)
     w = ls.Weights([M, np.eye(4)], shape)
     assert ls.gradient(w, bundle).frob_norm() < 1e-10
-
-
-def test_best_rank_r_map_bounds(small_problem):
-    _, bundle, _ = small_problem
-    assert np.array_equal(best_rank_r_map(bundle, 0), np.zeros((4, 6)))
-    with pytest.raises(ls.InvalidRank):
-        best_rank_r_map(bundle, 5)
 
 
 def test_weights_json_roundtrip(small_problem):
