@@ -41,7 +41,6 @@ from .curvature import (
     hessian_dense,
     hessian_min_eig,
     taylor_coeffs,
-    tightened_structure,
     witness_eigenswap,
     witness_untightened,
 )

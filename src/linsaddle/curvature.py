@@ -9,7 +9,9 @@ witness moves mass from a used to a larger unused eigenvalue.  The
 untightened-pivot witness is one construction for every pivot (i, j): a
 rank-one perturbation of layer j from the kernel of the layers above it,
 fed by a rank-one perturbation of layer i, both taken from singular vectors
-rather than from coordinates or from a particular kernel basis.
+(or, when the two layers are adjacent, from the kernel direction with the
+least quadratic coefficient) rather than from coordinates or from a
+particular kernel basis.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ class CurvatureCache:
         With dP_h and dB_h the derivatives of P_h and B_h along V, the
         gradient 2 B_h P_{h-1}^T has derivative
         2 (dB_h P_{h-1}^T + B_h dP_{h-1}^T)."""
-        v = unflatten(np.ravel(flat), self.w.shape)
+        v = unflatten(np.ravel(flat), self.w.shape.dims)
         H, W, P, B = self.H, self.w.layers, self.P, self.B
         dP = [np.zeros_like(P[0])]
         for h in range(1, H + 1):
@@ -239,7 +241,7 @@ def hessian_min_eig(
             return lam
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return lam, Direction(unflatten(vec, w.shape), w.shape)
+    return lam, Direction(unflatten(vec, w.shape.dims), w.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +340,16 @@ def witness_untightened(
         a_coef = ||W_H..W_{i+1} e c^T W_{i-1}..W_1 X||^2 >= 0.
 
     (a, e) is the top singular pair of T, so a^T T e = sigma_1(T) > 0.  With
-    N a kernel basis of W_H..W_{j+1}, b = N v for the top right singular
-    vector v of W_{i-1}..W_{j+1} N, and c is the image of b over its squared
-    norm.  beta minimizes c2, which is then negative.  When both top
-    singular values are simple the witness does not depend on the kernel
-    basis; at i = j + 1 the inner product is the identity, every kernel
-    direction is stretched equally and b is the first one the SVD returns.
-    When rank(W_H..W_{j+1}) exceeds r the pivot reduces to (j, 1).
+    N an orthonormal kernel basis of W_H..W_{j+1}, b = N v for the top right
+    singular vector v of W_{i-1}..W_{j+1} N, and c is the image of b over its
+    squared norm.  At i = j + 1 the inner product is the identity and every
+    kernel direction is stretched equally, so v is instead the bottom
+    eigenvector of N^T (P_j Sigma_XX P_j^T) N, P_j = W_j..W_1, and c = b:
+    that b minimizes a_coef.  beta minimizes c2, which is then negative.
+    When the top singular values (the bottom eigenvalue at i = j + 1) are
+    simple the witness does not depend on the kernel basis, and c2 never
+    does at i = j + 1.  When rank(W_H..W_{j+1}) exceeds r the pivot reduces
+    to (j, 1).
     """
     i, j = pivot
     H = w.shape.H
@@ -365,16 +370,21 @@ def witness_untightened(
     N = _kernel_basis(suf, rank_tol)
     if not N.size:
         raise NotApplicable("upper layers past the pivot have trivial kernel")
-    u_img, s_img, vt_img = np.linalg.svd(partial_middle(w, i, j) @ N, full_matrices=False)
-    if s_img[0] <= BETA_ZERO_TOL:
-        raise NotApplicable("kernel past the pivot is annihilated by the inner layers")
+    if i == j + 1:
+        B = partial_prefix(w, j).T @ N
+        b = c = N @ np.linalg.eigh(B.T @ bundle.sigma_xx @ B)[1][:, 0]
+    else:
+        u_img, s_img, vt_img = np.linalg.svd(partial_middle(w, i, j) @ N, full_matrices=False)
+        if s_img[0] <= BETA_ZERO_TOL:
+            raise NotApplicable("kernel past the pivot is annihilated by the inner layers")
+        b, c = N @ vt_img[0], u_img[:, 0] / s_img[0]
 
-    top_dir = np.outer(vt[0], u_img[:, 0] / s_img[0])  # e c^T
+    top_dir = np.outer(vt[0], c)  # e c^T
     A = partial_suffix(w, i + 1) @ top_dir @ partial_prefix(w, i - 1) @ data.X
     a_coef, c_coef = float(np.sum(A * A)), -2.0 * float(s[0])
     beta, c2_pred = _choose_beta(a_coef, c_coef)
     mats = _zero_direction(w.shape)
-    mats[j - 1] = np.outer(N @ vt_img[0], u[:, 0])
+    mats[j - 1] = np.outer(b, u[:, 0])
     mats[i - 1] = beta * top_dir
     return WitnessCase(
         direction=Direction(mats, w.shape),
@@ -457,19 +467,10 @@ def _canonical_blocks(w: Weights, bundle: SigmaBundle, rank_tol, eps):
     return r, Weights(z, z_shape)
 
 
-def tightened_structure(
-    w: Weights,
-    bundle: SigmaBundle,
-    rank_tol: RankTolerance = RankTolerance(),
-    eps: float = 1e-8,
-) -> TightenedStructure:
-    """Locate the rank-collapse indices (p, q) of a tightened canonical point
-    and verify the product identities they imply."""
-    return _tightened(w, bundle, rank_tol, eps)[0]
-
-
 def _tightened(w: Weights, bundle: SigmaBundle, rank_tol, eps):
-    """``tightened_structure`` together with the r and Z blocks of
+    """Locate the rank-collapse indices (p, q) of a tightened canonical point
+    and verify the product identities they imply.  Returns the
+    ``TightenedStructure`` together with the r and Z blocks of
     ``_canonical_blocks``."""
     from .classifier import is_tightened  # classifier imports this module
 

@@ -109,7 +109,10 @@ def train_runs(
     The runs' parameter vectors are the rows of one array, whose layer views
     are (n, d_h, d_{h-1}) stacks; each epoch is one batched pass (layer
     products, gradient, Adam or GD step, loss) in which every run gets
-    exactly the arithmetic it would get alone.  A run stops at the first
+    exactly the arithmetic it would get alone.  The weights, their layer
+    views, the Adam moments and one scratch array are made once (again only
+    when a diverged run leaves), and the updates run in place on them and on
+    the flat gradient.  A run stops at the first
     epoch whose (unnormalized) loss is non-finite or above DIVERGE_LIMIT:
     that epoch ends its trace, and the run takes no further part.
 
@@ -130,27 +133,38 @@ def train_runs(
         raise InvalidShape("weights incompatible with data dimensions")
     gscale = 1.0 / (data.m * data.d_y) if opt.mse_scaling else 1.0
     W = np.stack([flatten(w.layers) for w in w0s])  # one row per live run
+    m1, m2, tmp = np.zeros_like(W), np.zeros_like(W), np.empty_like(W)
+    layers = unflatten(W, shape.dims)
     live = np.arange(n)  # the run index of each row of W
     final = np.empty_like(W)
     traces = np.empty((n, max_epochs + 1))
     lengths = np.full(n, max_epochs + 1)
     diverged = np.zeros(n, dtype=bool)
-    table = layer_products(unflatten(W, shape))
+    table = layer_products(layers)
     traces[:, 0] = products_loss(table, data)
-    m1 = np.zeros_like(W)
-    m2 = np.zeros_like(W)
     for epoch in range(1, max_epochs + 1):
-        g = flatten(products_gradient(table, bundle))
+        g = products_gradient(table, bundle)  # a fresh array, used as scratch
         if opt.algorithm == "gd":
-            W = W - opt.lr * gscale * g
+            g *= opt.lr * gscale
         else:
+            # The updates of the serial loop, operation for operation:
+            # m1 = b1 m1 + (1 - b1) g, m2 = b2 m2 + ((1 - b2) g) g and
+            # step = (lr (m1 / b1t)) / (sqrt(m2 / b2t) + eps), left to right.
             b1t = 1.0 - opt.beta1**epoch
             b2t = 1.0 - opt.beta2**epoch
-            g = gscale * g
-            m1 = opt.beta1 * m1 + (1.0 - opt.beta1) * g
-            m2 = opt.beta2 * m2 + (1.0 - opt.beta2) * g * g
-            W = W - opt.lr * (m1 / b1t) / (np.sqrt(m2 / b2t) + opt.eps)
-        table = layer_products(unflatten(W, shape))
+            g *= gscale
+            m1 *= opt.beta1
+            m1 += np.multiply(g, 1.0 - opt.beta1, out=tmp)
+            m2 *= opt.beta2
+            np.multiply(g, 1.0 - opt.beta2, out=tmp)
+            m2 += np.multiply(tmp, g, out=tmp)
+            np.sqrt(np.divide(m2, b2t, out=tmp), out=tmp)
+            tmp += opt.eps
+            np.divide(m1, b1t, out=g)
+            g *= opt.lr
+            g /= tmp
+        W -= g
+        table = layer_products(layers)
         val = products_loss(table, data)
         traces[live, epoch] = val
         ok = val <= DIVERGE_LIMIT  # false for nan and inf as well
@@ -159,12 +173,13 @@ def train_runs(
             lengths[stop] = epoch + 1
             diverged[stop] = True
             final[stop] = W[~ok]
-            live, W, m1, m2 = live[ok], W[ok], m1[ok], m2[ok]
+            live, W, m1, m2, tmp = live[ok], W[ok], m1[ok], m2[ok], tmp[ok]
             if not live.size:
                 break
-            table = layer_products(unflatten(W, shape))
+            layers = unflatten(W, shape.dims)
+            table = layer_products(layers)
     final[live] = W
-    return unflatten(final, shape), [traces[k, :lengths[k]] for k in range(n)], diverged
+    return unflatten(final, shape.dims), [traces[k, :lengths[k]] for k in range(n)], diverged
 
 
 def run_optimizer(

@@ -18,7 +18,9 @@ them, so they are formed on demand and not kept.
 ``products_gradient`` read it.  All three also take a stack of n networks,
 each layer an (n, d_h, d_{h-1}) array: numpy's batched matmul makes the same
 BLAS call per network as for one network alone, so each network of a stack
-gets bitwise the results it would get by itself.
+gets bitwise the results it would get by itself.  The table shares W_1 and
+W_H with the layers, and ``products_gradient`` writes each layer's block
+straight into one flat parameter vector in the layout of ``flatten``.
 """
 
 from __future__ import annotations
@@ -123,14 +125,17 @@ def layer_products(layers):
     h in [0, H] and suffixes[h] = W_H ... W_h for h in [1, H + 1]
     (suffixes[0] unused).  The layers are either the 2-D matrices of one
     network or a stack of n networks, each layer an (n, d_h, d_{h-1}) array;
-    the identities at the ends are 2-D and broadcast over the stack."""
+    the identities at the ends are 2-D and broadcast over the stack.
+    prefixes[1] is W_1 and suffixes[H] is W_H, the layer objects themselves:
+    a product with an identity would give them back bit for bit."""
     H = len(layers)
-    prefixes = [np.eye(layers[0].shape[-1])]
-    for M in layers:
+    prefixes = [np.eye(layers[0].shape[-1]), layers[0]]
+    for M in layers[1:]:
         prefixes.append(M @ prefixes[-1])
     suffixes = [None] * (H + 2)
     suffixes[H + 1] = np.eye(layers[-1].shape[-2])
-    for h in range(H, 0, -1):
+    suffixes[H] = layers[-1]
+    for h in range(H - 1, 0, -1):
         suffixes[h] = suffixes[h + 1] @ layers[h - 1]
     return prefixes, suffixes
 
@@ -186,12 +191,12 @@ def flatten(mats) -> np.ndarray:
     return np.concatenate([M.reshape(M.shape[:-2] + (-1,)) for M in mats], axis=-1)
 
 
-def unflatten(flat: np.ndarray, shape: NetworkShape) -> list:
-    """Inverse of ``flatten``: views W_1 .. W_H of shape (..., d_h, d_{h-1})
-    into parameter vectors of shape (..., n_params)."""
+def unflatten(flat: np.ndarray, dims) -> list:
+    """Inverse of ``flatten`` for a network of widths dims = (d_0, ..., d_H):
+    views W_1 .. W_H of shape (..., d_h, d_{h-1}) into parameter vectors of
+    shape (..., n_params)."""
     mats, off = [], 0
-    for h in range(1, shape.H + 1):
-        rows, cols = shape.layer_shape(h)
+    for rows, cols in zip(dims[1:], dims):
         mats.append(flat[..., off:off + rows * cols].reshape(flat.shape[:-1] + (rows, cols)))
         off += rows * cols
     return mats
@@ -200,21 +205,33 @@ def unflatten(flat: np.ndarray, shape: NetworkShape) -> list:
 def products_loss(table, data: DataMatrices):
     """Square loss ||W_H..W_1 X - Y||^2 from a ``layer_products`` table: a
     float64 scalar for one network, an (n,) array for a stack of n."""
-    R = table[0][-1] @ data.X - data.Y
-    return (R * R).reshape(R.shape[:-2] + (-1,)).sum(axis=-1)
+    R = table[0][-1] @ data.X
+    R -= data.Y
+    R *= R
+    return R.reshape(R.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def products_gradient(table, bundle: SigmaBundle) -> list:
-    """Partial gradients of the square loss from a ``layer_products`` table,
-    one (stacked) array per layer h:
-    2 (W_H...W_{h+1})^T (W_H...W_1 Sigma_XX - Sigma_YX) (W_{h-1}...W_1)^T."""
+def products_gradient(table, bundle: SigmaBundle) -> np.ndarray:
+    """Gradient of the square loss from a ``layer_products`` table, as
+    parameter vectors of shape (..., n_params) in the layout of ``flatten``.
+    The block of layer h is
+    2 (W_H...W_{h+1})^T (W_H...W_1 Sigma_XX - Sigma_YX) (W_{h-1}...W_1)^T,
+    and the identity factor of h = H (on the left) and of h = 1 (on the
+    right) is skipped."""
     prefixes, suffixes = table
     H = len(prefixes) - 1
-    G = 2.0 * (prefixes[H] @ bundle.sigma_xx - bundle.sigma_yx)
-    return [
-        suffixes[h + 1].swapaxes(-1, -2) @ G @ prefixes[h - 1].swapaxes(-1, -2)
-        for h in range(1, H + 1)
-    ]
+    G = prefixes[H] @ bundle.sigma_xx
+    G -= bundle.sigma_yx
+    G *= 2.0
+    dims = [P.shape[-2] for P in prefixes]
+    flat = np.empty(G.shape[:-2] + (sum(r * c for r, c in zip(dims[1:], dims)),))
+    blocks = unflatten(flat, dims)
+    np.matmul(suffixes[2].swapaxes(-1, -2), G, out=blocks[0])
+    for h in range(2, H):
+        np.matmul(suffixes[h + 1].swapaxes(-1, -2) @ G, prefixes[h - 1].swapaxes(-1, -2),
+                  out=blocks[h - 1])
+    np.matmul(G, prefixes[H - 1].swapaxes(-1, -2), out=blocks[H - 1])
+    return flat
 
 
 def loss(w: Weights, bundle: SigmaBundle, data: DataMatrices) -> float:
@@ -228,7 +245,8 @@ def gradient(w: Weights, bundle: SigmaBundle) -> Direction:
     with empty products equal to identity."""
     if w.shape.d_x != bundle.d_x or w.shape.d_y != bundle.d_y:
         raise InvalidShape("weights incompatible with bundle dimensions")
-    return Direction(products_gradient(_product_table(w), bundle), w.shape)
+    flat = products_gradient(_product_table(w), bundle)
+    return Direction(unflatten(flat, w.shape.dims), w.shape)
 
 
 # ---------------------------------------------------------------------------

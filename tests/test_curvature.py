@@ -320,6 +320,43 @@ def test_untightened_witness_is_invariant_under_hidden_rotations(deep_problem):
     assert compared == 6
 
 
+def test_adjacent_pivot_witness_does_not_depend_on_the_kernel_basis(monkeypatch, deep_problem):
+    # At i = j + 1 the kernel of W_H..W_{j+1} has no preferred basis; the
+    # witness c2 must be the same for every orthonormal basis of it.
+    data, b, shape = deep_problem
+    rng = np.random.default_rng(34)
+    kernel_basis = curvature._kernel_basis
+    rotate = [False]
+
+    def rotated(M, rank_tol):
+        N = kernel_basis(M, rank_tol)
+        return N @ _orthogonal(N.shape[1], rng) if rotate[0] else N
+
+    monkeypatch.setattr(curvature, "_kernel_basis", rotated)
+    compared = 0
+    for _ in range(15):
+        spec = random_certified_spec(shape, b.d_y, rng, support=(1, 2))
+        w = ls.build_critical_point(spec, b, shape)
+        for p in ls.all_pivots(w, b, 2):
+            if p.tightened or p.i != p.j + 1:
+                continue
+            rotate[0] = False
+            try:
+                wit = ls.witness_untightened(w, b, data, spec.support, (p.i, p.j))
+            except ls.NotApplicable:
+                continue
+            if wit.pivot != (p.i, p.j):
+                continue  # reduced to (j, 1)
+            rotate[0] = True
+            for _ in range(3):
+                rot = ls.witness_untightened(w, b, data, spec.support, (p.i, p.j))
+                assert rot.c2_predicted == pytest.approx(wit.c2_predicted, rel=1e-8)
+                assert ls.c2_value(w, rot.direction, data) == pytest.approx(
+                    rot.c2_predicted, rel=1e-6, abs=1e-10)
+            compared += 1
+    assert compared >= 3
+
+
 def test_choose_beta_minimizes():
     beta, val = _choose_beta(2.0, 3.0)
     assert beta == pytest.approx(-0.75) and val == pytest.approx(-1.125)
@@ -335,7 +372,7 @@ def test_choose_beta_minimizes():
 def test_tightened_structure_indices(deep_problem):
     _, b, shape = deep_problem
     w = ls.build_example_family(2, "tightened", b, shape)
-    st = ls.tightened_structure(w, b)
+    st = curvature._tightened(w, b, ls.RankTolerance(), 1e-8)[0]
     assert st.p == shape.H and st.q == 1
     assert st.residual < 1e-10
 
@@ -344,7 +381,7 @@ def test_tightened_structure_rejects_untightened(deep_problem):
     _, b, shape = deep_problem
     w = ls.build_example_family(2, "non_tightened", b, shape)
     with pytest.raises(ls.NotTightened):
-        ls.tightened_structure(w, b)
+        curvature._tightened(w, b, ls.RankTolerance(), 1e-8)[0]
 
 
 @pytest.mark.parametrize("seed", range(5))

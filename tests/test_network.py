@@ -5,9 +5,13 @@ import pytest
 
 import linsaddle as ls
 from linsaddle.network import (
+    flatten,
+    layer_products,
     partial_middle,
     partial_prefix,
     partial_suffix,
+    products_gradient,
+    unflatten,
     zeros_like,
 )
 
@@ -143,3 +147,44 @@ def test_product_table_matches_naive_loops_at_depth_16():
                 lambda: partial_middle(w, 3, 3), lambda: partial_middle(w, H + 2, 1)):
         with pytest.raises(IndexError):
             bad()
+
+
+def _identity_padded_table(layers):
+    """Prefixes and suffixes with the identity ends multiplied in."""
+    H = len(layers)
+    prefixes = [np.eye(layers[0].shape[-1])]
+    for M in layers:
+        prefixes.append(M @ prefixes[-1])
+    suffixes = [None] * (H + 2)
+    suffixes[H + 1] = np.eye(layers[-1].shape[-2])
+    for h in range(H, 0, -1):
+        suffixes[h] = suffixes[h + 1] @ layers[h - 1]
+    return prefixes, suffixes
+
+
+@pytest.mark.parametrize("dims", [(5, 4, 3), (6, 5, 4, 3), (6, 5, 7, 4, 5, 3)])
+@pytest.mark.parametrize("batch", [(), (4,)])
+def test_products_are_bitwise_the_identity_padded_formulas(dims, batch):
+    # Skipping a product with an identity must not change a single bit, for
+    # one network and for a stack laid out as the rows of one array.
+    shape = ls.NetworkShape(dims)
+    H = shape.H
+    data = ls.generate_gaussian_data(dims[0], dims[-1], 20, seed=H)
+    bundle = ls.build_sigma_bundle(data)
+    W = np.random.default_rng(H).standard_normal(batch + (shape.n_params,))
+    layers = unflatten(W, dims)
+    prefixes, suffixes = layer_products(layers)
+    P, S = _identity_padded_table(layers)
+    for h in range(H + 1):
+        assert np.array_equal(prefixes[h], P[h])
+    for h in range(1, H + 2):
+        assert np.array_equal(suffixes[h], S[h])
+
+    G = 2.0 * (P[H] @ bundle.sigma_xx - bundle.sigma_yx)
+    oracle = [S[h + 1].swapaxes(-1, -2) @ G @ P[h - 1].swapaxes(-1, -2)
+              for h in range(1, H + 1)]
+    flat = products_gradient((prefixes, suffixes), bundle)
+    assert flat.shape == batch + (shape.n_params,)
+    assert np.array_equal(flat, flatten(oracle))
+    for block, ref in zip(unflatten(flat, dims), oracle):
+        assert np.array_equal(block, ref)
