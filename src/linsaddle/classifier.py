@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical_points import (
-    TAU_CRIT_REL,
-    SupportResult,
-    associated_support,
-    critical_value,
-    criticality_scale,
-    product_rank_tolerance,
-)
+from .critical_points import SupportResult, associated_support, critical_value
 from .curvature import CurvatureCache, WitnessCase, witness_eigenswap, witness_untightened
 from .data_model import DataMatrices, SigmaBundle
 from .errors import (
@@ -38,7 +31,14 @@ from .network import (
     partial_prefix,
     partial_suffix,
 )
-from .ranktol import RankTolerance, numeric_rank  # re-exported
+from .ranktol import (  # RankTolerance and numeric_rank are re-exported
+    EPS_WITNESS,
+    TAU_CRIT_REL,
+    RankTolerance,
+    criticality_scale,
+    numeric_rank,
+    product_rank_tolerance,
+)
 
 __all__ = [
     "RankTolerance",
@@ -52,8 +52,6 @@ __all__ = [
     "classify",
     "classification_to_json",
 ]
-
-EPS_WITNESS = 1e-8
 
 GLOBAL_MINIMIZER = "global_minimizer"
 STRICT_SADDLE = "strict_saddle"
@@ -163,7 +161,6 @@ def classify(
     data: DataMatrices,
     rank_tol: RankTolerance = RankTolerance(),
     tau_crit: float | None = None,
-    eps_witness: float = EPS_WITNESS,
 ) -> Classification:
     """Decide global minimizer / strict saddle / non-strict saddle.
 
@@ -172,8 +169,7 @@ def classify(
     criticality tolerance are classified with the approximate flag set;
     beyond that the verdict is not_critical.
     """
-    g = gradient(w, bundle)
-    gn = g.frob_norm()
+    gn = gradient(w, bundle).frob_norm()
     scale = criticality_scale(w, bundle)
     tau = TAU_CRIT_REL * scale if tau_crit is None else tau_crit
     if gn > 100.0 * tau:
@@ -182,13 +178,13 @@ def classify(
             grad_norm=gn,
         )
 
+    # The support recovery and every later rank decision share one
+    # tolerance floored at the rounding error of the layer products.
+    rank_tol = product_rank_tolerance(w, rank_tol)
     sup: SupportResult = associated_support(
-        w, bundle, tau_crit=tau, rank_tol=rank_tol, _allow_approximate=True
+        w, bundle, tau_crit=tau, _gate=(gn, scale, rank_tol)
     )
     S = sup.support
-    # All downstream rank decisions share one tolerance floored at the
-    # rounding error of the layer products.
-    rank_tol = product_rank_tolerance(w, bundle, rank_tol)
     if sup.approximate:
         # Rank decisions must not count noise-level singular values: loosen
         # the cutoff to the measured gradient level, mirroring the support
@@ -218,7 +214,7 @@ def classify(
         # units of c2 whatever the scale of X and Y.
         quad, cross = CurvatureCache(w, data).c2_terms(wit.direction)
         c2 = quad + cross
-        thr = -eps_witness * (quad + abs(cross))
+        thr = -EPS_WITNESS * (quad + abs(cross))
         if not (c2 < thr):
             raise InternalInconsistency(
                 f"witness c2 = {c2:.3g} is not certifiably negative "

@@ -40,17 +40,14 @@ from .network import (
     partial_middle,
     partial_suffix,
 )
-from .ranktol import RankTolerance, numeric_rank
-
-TAU_CRIT_REL = 1e-6  # first-order criticality threshold, relative to scale
-EPS_CANON = 1e-8
-D_COND_LIMIT = 1e8
-
-
-def criticality_scale(w: Weights, bundle: SigmaBundle) -> float:
-    """Natural magnitude of gradient entries at generic weights."""
-    data_norm = np.linalg.norm(bundle.sigma_xx) + np.linalg.norm(bundle.sigma_yx)
-    return 1.0 + w.frob_norm() * data_norm
+from .ranktol import (
+    D_COND_LIMIT,
+    EPS_CANON,
+    TAU_CRIT_REL,
+    RankTolerance,
+    criticality_scale,
+    product_rank_tolerance,
+)
 
 
 def z_block_shape(shape: NetworkShape, r: int, h: int) -> tuple[int, int]:
@@ -237,46 +234,31 @@ def build_example_family(
     return build_critical_point(spec, bundle, shape)
 
 
-def product_rank_tolerance(
-    w: Weights, bundle: SigmaBundle, rank_tol: RankTolerance = RankTolerance()
-) -> RankTolerance:
-    """Rank tolerance with an absolute floor at the forward rounding error of
-    the layer products (times a safety factor).  Matrix products of many
-    layers carry O(eps * prod ||W_h||) noise that a purely relative
-    machine-precision cutoff would count as genuine singular values."""
-    prod = 1.0
-    for M in w.layers:
-        prod *= max(1.0, np.linalg.norm(M, 2))
-    floor = (
-        100.0 * w.shape.H * np.finfo(float).eps * prod
-        * max(1.0, np.linalg.norm(bundle.sigma_xy, 2))
-    )
-    return RankTolerance(
-        absolute=max(rank_tol.absolute, floor), relative=rank_tol.relative
-    )
-
-
 def associated_support(
     w: Weights,
     bundle: SigmaBundle,
     tau_crit: float | None = None,
     rank_tol: RankTolerance = RankTolerance(),
-    _allow_approximate: bool = False,
+    _gate: tuple | None = None,
 ) -> SupportResult:
     """Recover the support S of a critical point from the column-space
-    projector of K = W_H ... W_2 expressed in the eigenbasis U."""
-    g = gradient(w, bundle)
-    gn = g.frob_norm()
-    scale = criticality_scale(w, bundle)
+    projector of K = W_H ... W_2 expressed in the eigenbasis U.
+
+    ``_gate`` is the hand-off of ``classify``: the gradient norm, the
+    criticality scale and the floored rank tolerance it has already formed.
+    It lets gradient norms up to 100 tau through, and such points are
+    recovered with the approximate flag set; without it the gradient norm
+    must be at most tau."""
+    if _gate is None:
+        gn = gradient(w, bundle).frob_norm()
+        scale = criticality_scale(w, bundle)
+        eff_tol = product_rank_tolerance(w, rank_tol)
+    else:
+        gn, scale, eff_tol = _gate
     tau = TAU_CRIT_REL * scale if tau_crit is None else tau_crit
-    approximate = False
-    if gn > tau:
-        if _allow_approximate and gn <= 100.0 * tau:
-            approximate = True
-        else:
-            raise NotCritical(
-                f"gradient norm {gn:.3g} exceeds tolerance {tau:.3g}"
-            )
+    approximate = bool(gn > tau)
+    if approximate and _gate is None:
+        raise NotCritical(f"gradient norm {gn:.3g} exceeds tolerance {tau:.3g}")
 
     K = partial_suffix(w, 2)
     uK, sK, _ = np.linalg.svd(K)
@@ -285,7 +267,6 @@ def associated_support(
     # values into K while inflating the gradient to O(delta * scale), so cut
     # the spectrum at the measured gradient level (with headroom) as well as
     # at the rounding floor of the layer product.
-    eff_tol = product_rank_tolerance(w, bundle, rank_tol)
     sv_tol = max(eff_tol.threshold(K.shape, smax), 10.0 * (gn / scale) * smax)
     rk = int(np.count_nonzero(sK > sv_tol)) if sK.size else 0
     P_K = uK[:, :rk] @ uK[:, :rk].T
@@ -406,36 +387,60 @@ def _complete_basis(cols: np.ndarray) -> np.ndarray:
     return np.hstack([cols, Q[:, r:]])
 
 
-def _simplif_first(A, B, U_S, U_Q):
+def _simplif_first(A, B, U_S):
     """Given A B = [U_S, 0], produce D with A D = [U_S, U_Q N] and
-    D^{-1} B = [[I_r, 0], [0, *]].  Returns (D, N)."""
+    D^{-1} B = [[I_r, 0], [0, *]]."""
     r = U_S.shape[1]
-    n = A.shape[1]
     E = _complete_basis(B[:, :r])
-    AE_rest = A @ E[:, r:]
-    L = U_S.T @ AE_rest
-    N = U_Q.T @ AE_rest
-    F_inv = np.eye(n)
-    F_inv[:r, r:] = -L
-    return E @ F_inv, N
+    F_inv = np.eye(A.shape[1])
+    F_inv[:r, r:] = -U_S.T @ (A @ E[:, r:])
+    return E @ F_inv
 
 
 def _simplif_step(B, C, r):
     """Given B C = [[I_r, 0], [0, P]], produce D with
-    B D = [[I_r, 0], [0, Z]] and D^{-1} C of the same form.  Returns (D, Z)."""
-    n = B.shape[1]
+    B D = [[I_r, 0], [0, Z]] and D^{-1} C of the same form."""
     E = _complete_basis(C[:, :r])
-    Bp = B @ E
-    F = np.eye(n)
-    F[:r, r:] = -Bp[:r, r:]
-    return E @ F, Bp[r:, r:]
+    F = np.eye(B.shape[1])
+    F[:r, r:] = -(B @ E)[:r, r:]
+    return E @ F
+
+
+def _canonical_blocks(w: Weights, bundle: SigmaBundle, support, norm_w: float, error):
+    """The blocks Z_1..Z_H of weights in canonical form for ``support``,
+
+        W_H = [U_S, U_Q Z_H],  W_h = [[I_r, 0], [0, Z_h]],  W_1 = [U_S^T C; Z_1],
+        W_H..W_2 = [U_S, 0],   C = Sigma_YX Sigma_XX^{-1},
+
+    and the tolerance EPS_CANON (1 + norm_w + ||C||) of these equations,
+    norm_w the Frobenius norm of the weights the point came from.  Raises
+    ``error`` when a residual exceeds it."""
+    r = len(support)
+    U_S, U_Q = bundle.u_cols(support), bundle.u_complement(support)
+    C = bundle.sigma_yx_sigma_xx_inv()
+    W = w.layers
+    z = [W[0][r:, :]] + [Wh[r:, r:] for Wh in W[1:-1]] + [U_Q.T @ W[-1][:, r:]]
+    K = partial_suffix(w, 2)
+    errs = [
+        np.linalg.norm(W[0][:r, :] - U_S.T @ C),
+        np.linalg.norm(W[-1] - np.hstack([U_S, U_Q @ z[-1]])),
+        np.linalg.norm(K - np.hstack([U_S, np.zeros((K.shape[0], K.shape[1] - r))])),
+    ]
+    for Wh, Z in zip(W[1:-1], z[1:-1]):
+        B = np.zeros_like(Wh)
+        B[:r, :r] = np.eye(r)
+        B[r:, r:] = Z
+        errs.append(np.linalg.norm(Wh - B))
+    tol = EPS_CANON * (1.0 + norm_w + np.linalg.norm(C))
+    if max(errs) > tol:
+        raise error(f"canonical residual {max(errs):.3g} exceeds tolerance {tol:.3g}")
+    return z, tol
 
 
 def canonical_form(
     w: Weights,
     bundle: SigmaBundle,
     rank_tol: RankTolerance = RankTolerance(),
-    eps_canon: float = EPS_CANON,
     tau_crit: float | None = None,
 ) -> CriticalPointSpec:
     """Recover a (S, Z, D) spec whose rebuild reproduces the global map.
@@ -449,60 +454,23 @@ def canonical_form(
     sup = associated_support(w, bundle, tau_crit=tau_crit, rank_tol=rank_tol)
     S = sup.support
     r = len(S)
-    U_S = bundle.u_cols(S)
-    U_Q = bundle.u_complement(S)
-    C_map = bundle.sigma_yx_sigma_xx_inv()
 
     # The rank cut of W_H..W_2 uses the same product-rounding floor as
     # classify, so that a point classify accepted is not rejected here.
-    eff_tol = product_rank_tolerance(w, bundle, rank_tol)
-    D_clem, D1, _K = clem_d_matrix(w, bundle, S, eff_tol)
+    _, D1, _ = clem_d_matrix(w, bundle, S, product_rank_tolerance(w, rank_tol))
 
-    d_list = [None] * (H - 1)  # D_1 .. D_{H-1}
-    z_list = [None] * H  # Z_1 .. Z_H
-    d_list[0] = D1
-
-    if H == 2:
-        W2D1 = w.layer(2) @ D1
-        z_list[1] = U_Q.T @ W2D1[:, r:]
-    else:
+    d_list = [D1] + [None] * (H - 2)  # D_1 .. D_{H-1}
+    if H > 2:
         # Peel W_H, then walk down the hidden layers.
-        D_Hm1, Z_H = _simplif_first(w.layer(H), partial_middle(w, H, 1) @ D1, U_S, U_Q)
-        d_list[H - 2] = D_Hm1
-        z_list[H - 1] = Z_H
-        D_upper = D_Hm1
-        for h in range(H - 1, 2, -1):
-            Bm = np.linalg.solve(D_upper, w.layer(h))
-            D_prev, Z_h = _simplif_step(Bm, partial_middle(w, h, 1) @ D1, r)
-            d_list[h - 2] = D_prev
-            z_list[h - 1] = Z_h
-            D_upper = D_prev
-        W2t = np.linalg.solve(d_list[1], w.layer(2) @ D1)
-        z_list[1] = W2t[r:, r:]
-
-    z_list[0] = (D_clem @ w.layer(1))[r:, :]
-
-    # Verify the canonical equations on the transformed weights.
-    scale = 1.0 + w.frob_norm() + np.linalg.norm(C_map)
-    tol = eps_canon * scale
-    wt = transform_weights(w, d_list)
-    Wt = wt.layers
-    errs = [np.linalg.norm(Wt[-1] - np.hstack([U_S, U_Q @ z_list[H - 1]]))]
-    errs.append(np.linalg.norm(Wt[0][:r, :] - U_S.T @ C_map))
-    errs.append(np.linalg.norm(Wt[0][r:, :] - z_list[0]))
-    for h in range(2, H):
-        B = np.zeros((shape.dims[h], shape.dims[h - 1]))
-        B[:r, :r] = np.eye(r)
-        B[r:, r:] = z_list[h - 1]
-        errs.append(np.linalg.norm(Wt[h - 1] - B))
-    K_t = partial_suffix(wt, 2)
-    errs.append(
-        np.linalg.norm(K_t - np.hstack([U_S, np.zeros((bundle.d_y, shape.dims[1] - r))]))
-    )
-    if max(errs) > tol:
-        raise DegenerateBasis(
-            f"canonical residual {max(errs):.3g} exceeds tolerance {tol:.3g}"
+        d_list[H - 2] = _simplif_first(
+            w.layer(H), partial_middle(w, H, 1) @ D1, bundle.u_cols(S)
         )
+        for h in range(H - 1, 2, -1):
+            Bm = np.linalg.solve(d_list[h - 1], w.layer(h))
+            d_list[h - 2] = _simplif_step(Bm, partial_middle(w, h, 1) @ D1, r)
+    z_list, tol = _canonical_blocks(
+        transform_weights(w, d_list), bundle, S, w.frob_norm(), DegenerateBasis
+    )
 
     # Snap numerically-zero blocks to exact zeros before certifying.
     z_final = tuple(

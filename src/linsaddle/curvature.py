@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .critical_points import clem_d_matrix
+from .critical_points import _canonical_blocks, clem_d_matrix
 from .data_model import DataMatrices, SigmaBundle
 from .errors import (
     InternalInconsistency,
@@ -45,7 +45,13 @@ from .network import (
     partial_suffix,
     unflatten,
 )
-from .ranktol import RankTolerance, numeric_rank
+from .ranktol import (
+    BETA_ZERO_TOL,
+    EPS_CANON,
+    RankTolerance,
+    numeric_rank,
+    product_rank_tolerance,
+)
 
 MAX_TAYLOR_DEPTH = 12
 MAX_DENSE_PARAMS = 2000
@@ -53,7 +59,6 @@ MAX_DENSE_PARAMS = 2000
 # ProbeNotConverged; probes at deep example points converge in 20 to 40.
 PROBE_MAXITER = 300
 PROBE_SEED = 0  # of the probe's start vector, so that probes repeat exactly
-BETA_ZERO_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +368,13 @@ def witness_untightened(
     if j > 1 and numeric_rank(suf, rank_tol) > len(S):
         return witness_untightened(w, bundle, data, S, (j, 1), rank_tol)
 
-    T = partial_prefix(w, j - 1) @ bundle.sigma_xy @ U_Q @ (U_Q.T @ partial_suffix(w, i + 1))
+    pre, suf_i = partial_prefix(w, j - 1), partial_suffix(w, i + 1)
+    T = pre @ bundle.sigma_xy @ U_Q @ (U_Q.T @ suf_i)
     u, s, vt = np.linalg.svd(T)
-    if s[0] <= BETA_ZERO_TOL:
+    # sigma_1(T) is compared with the product of its factors' norms, so that
+    # the test does not depend on the units of X and Y.
+    factors = [np.linalg.norm(M, 2) for M in (pre, bundle.sigma_xy, suf_i)]
+    if s[0] <= BETA_ZERO_TOL * factors[0] * factors[1] * factors[2]:
         raise NotApplicable("pivot data block vanishes outside the support")
     N = _kernel_basis(suf, rank_tol)
     if not N.size:
@@ -380,7 +389,7 @@ def witness_untightened(
         b, c = N @ vt_img[0], u_img[:, 0] / s_img[0]
 
     top_dir = np.outer(vt[0], c)  # e c^T
-    A = partial_suffix(w, i + 1) @ top_dir @ partial_prefix(w, i - 1) @ data.X
+    A = suf_i @ top_dir @ partial_prefix(w, i - 1) @ data.X
     a_coef, c_coef = float(np.sum(A * A)), -2.0 * float(s[0])
     beta, c2_pred = _choose_beta(a_coef, c_coef)
     mats = _zero_direction(w.shape)
@@ -424,61 +433,27 @@ class FtStDecomposition:
         )
 
 
-def _canonical_blocks(w: Weights, bundle: SigmaBundle, rank_tol, eps):
-    """Verify canonical block structure and extract r and the blocks
-    Z_1..Z_H, as the weights of the network with widths
-    (d_x, d_1 - r, ..., d_{H-1} - r, d_y - r) so that their products come
-    from its product table."""
-    shape = w.shape
-    H = shape.H
-    G = partial_suffix(w, 1)
-    r = numeric_rank(G, rank_tol)
-    if r >= shape.r_max:
-        raise NotApplicable("tightened analysis targets rank-deficient points")
-    U_S = bundle.U[:, :r]
-    C = bundle.sigma_yx_sigma_xx_inv()
-    scale = 1.0 + w.frob_norm() + np.linalg.norm(C)
-    tol = eps * scale
-
-    errs = []
-    z = [None] * H
-    W1 = w.layer(1)
-    errs.append(np.linalg.norm(W1[:r, :] - U_S.T @ C))
-    z[0] = W1[r:, :]
-    for h in range(2, H):
-        Wh = w.layer(h)
-        errs.append(np.linalg.norm(Wh[:r, :r] - np.eye(r)))
-        errs.append(np.linalg.norm(Wh[:r, r:]))
-        errs.append(np.linalg.norm(Wh[r:, :r]))
-        z[h - 1] = Wh[r:, r:]
-    WH = w.layer(H)
-    errs.append(np.linalg.norm(WH[:, :r] - U_S))
-    z[H - 1] = bundle.U[:, r:].T @ WH[:, r:]
-    errs.append(np.linalg.norm(WH[:, r:] - bundle.U[:, r:] @ z[H - 1]))
-    K = partial_suffix(w, 2)
-    errs.append(
-        np.linalg.norm(K - np.hstack([U_S, np.zeros((shape.d_y, shape.dims[1] - r))]))
-    )
-    if max(errs) > tol:
-        raise NeedsCanonicalization(
-            f"weights deviate from canonical block form by {max(errs):.3g}"
-        )
-    z_shape = NetworkShape((shape.d_x,) + tuple(d - r for d in shape.dims[1:]))
-    return r, Weights(z, z_shape)
-
-
-def _tightened(w: Weights, bundle: SigmaBundle, rank_tol, eps):
+def _tightened(w: Weights, bundle: SigmaBundle):
     """Locate the rank-collapse indices (p, q) of a tightened canonical point
     and verify the product identities they imply.  Returns the
-    ``TightenedStructure`` together with the r and Z blocks of
-    ``_canonical_blocks``."""
+    ``TightenedStructure`` together with r and the blocks Z_1..Z_H, as the
+    weights of the network with widths (d_x, d_1 - r, ..., d_y - r) so that
+    their products come from its product table.  Rank cuts use the
+    product-rounding floor of ``classify``."""
     from .classifier import is_tightened  # classifier imports this module
 
     shape = w.shape
     H = shape.H
     if H < 3:
         raise InvalidShape("tightened structure requires depth H >= 3")
-    r, z = _canonical_blocks(w, bundle, rank_tol, eps)
+    rank_tol = product_rank_tolerance(w)
+    r = numeric_rank(partial_suffix(w, 1), rank_tol)
+    if r >= shape.r_max:
+        raise NotApplicable("tightened analysis targets rank-deficient points")
+    z, _ = _canonical_blocks(
+        w, bundle, tuple(range(1, r + 1)), w.frob_norm(), NeedsCanonicalization
+    )
+    z = Weights(z, NetworkShape((shape.d_x,) + tuple(d - r for d in shape.dims[1:])))
 
     # All pivots must be tightened: the smaller of the two block ranks is r.
     for pv in is_tightened(w, bundle, r, rank_tol)[1]:
@@ -523,7 +498,7 @@ def _tightened(w: Weights, bundle: SigmaBundle, rank_tol, eps):
         # Z_{i-1} .. Z_1 Sigma_XY U_Q = 0
         errs.append(np.linalg.norm(partial_prefix(z, i - 1) @ bundle.sigma_xy @ U_Q))
     residual = max(errs)
-    if residual > eps * scale:
+    if residual > EPS_CANON * scale:
         raise InternalInconsistency(
             f"tightened product identities violated by {residual:.3g}"
         )
@@ -535,8 +510,6 @@ def ft_st_decomposition(
     v: Direction,
     bundle: SigmaBundle,
     data: DataMatrices,
-    rank_tol: RankTolerance = RankTolerance(),
-    eps: float = 1e-8,
 ) -> FtStDecomposition:
     """Write c2 at a tightened canonical point as a sum of squares:
     c2 = a1 + ||A2||^2 + ||A3 - A4||^2 >= 0.
@@ -554,7 +527,7 @@ def ft_st_decomposition(
     Sigma_XX = L L^T) has the same squared norm.  ``data`` is not read.
     """
     H = w.shape.H
-    st, r, z = _tightened(w, bundle, rank_tol, eps)
+    st, r, z = _tightened(w, bundle)
     p, q = st.p, st.q
 
     J1 = range(p, H)

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionViolated, InvalidShape
-from .ranktol import RankTolerance, numeric_rank
-
-# Default tolerances (relative unless stated otherwise).
-EPS_ORTH = 1e-10
-EPS_SVD = 1e-10
-EPS_GAP = 1e-10  # eigenvalue gaps and lambda_min, relative to lambda_1
+from .ranktol import EPS_GAP, EPS_ORTH, EPS_SVD, numeric_rank
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,7 @@ def _eigensystem(sigma_xx: np.ndarray, sigma_xy: np.ndarray):
     return L, K, P, s, U
 
 
-def _assess(data: DataMatrices, tol: RankTolerance, eps_gap: float):
+def _assess(data: DataMatrices):
     """The moments, the assumption report and, when Sigma_XX has full rank
     and a Cholesky factor, the eigensystem (else None), from one pass."""
     checks = []
@@ -164,9 +159,9 @@ def _assess(data: DataMatrices, tol: RankTolerance, eps_gap: float):
 
     moments = _moments(data)
     sigma_xx, sigma_xy, _ = moments
-    rk_xx = numeric_rank(sigma_xx, tol)
+    rk_xx = numeric_rank(sigma_xx)
     checks.append(("sigma_xx_full_rank", rk_xx == data.d_x, rk_xx, data.d_x))
-    rk_xy = numeric_rank(sigma_xy, tol)
+    rk_xy = numeric_rank(sigma_xy)
     checks.append(("sigma_xy_full_rank", rk_xy == data.d_y, rk_xy, data.d_y))
 
     eig = None
@@ -177,7 +172,7 @@ def _assess(data: DataMatrices, tol: RankTolerance, eps_gap: float):
             pass  # not positive definite in floating point: the checks below fail
     if eig is not None:
         lambdas = eig[3] ** 2
-        thr = eps_gap * float(lambdas.max(initial=0.0))  # eps_gap * lambda_1
+        thr = EPS_GAP * float(lambdas.max(initial=0.0))  # lambda_1 is the largest
         gaps = lambdas[:-1] - lambdas[1:]
         min_gap = float(gaps.min()) if gaps.size else float("inf")
         checks.append(("eigenvalue_gaps", min_gap > thr, min_gap, thr))
@@ -190,27 +185,19 @@ def _assess(data: DataMatrices, tol: RankTolerance, eps_gap: float):
     return AssumptionReport(holds=all(c[1] for c in checks), checks=checks), moments, eig
 
 
-def check_assumption_h(
-    data: DataMatrices,
-    tol: RankTolerance = RankTolerance(),
-    eps_gap: float = EPS_GAP,
-) -> AssumptionReport:
+def check_assumption_h(data: DataMatrices) -> AssumptionReport:
     """Report on the standing assumption: dimension ordering, full ranks,
     and distinct positive eigenvalues of sigma.  The smallest eigenvalue gap
-    and lambda_min are compared with eps_gap * lambda_1, so the verdict does
+    and lambda_min are compared with EPS_GAP * lambda_1, so the verdict does
     not depend on the units of X and Y.  A Sigma_XX without a Cholesky
     factor fails the two eigenvalue checks."""
-    return _assess(data, tol, eps_gap)[0]
+    return _assess(data)[0]
 
 
-def build_sigma_bundle(
-    data: DataMatrices,
-    tol: RankTolerance = RankTolerance(),
-    eps_gap: float = EPS_GAP,
-) -> SigmaBundle:
+def build_sigma_bundle(data: DataMatrices) -> SigmaBundle:
     """The bundle of `data`, after the checks of ``check_assumption_h``
     (AssumptionViolated if any fails), from one pass over the samples."""
-    report, (sigma_xx, sigma_xy, sigma_yy), eig = _assess(data, tol, eps_gap)
+    report, (sigma_xx, sigma_xy, sigma_yy), eig = _assess(data)
     if not report.holds:
         names = ", ".join(c[0] for c in report.failed())
         raise AssumptionViolated(f"assumption checks failed: {names}")

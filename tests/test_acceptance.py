@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import linsaddle as ls
-from linsaddle.critical_points import criticality_scale, transform_weights
+from linsaddle.critical_points import transform_weights
+from linsaddle.ranktol import criticality_scale
 
 from conftest import random_certified_spec, random_direction, random_weights
 from oracles import line_loss

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_classify_approximate_flag(small_problem):
     spec = random_certified_spec(shape, b.d_y, rng, support=(1, 2))
     w = build_critical_point(spec, b, shape)
     # nudge the point so the gradient lands between tau and 100 tau
-    from linsaddle.critical_points import criticality_scale, TAU_CRIT_REL
+    from linsaddle.ranktol import criticality_scale, TAU_CRIT_REL
 
     tau = TAU_CRIT_REL * criticality_scale(w, b)
     noise = [rng.standard_normal(M.shape) for M in w.layers]
@@ -142,30 +143,87 @@ def test_witness_is_validated_against_measured_c2(deep_problem):
     assert meas == pytest.approx(res.witness.c2_predicted, rel=1e-6)
 
 
-@pytest.fixture(scope="module")
-def eigenswap_repro():
-    """The support-(1, 3) eigenswap saddle on d_x=8, d_y=4, m=40 data, seed 3,
-    widths (8, 6, 6, 6, 4), with its unit-scale classification."""
-    data = ls.generate_gaussian_data(8, 4, 40, 3)
-    shape = ls.NetworkShape((8, 6, 6, 6, 4))
+def _zero_z_point(data, dims, support):
+    """The critical point with support `support`, zero Z blocks and identity
+    D blocks on `data`, with its unit-scale classification."""
+    shape = ls.NetworkShape(dims)
     b = ls.build_sigma_bundle(data)
-    z = tuple(np.zeros(z_block_shape(shape, 2, h)) for h in range(1, shape.H + 1))
-    w = build_critical_point(CriticalPointSpec(support=(1, 3), z_blocks=z), b, shape)
+    r = len(support)
+    z = tuple(np.zeros(z_block_shape(shape, r, h)) for h in range(1, shape.H + 1))
+    w = build_critical_point(CriticalPointSpec(support=support, z_blocks=z), b, shape)
     return data, shape, w, ls.classify(w, b, data)
 
 
-@pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
-@pytest.mark.parametrize("b", [1e-3, 1.0, 1e3])
-def test_verdict_is_invariant_under_data_rescaling(eigenswap_repro, a, b):
+@pytest.fixture(scope="module")
+def rescaling_points():
+    """On d_x=8, d_y=4, m=40 data, seed 3, widths (8, 6, 6, 6, 4): the
+    support-(1, 3) eigenswap saddle, the tightened and non-tightened example
+    points with r = 2 and the global minimizer; and the support-(1,) saddle
+    with zero Z blocks on d_x=d_y=2, m=3 data, seed 0, widths (2, 6, 2)."""
+    data = ls.generate_gaussian_data(8, 4, 40, 3)
+    dims = (8, 6, 6, 6, 4)
+    shape = ls.NetworkShape(dims)
+    b = ls.build_sigma_bundle(data)
+    points = {
+        "eigenswap": _zero_z_point(data, dims, (1, 3)),
+        "global_minimizer": _zero_z_point(data, dims, (1, 2, 3, 4)),
+        "two_by_two": _zero_z_point(ls.generate_gaussian_data(2, 2, 3, 0), (2, 6, 2), (1,)),
+    }
+    for variant in ("tightened", "non_tightened"):
+        w = ls.build_example_family(2, variant, b, shape)
+        points[variant] = (data, shape, w, ls.classify(w, b, data))
+    return points
+
+
+SCALES = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+
+
+@pytest.mark.parametrize("a", SCALES)
+@pytest.mark.parametrize("b", SCALES)
+def test_verdict_is_invariant_under_data_rescaling(rescaling_points, a, b):
     # X -> aX, Y -> bY, W_1 -> (b/a) W_1 maps critical points to critical
     # points with the same support and verdict; the witness c2 scales by b^2.
-    data, shape, w, unit = eigenswap_repro
-    assert (unit.verdict, unit.support) == ("strict_saddle", (1, 3))
-    scaled = ls.DataMatrices(data.X * a, data.Y * b)
-    ws = ls.Weights([w.layer(1) * (b / a)] + list(w.layers[1:]), shape)
-    res = ls.classify(ws, ls.build_sigma_bundle(scaled), scaled)
-    assert (res.verdict, res.support) == (unit.verdict, unit.support)
-    assert res.witness_c2 == pytest.approx(unit.witness_c2 * b * b, rel=1e-8)
+    expected = {
+        "eigenswap": ("strict_saddle", (1, 3)),
+        "global_minimizer": ("global_minimizer", (1, 2, 3, 4)),
+        "tightened": ("non_strict_saddle", (1, 2)),
+        "non_tightened": ("strict_saddle", (1, 2)),
+        "two_by_two": ("strict_saddle", (1,)),
+    }
+    for name, (data, shape, w, unit) in rescaling_points.items():
+        assert (unit.verdict, unit.support) == expected[name]
+        scaled = ls.DataMatrices(data.X * a, data.Y * b)
+        ws = ls.Weights([w.layer(1) * (b / a)] + list(w.layers[1:]), shape)
+        res = ls.classify(ws, ls.build_sigma_bundle(scaled), scaled)
+        assert (res.verdict, res.support) == expected[name], name
+        if name == "eigenswap":
+            assert res.witness_c2 == pytest.approx(unit.witness_c2 * b * b, rel=1e-8)
+
+
+def test_classify_forms_the_gradient_and_the_rank_floor_once(rescaling_points, monkeypatch):
+    # classify hands its gradient norm and floored rank tolerance to the
+    # support recovery rather than letting it form them again.
+    from linsaddle.ranktol import product_rank_tolerance
+
+    calls = {}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+    originals = (ls.gradient, product_rank_tolerance)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("linsaddle"):
+            for fn in originals:
+                if getattr(mod, fn.__name__, None) is fn:
+                    monkeypatch.setattr(mod, fn.__name__, counting(fn.__name__, fn))
+    for name, (data, shape, w, unit) in rescaling_points.items():
+        calls.clear()
+        res = ls.classify(w, ls.build_sigma_bundle(data), data)
+        assert res.verdict == unit.verdict
+        assert calls == {"gradient": 1, "product_rank_tolerance": 1}, name
 
 
 def test_classification_json(deep_problem):

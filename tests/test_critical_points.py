@@ -9,11 +9,11 @@ from linsaddle.critical_points import (
     build_critical_point,
     canonical_form,
     clem_d_matrix,
-    criticality_scale,
     transform_weights,
     z_block_shape,
 )
 from linsaddle.network import partial_suffix
+from linsaddle.ranktol import criticality_scale
 
 from conftest import random_certified_spec, random_direction, random_weights
 

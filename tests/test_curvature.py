@@ -286,14 +286,12 @@ def _orthogonal(n, rng):
 def test_untightened_witness_is_invariant_under_hidden_rotations(deep_problem):
     # W_h -> Q_h W_h Q_{h-1}^T with orthogonal hidden-layer Q_h (Q_0 = I_dx,
     # Q_H = I_dy) maps T, the kernel past the pivot and its image covariantly,
-    # so the witness c2 must not change.  At i = j + 1 the inner product is
-    # the identity and every kernel direction is stretched equally, so only
-    # pivots with i >= j + 2 have a unique witness.  Zero blocks Z_i and Z_j
-    # (and random others) leave the pivot (i, j) untightened.
+    # so the witness c2 must not change.  Zero blocks Z_i and Z_j (and random
+    # others) leave the pivot (i, j) untightened.
     data, b, shape = deep_problem
     rng = np.random.default_rng(33)
-    compared = 0
-    for zero in [(1, 3), (1, 4), (2, 4)] * 2:
+    compared, pivots = 0, set()
+    for zero in [(1, 3), (1, 4), (2, 4), (1, 2), (2, 3), (3, 4)] * 2:
         z = tuple(
             np.zeros(z_block_shape(shape, 2, h)) if h in zero
             else rng.standard_normal(z_block_shape(shape, 2, h))
@@ -308,7 +306,7 @@ def test_untightened_witness_is_invariant_under_hidden_rotations(deep_problem):
             [Q[h] @ w.layer(h) @ Q[h - 1].T for h in range(1, shape.H + 1)], shape
         )
         for p in ls.all_pivots(w, b, 2):
-            if p.tightened or p.i < p.j + 2:
+            if p.tightened:
                 continue
             wit = ls.witness_untightened(w, b, data, spec.support, (p.i, p.j))
             if wit.pivot != (p.i, p.j):
@@ -317,7 +315,9 @@ def test_untightened_witness_is_invariant_under_hidden_rotations(deep_problem):
             assert rot.pivot == wit.pivot
             assert rot.c2_predicted == pytest.approx(wit.c2_predicted, rel=1e-10)
             compared += 1
-    assert compared == 6
+            pivots.add(wit.pivot)
+    assert compared == 12
+    assert {(2, 1), (3, 2), (4, 3)} <= pivots
 
 
 def test_adjacent_pivot_witness_does_not_depend_on_the_kernel_basis(monkeypatch, deep_problem):
@@ -372,7 +372,7 @@ def test_choose_beta_minimizes():
 def test_tightened_structure_indices(deep_problem):
     _, b, shape = deep_problem
     w = ls.build_example_family(2, "tightened", b, shape)
-    st = curvature._tightened(w, b, ls.RankTolerance(), 1e-8)[0]
+    st = curvature._tightened(w, b)[0]
     assert st.p == shape.H and st.q == 1
     assert st.residual < 1e-10
 
@@ -381,7 +381,7 @@ def test_tightened_structure_rejects_untightened(deep_problem):
     _, b, shape = deep_problem
     w = ls.build_example_family(2, "non_tightened", b, shape)
     with pytest.raises(ls.NotTightened):
-        curvature._tightened(w, b, ls.RankTolerance(), 1e-8)[0]
+        curvature._tightened(w, b)[0]
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import linsaddle as ls
-from linsaddle.critical_points import criticality_scale
+from linsaddle.ranktol import criticality_scale
 
 from conftest import random_certified_spec
 
