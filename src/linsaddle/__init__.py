@@ -14,8 +14,6 @@ from .classifier import (
     analyze_pivot,
     classification_to_json,
     classify,
-    is_tightened,
-    pivot_blocks,
 )
 from .critical_points import (
     CriticalPointSpec,

@@ -1,11 +1,16 @@
 """Pivot analysis and the three-way classification of critical points.
 
 A pivot (i, j) with 1 <= j < i <= H pairs the data-weighted outer block
-W_{j-1}..W_1 Sigma_XY W_H..W_{i+1} with the inner block W_{i-1}..W_{j+1}.
+W_{j-1}..W_1 Sigma_XY W_H..W_{i+1} with the middle block W_{i-1}..W_{j+1}.
 At a critical point of rank r both blocks have rank >= r; the pivot is
-tightened when both ranks equal r.  A rank-deficient critical point with
-support [1, r] is a non-strict saddle exactly when every pivot is tightened;
-in every other case a certified negative-curvature witness exists.
+tightened when the smaller rank equals r.  A rank-deficient critical point
+with support [1, r] is a non-strict saddle exactly when every pivot is
+tightened; in every other case a certified negative-curvature witness exists.
+
+``all_pivots`` alone forms and cuts the pivot blocks, each at a floor in its
+own units: the middle block at ``classify``'s product-rounding floor, the
+outer block at 100 H eps ||Sigma_XY||_2 prod max(1, ||W_h||_2) over its own
+layers, so that its rank does not depend on the units of X and Y.
 """
 
 from __future__ import annotations
@@ -18,25 +23,15 @@ import numpy as np
 from .critical_points import SupportResult, associated_support, critical_value
 from .curvature import CurvatureCache, WitnessCase, witness_eigenswap, witness_untightened
 from .data_model import DataMatrices, SigmaBundle
-from .errors import (
-    InternalInconsistency,
-    InvalidPivot,
-    NotApplicable,
-)
-from .network import (
-    Weights,
-    global_map,
-    gradient,
-    partial_middle,
-    partial_prefix,
-    partial_suffix,
-)
+from .errors import InternalInconsistency, NotApplicable
+from .network import Weights, global_map, gradient, partial_prefix, partial_suffix
 from .ranktol import (  # RankTolerance and numeric_rank are re-exported
     EPS_WITNESS,
     TAU_CRIT_REL,
     RankTolerance,
     criticality_scale,
     numeric_rank,
+    outer_block_floors,
     product_rank_tolerance,
 )
 
@@ -44,10 +39,8 @@ __all__ = [
     "RankTolerance",
     "numeric_rank",
     "Pivot",
-    "pivot_blocks",
     "analyze_pivot",
     "all_pivots",
-    "is_tightened",
     "Classification",
     "classify",
     "classification_to_json",
@@ -68,45 +61,16 @@ class Pivot:
     tightened: bool
 
 
-def _block1(w: Weights, bundle: SigmaBundle, i: int, j: int) -> np.ndarray:
-    """W_{j-1}..W_1 Sigma_XY W_H..W_{i+1}."""
-    return partial_prefix(w, j - 1) @ bundle.sigma_xy @ partial_suffix(w, i + 1)
-
-
-def pivot_blocks(w: Weights, bundle: SigmaBundle, i: int, j: int):
-    """The two matrices whose ranks define pivot (i, j)."""
-    H = w.shape.H
-    if not (1 <= j < i <= H):
-        raise InvalidPivot(f"need 1 <= j < i <= {H}, got ({i}, {j})")
-    return _block1(w, bundle, i, j), partial_middle(w, i, j)
-
-
-def _check_certified(p: Pivot, r: int) -> Pivot:
-    if min(p.rank1, p.rank2) < r:
+def analyze_pivot(i: int, j: int, r: int, blocks: tuple, tols: tuple) -> Pivot:
+    """The ranks of pivot (i, j) from its two blocks, (outer, middle), each
+    cut with its tolerance in ``tols``.  At a critical point of rank r
+    neither rank is below r, so a smaller one means a wrong point or cut."""
+    rank1, rank2 = (numeric_rank(M, tol) for M, tol in zip(blocks, tols))
+    if min(rank1, rank2) < r:
         raise InternalInconsistency(
-            f"pivot ({p.i}, {p.j}) rank {min(p.rank1, p.rank2)} < r = {r} "
-            "at a certified critical point"
+            f"pivot ({i}, {j}) rank {min(rank1, rank2)} < r = {r} at a critical point"
         )
-    return p
-
-
-def analyze_pivot(
-    w: Weights,
-    bundle: SigmaBundle,
-    i: int,
-    j: int,
-    r: int,
-    rank_tol: RankTolerance = RankTolerance(),
-    certified: bool = False,
-    blocks: tuple | None = None,
-) -> Pivot:
-    """Ranks of pivot (i, j); ``blocks`` is its ``pivot_blocks`` pair if the
-    caller has already formed it."""
-    b1, b2 = pivot_blocks(w, bundle, i, j) if blocks is None else blocks
-    rank1 = numeric_rank(b1, rank_tol)
-    rank2 = numeric_rank(b2, rank_tol)
-    p = Pivot(i=i, j=j, rank1=rank1, rank2=rank2, tightened=(min(rank1, rank2) == r))
-    return _check_certified(p, r) if certified else p
+    return Pivot(i=i, j=j, rank1=rank1, rank2=rank2, tightened=(min(rank1, rank2) == r))
 
 
 def all_pivots(
@@ -114,32 +78,25 @@ def all_pivots(
     bundle: SigmaBundle,
     r: int,
     rank_tol: RankTolerance = RankTolerance(),
-    certified: bool = False,
 ):
-    """All H(H-1)/2 pivots in (i ascending, j ascending) order.  For each j
-    the middle products W_{i-1}..W_{j+1} are built by walking i upward, one
-    layer product per pivot, in the order ``partial_middle`` multiplies."""
+    """All H(H-1)/2 pivots of a critical point of rank r, in (i ascending,
+    j ascending) order.  The middle block is cut with ``rank_tol``, the outer
+    block with its relative part above ``outer_block_floors``.  For each j,
+    W_{j-1}..W_1 Sigma_XY is formed once and the middle block is walked
+    upward, one layer product per pivot."""
+    H = w.shape.H
+    left_floor, right_floor = outer_block_floors(w, bundle)
     found = {}
-    for j in range(1, w.shape.H):
+    for j in range(1, H):
+        left = partial_prefix(w, j - 1) @ bundle.sigma_xy
         middle = np.eye(w.shape.dims[j])
-        for i in range(j + 1, w.shape.H + 1):
-            blocks = (_block1(w, bundle, i, j), middle)
-            found[i, j] = analyze_pivot(w, bundle, i, j, r, rank_tol, blocks=blocks)
+        for i in range(j + 1, H + 1):
+            floor = left_floor[j - 1] * right_floor[i]
+            blocks = (left @ partial_suffix(w, i + 1), middle)
+            tols = (RankTolerance(absolute=floor, relative=rank_tol.relative), rank_tol)
+            found[i, j] = analyze_pivot(i, j, r, blocks, tols)
             middle = w.layer(i) @ middle
-    pivots = [found[key] for key in sorted(found)]
-    return [_check_certified(p, r) for p in pivots] if certified else pivots
-
-
-def is_tightened(
-    w: Weights,
-    bundle: SigmaBundle,
-    r: int,
-    rank_tol: RankTolerance = RankTolerance(),
-    certified: bool = False,
-):
-    """Whether every pivot is tightened, plus the full pivot report."""
-    pivots = all_pivots(w, bundle, r, rank_tol, certified)
-    return all(p.tightened for p in pivots), pivots
+    return [found[key] for key in sorted(found)]
 
 
 @dataclass(frozen=True)
@@ -232,8 +189,8 @@ def classify(
         wit = witness_eigenswap(w, bundle, S, rank_tol)
         return finish(STRICT_SADDLE, witness=wit, witness_c2=validated(wit))
 
-    tight, pivots = is_tightened(w, bundle, r, rank_tol, certified=True)
-    if tight:
+    pivots = all_pivots(w, bundle, r, rank_tol)
+    if all(p.tightened for p in pivots):
         return finish(NON_STRICT_SADDLE, pivots=pivots)
 
     last_err = None

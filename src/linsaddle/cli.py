@@ -72,17 +72,6 @@ def _rank_tol(args) -> RankTolerance:
     return RankTolerance(relative=args.tol_rank)
 
 
-def _apply_threads(n):
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        log.warning("--threads requires threadpoolctl; ignoring")
-
-
 def cmd_gen_data(args) -> int:
     data = generate_gaussian_data(args.dx, args.dy, args.m, args.seed)
     report = check_assumption_h(data)
@@ -232,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments.",
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    p.add_argument("--threads", type=int, default=None,
-                   help="limit BLAS thread pools (needs threadpoolctl)")
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -320,7 +307,6 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(message)s",
     )
-    _apply_threads(args.threads)
     try:
         return args.func(args)
     except InternalInconsistency as err:

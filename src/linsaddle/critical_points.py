@@ -125,7 +125,7 @@ def spec_to_json(spec: CriticalPointSpec) -> str:
     )
 
 
-def spec_from_json(text: str, shape: NetworkShape, r: int | None = None) -> CriticalPointSpec:
+def spec_from_json(text: str, shape: NetworkShape) -> CriticalPointSpec:
     obj = json.loads(text)
     support = tuple(sorted(int(s) for s in obj["support"]))
     rr = len(support)

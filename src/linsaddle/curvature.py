@@ -365,7 +365,8 @@ def witness_untightened(
     if not U_Q.size:
         raise NotApplicable("support already uses every output eigendirection")
     suf = partial_suffix(w, j + 1)
-    if j > 1 and numeric_rank(suf, rank_tol) > len(S):
+    N = _kernel_basis(suf, rank_tol)
+    if j > 1 and suf.shape[1] - N.shape[1] > len(S):  # rank(W_H..W_{j+1}) > r
         return witness_untightened(w, bundle, data, S, (j, 1), rank_tol)
 
     pre, suf_i = partial_prefix(w, j - 1), partial_suffix(w, i + 1)
@@ -373,10 +374,9 @@ def witness_untightened(
     u, s, vt = np.linalg.svd(T)
     # sigma_1(T) is compared with the product of its factors' norms, so that
     # the test does not depend on the units of X and Y.
-    factors = [np.linalg.norm(M, 2) for M in (pre, bundle.sigma_xy, suf_i)]
-    if s[0] <= BETA_ZERO_TOL * factors[0] * factors[1] * factors[2]:
+    factors = [np.linalg.norm(M, 2) for M in (pre, suf_i)]
+    if s[0] <= BETA_ZERO_TOL * factors[0] * bundle.sigma_xy_norm * factors[1]:
         raise NotApplicable("pivot data block vanishes outside the support")
-    N = _kernel_basis(suf, rank_tol)
     if not N.size:
         raise NotApplicable("upper layers past the pivot have trivial kernel")
     if i == j + 1:
@@ -439,8 +439,9 @@ def _tightened(w: Weights, bundle: SigmaBundle):
     ``TightenedStructure`` together with r and the blocks Z_1..Z_H, as the
     weights of the network with widths (d_x, d_1 - r, ..., d_y - r) so that
     their products come from its product table.  Rank cuts use the
-    product-rounding floor of ``classify``."""
-    from .classifier import is_tightened  # classifier imports this module
+    floors of ``classify``, and q is read from the pivots: W_q..W_1 Sigma_XY
+    is the outer block of pivot (H, q + 1)."""
+    from .classifier import all_pivots  # classifier imports this module
 
     shape = w.shape
     H = shape.H
@@ -455,10 +456,11 @@ def _tightened(w: Weights, bundle: SigmaBundle):
     )
     z = Weights(z, NetworkShape((shape.d_x,) + tuple(d - r for d in shape.dims[1:])))
 
-    # All pivots must be tightened: the smaller of the two block ranks is r.
-    for pv in is_tightened(w, bundle, r, rank_tol)[1]:
-        if min(pv.rank1, pv.rank2) > r:
+    pivots = all_pivots(w, bundle, r, rank_tol)
+    for pv in pivots:
+        if not pv.tightened:
             raise NotTightened(f"pivot ({pv.i}, {pv.j}) is not tightened")
+    outer_rank = {(pv.i, pv.j): pv.rank1 for pv in pivots}
 
     p = None
     for h in range(H, 2, -1):
@@ -467,11 +469,7 @@ def _tightened(w: Weights, bundle: SigmaBundle):
             break
     if p is None:
         raise InternalInconsistency("no rank-collapse index p found above layer 2")
-    q = None
-    for qq in range(1, min(p - 1, H - 2) + 1):
-        if numeric_rank(partial_prefix(w, qq) @ bundle.sigma_xy, rank_tol) == r:
-            q = qq
-            break
+    q = next((k for k in range(1, min(p - 1, H - 2) + 1) if outer_rank[H, k + 1] == r), None)
     if q is None:
         raise InternalInconsistency("no rank-collapse index q found below layer H-1")
 

@@ -14,6 +14,7 @@ eigenvalues lambda.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,11 @@ class SigmaBundle:
     @property
     def d_y(self) -> int:
         return self.U.shape[0]
+
+    @cached_property
+    def sigma_xy_norm(self) -> float:
+        """||Sigma_XY||_2, taken on first use."""
+        return float(np.linalg.norm(self.sigma_xy, 2))
 
     def u_cols(self, support) -> np.ndarray:
         """Columns of U selected by a 1-based index set (sorted)."""

@@ -64,8 +64,6 @@ class ExperimentConfig:
     max_epochs: int = 2000
     perturb_scale: float = 0.1
     data_seed: int = 0
-    escape_margin_index: int | None = None  # defaults to r + 1
-    family_interior: str = "identity"  # interior Z fill for the strict variant
     keep_traces: bool = False
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
@@ -223,10 +221,8 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     shape = NetworkShape(cfg.dims)
     data = generate_gaussian_data(shape.d_x, shape.d_y, cfg.m, cfg.data_seed)
     bundle = build_sigma_bundle(data)
-    w_star = build_example_family(
-        cfg.r, cfg.variant, bundle, shape, interior=cfg.family_interior
-    )
-    threshold = escape_threshold(bundle, cfg.r, cfg.escape_margin_index)
+    w_star = build_example_family(cfg.r, cfg.variant, bundle, shape, interior="identity")
+    threshold = escape_threshold(bundle, cfg.r)
 
     w0s = [
         perturb_near(w_star, cfg.perturb_scale, cfg.data_seed + k)

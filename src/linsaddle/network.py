@@ -74,7 +74,7 @@ class NetworkShape:
 class _LayerStack:
     """Immutable ordered list of layer matrices compatible with a shape."""
 
-    __slots__ = ("layers", "shape", "_products")
+    __slots__ = ("layers", "shape", "_products", "_norms")
 
     def __init__(self, layers, shape: NetworkShape):
         mats = []
@@ -93,6 +93,7 @@ class _LayerStack:
         object.__setattr__(self, "layers", tuple(mats))
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_products", None)
+        object.__setattr__(self, "_norms", None)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("immutable")
@@ -100,6 +101,14 @@ class _LayerStack:
     def layer(self, h: int) -> np.ndarray:
         """W_h by 1-based index."""
         return self.layers[h - 1]
+
+    def layer_norms(self) -> tuple:
+        """The spectral norms ||W_1||_2 .. ||W_H||_2, taken on first use and
+        kept like the product table."""
+        if self._norms is None:
+            norms = tuple(float(np.linalg.norm(M, 2)) for M in self.layers)
+            object.__setattr__(self, "_norms", norms)
+        return self._norms
 
     def frob_norm(self) -> float:
         return float(np.sqrt(sum(np.sum(M * M) for M in self.layers)))

@@ -7,7 +7,10 @@ live here, each compared with a quantity of its own units:
   absolute + relative * sigma_max (relative defaults to max(shape) * eps).
   ``product_rank_tolerance`` floors the absolute part at the rounding error
   of the layer products, 100 H eps prod max(1, ||W_h||_2); ``classify``,
-  ``canonical_form`` and the tightened-point certificate cut with it;
+  ``canonical_form`` and the tightened-point certificate cut with it.  The
+  outer pivot block W_{j-1}..W_1 Sigma_XY W_H..W_{i+1} holds Sigma_XY, so
+  ``outer_block_floors`` gives it a floor in its own units instead,
+  100 H eps ||Sigma_XY||_2 times prod max(1, ||W_h||_2) over its layers;
 - first-order criticality: ||grad|| <= TAU_CRIT_REL * criticality_scale,
   the natural size of a gradient, 1 + ||W|| (||Sigma_XX|| + ||Sigma_YX||);
 - canonical block equations: residual <= EPS_CANON (1 + ||W|| + ||C||),
@@ -31,6 +34,8 @@ constants are fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -93,9 +98,21 @@ def product_rank_tolerance(
     layers carry O(eps * prod ||W_h||) noise that a purely relative
     machine-precision cutoff would count as genuine singular values."""
     prod = 1.0
-    for M in w.layers:
-        prod *= max(1.0, np.linalg.norm(M, 2))
+    for norm in w.layer_norms():
+        prod *= max(1.0, norm)
     floor = 100.0 * w.shape.H * np.finfo(float).eps * prod
     return RankTolerance(
         absolute=max(rank_tol.absolute, floor), relative=rank_tol.relative
     )
+
+
+def outer_block_floors(w: Weights, bundle: SigmaBundle) -> tuple[list, list]:
+    """Rounding floors of the outer pivot blocks W_{j-1}..W_1 Sigma_XY
+    W_H..W_{i+1}: 100 H eps ||Sigma_XY||_2 times prod max(1, ||W_h||_2) over
+    the layers h < j and h > i.  Returned as (left, right) with the floor of
+    pivot (i, j) equal to left[j - 1] * right[i]."""
+    g = [max(1.0, norm) for norm in w.layer_norms()]
+    unit = 100.0 * w.shape.H * np.finfo(float).eps * bundle.sigma_xy_norm
+    left = list(accumulate(g, mul, initial=unit))
+    right = list(accumulate(reversed(g), mul, initial=1.0))[::-1]
+    return left, right

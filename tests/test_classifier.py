@@ -5,26 +5,19 @@ import numpy as np
 import pytest
 
 import linsaddle as ls
-from linsaddle.classifier import all_pivots, analyze_pivot, classification_to_json, pivot_blocks
+from linsaddle.classifier import all_pivots, classification_to_json
 from linsaddle.critical_points import build_critical_point, z_block_shape, CriticalPointSpec
+from linsaddle.network import partial_middle, partial_prefix, partial_suffix
+from linsaddle.ranktol import product_rank_tolerance
 
 from conftest import random_certified_spec, random_weights
 
 
-def test_pivot_block_conventions(small_problem):
-    _, b, shape = small_problem
-    rng = np.random.default_rng(0)
-    w = random_weights(shape, rng)
-    # adjacent pivot: inner block is the identity
-    b1, b2 = pivot_blocks(w, b, 2, 1)
-    assert np.array_equal(b2, np.eye(shape.dims[1]))
-    assert np.allclose(b1, b.sigma_xy @ w.layer(3))
-    # outermost pivot: data block is Sigma_XY itself
-    b1, b2 = pivot_blocks(w, b, shape.H, 1)
-    assert np.allclose(b1, b.sigma_xy)
-    assert np.allclose(b2, w.layer(2))
+def test_witness_rejects_an_invalid_pivot(small_problem):
+    data, b, shape = small_problem
+    w = random_weights(shape, np.random.default_rng(0))
     with pytest.raises(ls.InvalidPivot):
-        pivot_blocks(w, b, 1, 1)
+        ls.witness_untightened(w, b, data, (1,), pivot=(1, 1))
 
 
 def test_pivot_count_and_order(small_problem):
@@ -154,12 +147,18 @@ def _zero_z_point(data, dims, support):
     return data, shape, w, ls.classify(w, b, data)
 
 
+# At these points the outer block of pivot (2, 1) is Sigma_XY itself, whose
+# rank cut must not depend on the units of X and Y.
+TWO_BY_TWO_SEEDS = (3, 5, 7, 9, 10)
+
+
 @pytest.fixture(scope="module")
 def rescaling_points():
     """On d_x=8, d_y=4, m=40 data, seed 3, widths (8, 6, 6, 6, 4): the
     support-(1, 3) eigenswap saddle, the tightened and non-tightened example
     points with r = 2 and the global minimizer; and the support-(1,) saddle
-    with zero Z blocks on d_x=d_y=2, m=3 data, seed 0, widths (2, 6, 2)."""
+    with zero Z blocks on d_x=d_y=2, m=3 data, seeds 0, 3, 5, 7, 9 and 10,
+    widths (2, 6, 2)."""
     data = ls.generate_gaussian_data(8, 4, 40, 3)
     dims = (8, 6, 6, 6, 4)
     shape = ls.NetworkShape(dims)
@@ -169,6 +168,10 @@ def rescaling_points():
         "global_minimizer": _zero_z_point(data, dims, (1, 2, 3, 4)),
         "two_by_two": _zero_z_point(ls.generate_gaussian_data(2, 2, 3, 0), (2, 6, 2), (1,)),
     }
+    for seed in TWO_BY_TWO_SEEDS:
+        points[f"two_by_two_{seed}"] = _zero_z_point(
+            ls.generate_gaussian_data(2, 2, 3, seed), (2, 6, 2), (1,)
+        )
     for variant in ("tightened", "non_tightened"):
         w = ls.build_example_family(2, variant, b, shape)
         points[variant] = (data, shape, w, ls.classify(w, b, data))
@@ -190,6 +193,7 @@ def test_verdict_is_invariant_under_data_rescaling(rescaling_points, a, b):
         "non_tightened": ("strict_saddle", (1, 2)),
         "two_by_two": ("strict_saddle", (1,)),
     }
+    expected.update({f"two_by_two_{s}": ("strict_saddle", (1,)) for s in TWO_BY_TWO_SEEDS})
     for name, (data, shape, w, unit) in rescaling_points.items():
         assert (unit.verdict, unit.support) == expected[name]
         scaled = ls.DataMatrices(data.X * a, data.Y * b)
@@ -203,8 +207,6 @@ def test_verdict_is_invariant_under_data_rescaling(rescaling_points, a, b):
 def test_classify_forms_the_gradient_and_the_rank_floor_once(rescaling_points, monkeypatch):
     # classify hands its gradient norm and floored rank tolerance to the
     # support recovery rather than letting it form them again.
-    from linsaddle.ranktol import product_rank_tolerance
-
     calls = {}
 
     def counting(name, fn):
@@ -245,16 +247,19 @@ def test_all_pivots_equals_each_pivot_alone_at_depth_16(variant):
     b = ls.build_sigma_bundle(data)
     shape = ls.NetworkShape((5,) + (6,) * 15 + (4,))
     w = ls.build_example_family(2, variant, b, shape)
-    each = [
-        analyze_pivot(w, b, i, j, 2)
-        for i in range(2, shape.H + 1)
-        for j in range(1, i)
-    ]
-    assert all_pivots(w, b, 2) == each
-    assert all_pivots(w, b, 2, certified=True) == each
-    for p in each[::17]:
-        _, middle = pivot_blocks(w, b, p.i, p.j)
-        walked = np.eye(shape.dims[p.j])
-        for k in range(p.j + 1, p.i):
-            walked = w.layer(k) @ walked
-        assert np.array_equal(middle, walked)
+    # Each block formed from its definition; the outer block is cut at
+    # 100 H eps ||Sigma_XY|| prod max(1, ||W_h||) over its own layers.
+    H = shape.H
+    rank_tol = product_rank_tolerance(w)
+    norms = [max(1.0, np.linalg.norm(M, 2)) for M in w.layers]
+    unit = 100 * H * np.finfo(float).eps * np.linalg.norm(b.sigma_xy, 2)
+    each = []
+    for i in range(2, H + 1):
+        for j in range(1, i):
+            outer = partial_prefix(w, j - 1) @ b.sigma_xy @ partial_suffix(w, i + 1)
+            floor = unit * np.prod(norms[:j - 1]) * np.prod(norms[i:])
+            rank1 = ls.numeric_rank(outer, ls.RankTolerance(absolute=floor))
+            rank2 = ls.numeric_rank(partial_middle(w, i, j), rank_tol)
+            each.append(ls.Pivot(i, j, rank1, rank2, min(rank1, rank2) == 2))
+    assert all_pivots(w, b, 2, rank_tol) == each
+    assert all(p.tightened for p in each) == (variant == "tightened")
