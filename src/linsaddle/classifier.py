@@ -166,7 +166,7 @@ def classify(
         )
 
     def validated(wit: WitnessCase) -> float:
-        # c2 = ||A_1||^2 + 2 <A_2, R> must be negative by more than the
+        # c2 = ||A_1 X||^2 + 2 <A_2, E> must be negative by more than the
         # relative rounding of its own two terms, so the threshold has the
         # units of c2 whatever the scale of X and Y.
         quad, cross = CurvatureCache(w, data).c2_terms(wit.direction)

@@ -11,7 +11,9 @@ rank-one perturbation of layer j from the kernel of the layers above it,
 fed by a rank-one perturbation of layer i, both taken from singular vectors
 (or, when the two layers are adjacent, from the kernel direction with the
 least quadratic coefficient) rather than from coordinates or from a
-particular kernel basis.
+particular kernel basis.  Everything here reads the samples only through
+their second moments Sigma_XX and Sigma_YX (and tr Sigma_YY for the
+expansion's constant term): no array has an axis of length m.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .critical_points import _canonical_blocks, clem_d_matrix
-from .data_model import DataMatrices, SigmaBundle
+from .data_model import DataMatrices, SigmaBundle, _moments
 from .errors import (
     InternalInconsistency,
     InvalidPivot,
@@ -80,13 +82,14 @@ class TaylorCoeffs:
         return float(self.coeffs[2])
 
 
-def _line_orders(w: Weights, v: Direction, X: np.ndarray, order: int) -> list:
-    """A_0 .. A_order: the terms of (W_H + t V_H) ... (W_1 + t V_1) X grouped
+def _line_orders(w: Weights, v: Direction, order: int) -> list:
+    """A_0 .. A_order: the terms of (W_H + t V_H) ... (W_1 + t V_1) grouped
     by their power of t, where A_k sums every way of substituting k layers by
     their perturbations.  One pass over the layers updates all orders
-    (A_k <- W_h A_k + V_h A_{k-1}); orders above `order` are dropped."""
-    A = [X]
-    for Wh, Vh in zip(w.layers, v.layers):
+    (A_k <- W_h A_k + V_h A_{k-1}), starting from A_0 = W_1 and A_1 = V_1;
+    orders above `order` (at least 1) are dropped.  Each A_k is d_y x d_x."""
+    A = [w.layers[0], v.layers[0]]
+    for Wh, Vh in zip(w.layers[1:], v.layers[1:]):
         new = [Wh @ A[0]]
         for k in range(1, len(A)):
             new.append(Wh @ A[k] + Vh @ A[k - 1])
@@ -97,18 +100,25 @@ def _line_orders(w: Weights, v: Direction, X: np.ndarray, order: int) -> list:
 
 
 def taylor_coeffs(w: Weights, v: Direction, data: DataMatrices) -> TaylorCoeffs:
-    """Exact coefficients of the degree-2H polynomial t -> L(W + t V)."""
+    """Exact coefficients of the degree-2H polynomial t -> L(W + t V).
+
+    With A_k the line orders, L(W + tV) = ||sum_k t^k A_k X - Y||^2, so
+    c_n sums <A_k Sigma_XX, A_l> over k + l = n, c_k loses
+    2 <Sigma_YX, A_k>, and c_0 gains tr Sigma_YY."""
     H = w.shape.H
     if H > MAX_TAYLOR_DEPTH:
         raise TooDeep(f"depth {H} exceeds exact-expansion guard {MAX_TAYLOR_DEPTH}")
     if v.shape.dims != w.shape.dims:
         raise InvalidShape("direction shape does not match weights")
-    A = _line_orders(w, v, data.X, H)
-    B = [A[0] - data.Y] + A[1:]
+    sigma_xx, sigma_xy, sigma_yy = _moments(data)
+    A = _line_orders(w, v, H)
+    AS = [Ak @ sigma_xx for Ak in A]
     coeffs = np.zeros(2 * H + 1)
     for k in range(H + 1):
+        coeffs[k] -= 2.0 * float(np.sum(sigma_xy.T * A[k]))
         for l in range(H + 1):
-            coeffs[k + l] += float(np.sum(B[k] * B[l]))
+            coeffs[k + l] += float(np.sum(AS[k] * A[l]))
+    coeffs[0] += float(np.trace(sigma_yy))
     return TaylorCoeffs(coeffs=coeffs)
 
 
@@ -118,37 +128,42 @@ def taylor_coeffs(w: Weights, v: Direction, data: DataMatrices) -> TaylorCoeffs:
 
 class CurvatureCache:
     """Forward and backward passes at a fixed W for repeated c2 evaluation
-    and Hessian-vector products.
+    and Hessian-vector products, in the second moments of the data.
 
-    Keeps the residual R = W_H..W_1 X - Y and, built on the first
-    Hessian-vector product, the forward products P_h = W_h..W_1 X (P_0 = X)
-    and the backward adjoints B_h = (W_H..W_{h+1})^T R (B_H = R), all read
-    off the weights' product table: O(H) arrays of m columns.
-    c2(V) = ||A_1||^2 + 2 <A_2, R> from the order-2 truncation of the line
-    expansion needs only R; the Hessian acts on V by Pearlmutter's
-    R-operator on the two passes.  Each costs O(H) matrix products.
+    Makes the moment pass of ``data_model`` over the samples once, for
+    Sigma_XX = X X^T and Sigma_YX = Y X^T, and keeps
+    E = W_H..W_1 Sigma_XX - Sigma_YX (which is R X^T for the residual
+    R = W_H..W_1 X - Y) and, built on the first Hessian-vector product, the
+    prefixes P_h = W_h..W_1 of the weights' product table (P_0 = I) and the
+    backward adjoints B_h = (W_H..W_{h+1})^T E (B_H = E): O(H) arrays of
+    d_x columns, none of m.  c2(V) = <A_1 Sigma_XX, A_1> + 2 <A_2, E> from
+    the order-2 truncation of the line expansion needs only E; the Hessian
+    acts on V by Pearlmutter's R-operator on the two passes.  Each costs
+    O(H) matrix products.
     """
 
     def __init__(self, w: Weights, data: DataMatrices):
         if w.shape.d_x != data.d_x or w.shape.d_y != data.d_y:
             raise InvalidShape("weights incompatible with data")
         self.w = w
-        self.data = data
         self.H = w.shape.H
-        self.R = global_map(w) @ data.X - data.Y
+        self.sigma_xx, sigma_xy, _ = _moments(data)
+        self.sigma_yx = sigma_xy.T
+        self.E = global_map(w) @ self.sigma_xx - self.sigma_yx
 
     @cached_property
     def P(self) -> list:
-        return [partial_prefix(self.w, h) @ self.data.X for h in range(self.H + 1)]
+        return [partial_prefix(self.w, h) for h in range(self.H + 1)]
 
     @cached_property
     def B(self) -> list:
-        return [partial_suffix(self.w, h + 1).T @ self.R for h in range(self.H + 1)]
+        return [partial_suffix(self.w, h + 1).T @ self.E for h in range(self.H)] + [self.E]
 
     def c2_terms(self, v: Direction) -> tuple[float, float]:
-        """The two terms of c2(V): ||A_1||^2 and 2 <A_2, R>."""
-        _, A1, A2 = _line_orders(self.w, v, self.data.X, 2)
-        return float(np.sum(A1 * A1)), 2.0 * float(np.sum(A2 * self.R))
+        """The two terms of c2(V): <A_1 Sigma_XX, A_1> = ||A_1 X||^2 and
+        2 <A_2, E>."""
+        _, A1, A2 = _line_orders(self.w, v, 2)
+        return float(np.sum((A1 @ self.sigma_xx) * A1)), 2.0 * float(np.sum(A2 * self.E))
 
     def c2(self, v: Direction) -> float:
         quad, cross = self.c2_terms(v)
@@ -157,20 +172,22 @@ class CurvatureCache:
     def hessian_matvec(self, flat: np.ndarray) -> np.ndarray:
         """Action of the Hessian of t -> L(W + tV) at t=0 (i.e. of 2 c2).
 
-        With dP_h and dB_h the derivatives of P_h and B_h along V, the
-        gradient 2 B_h P_{h-1}^T has derivative
-        2 (dB_h P_{h-1}^T + B_h dP_{h-1}^T)."""
+        With dP_h and dB_h the derivatives of P_h and B_h along V
+        (dP_1 = V_1, dP_h = W_h dP_{h-1} + V_h P_{h-1}; dB_H = dP_H Sigma_XX,
+        dB_{h-1} = W_h^T dB_h + V_h^T B_h), the gradient 2 B_h P_{h-1}^T has
+        derivative 2 (dB_h P_{h-1}^T + B_h dP_{h-1}^T), which is 2 dB_1 at
+        h = 1 (P_0 = I, dP_0 = 0)."""
         v = unflatten(np.ravel(flat), self.w.shape.dims)
         H, W, P, B = self.H, self.w.layers, self.P, self.B
-        dP = [np.zeros_like(P[0])]
-        for h in range(1, H + 1):
+        dP = [None, v[0]]
+        for h in range(2, H + 1):
             dP.append(W[h - 1] @ dP[-1] + v[h - 1] @ P[h - 1])
         dB = [None] * (H + 1)
-        dB[H] = dP[H]
+        dB[H] = dP[H] @ self.sigma_xx
         for h in range(H, 1, -1):
             dB[h - 1] = W[h - 1].T @ dB[h] + v[h - 1].T @ B[h]
-        return flatten([
-            2.0 * (dB[h] @ P[h - 1].T + B[h] @ dP[h - 1].T) for h in range(1, H + 1)
+        return flatten([2.0 * dB[1]] + [
+            2.0 * (dB[h] @ P[h - 1].T + B[h] @ dP[h - 1].T) for h in range(2, H + 1)
         ])
 
 
@@ -334,16 +351,19 @@ def witness_untightened(
 ) -> WitnessCase:
     """Descent direction exploiting an untightened pivot (i, j).
 
-    At a critical point with support S the residual R = W_H..W_1 X - Y
-    satisfies R X^T = -U_Q U_Q^T Sigma_YX, U_Q the unused eigenvectors.
-    Perturb layer j by b a^T, with b in the kernel of W_H..W_{j+1}, and
-    layer i by beta e c^T, with c^T W_{i-1}..W_{j+1} b = 1.  The layer-j
-    term of A_1 vanishes and A_2 = beta W_H..W_{i+1} e a^T W_{j-1}..W_1 X, so
+    At a critical point with support S, E = W_H..W_1 Sigma_XX - Sigma_YX
+    (R X^T for the residual R = W_H..W_1 X - Y) is -U_Q U_Q^T Sigma_YX, U_Q
+    the unused eigenvectors.  Perturb layer j by b a^T, with b in the kernel
+    of W_H..W_{j+1}, and layer i by beta e c^T, with
+    c^T W_{i-1}..W_{j+1} b = 1.  The layer-j term of A_1 vanishes and
+    A_2 = beta W_H..W_{i+1} e a^T W_{j-1}..W_1, so that
+    c2 = <A_1 Sigma_XX, A_1> + 2 <A_2, E> is
 
         c2 = a_coef beta^2 - 2 beta a^T T e,
         T = W_{j-1}..W_1 Sigma_XY U_Q U_Q^T W_H..W_{i+1},
-        a_coef = ||W_H..W_{i+1} e c^T W_{i-1}..W_1 X||^2 >= 0.
+        a_coef = ||W_H..W_{i+1} e c^T W_{i-1}..W_1 L||^2 >= 0,
 
+    with Sigma_XX = L L^T the bundle's Cholesky factor; ``data`` is not read.
     (a, e) is the top singular pair of T, so a^T T e = sigma_1(T) > 0.  With
     N an orthonormal kernel basis of W_H..W_{j+1}, b = N v for the top right
     singular vector v of W_{i-1}..W_{j+1} N, and c is the image of b over its
@@ -389,7 +409,7 @@ def witness_untightened(
         b, c = N @ vt_img[0], u_img[:, 0] / s_img[0]
 
     top_dir = np.outer(vt[0], c)  # e c^T
-    A = suf_i @ top_dir @ partial_prefix(w, i - 1) @ data.X
+    A = suf_i @ top_dir @ partial_prefix(w, i - 1) @ bundle.L
     a_coef, c_coef = float(np.sum(A * A)), -2.0 * float(s[0])
     beta, c2_pred = _choose_beta(a_coef, c_coef)
     mats = _zero_direction(w.shape)

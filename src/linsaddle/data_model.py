@@ -3,7 +3,8 @@
 Everything downstream is phrased in terms of the matrices gathered here:
 the second moments Sigma_XX, Sigma_XY, Sigma_YY of the data and the
 eigensystem of Sigma = Sigma_YX Sigma_XX^{-1} Sigma_XY.  One O(m d^2) pass
-over the samples forms the moments; nothing after it depends on m.  The
+over the samples (``_moments``, which the curvature layer makes too) forms
+the moments; nothing after it depends on m.  The
 eigensystem comes from the Cholesky factor Sigma_XX = L L^T and the thin,
 sign-fixed (hence deterministic) SVD of the d_x x d_y matrix
 L^{-1} Sigma_XY = P diag(sqrt(lambda)) U^T, whose right singular vectors are
@@ -124,7 +125,8 @@ def generate_gaussian_data(d_x: int, d_y: int, m: int, seed: int) -> DataMatrice
 
 
 def _moments(data: DataMatrices):
-    """The one pass over the samples: Sigma_XX, Sigma_XY and Sigma_YY."""
+    """The pass over the samples: Sigma_XX, Sigma_XY and Sigma_YY.  Apart from
+    the CLI's CSV output, nothing else in the package reads X or Y."""
     X, Y = data.X, data.Y
     return X @ X.T, X @ Y.T, Y @ Y.T
 

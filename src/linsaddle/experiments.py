@@ -139,7 +139,7 @@ def train_runs(
     lengths = np.full(n, max_epochs + 1)
     diverged = np.zeros(n, dtype=bool)
     table = layer_products(layers)
-    traces[:, 0] = products_loss(table, data)
+    traces[:, 0] = products_loss(table, bundle)
     for epoch in range(1, max_epochs + 1):
         g = products_gradient(table, bundle)  # a fresh array, used as scratch
         if opt.algorithm == "gd":
@@ -163,7 +163,7 @@ def train_runs(
             g /= tmp
         W -= g
         table = layer_products(layers)
-        val = products_loss(table, data)
+        val = products_loss(table, bundle)
         traces[live, epoch] = val
         ok = val <= DIVERGE_LIMIT  # false for nan and inf as well
         if not ok.all():

@@ -15,12 +15,15 @@ products W_{i-1}..W_{j+1} come from ``partial_middle``; there are O(H^2) of
 them, so they are formed on demand and not kept.
 
 ``layer_products`` builds the table, and ``products_loss`` and
-``products_gradient`` read it.  All three also take a stack of n networks,
-each layer an (n, d_h, d_{h-1}) array: numpy's batched matmul makes the same
-BLAS call per network as for one network alone, so each network of a stack
-gets bitwise the results it would get by itself.  The table shares W_1 and
-W_H with the layers, and ``products_gradient`` writes each layer's block
-straight into one flat parameter vector in the layout of ``flatten``.
+``products_gradient`` read it together with the second moments of the
+bundle: the loss and its gradient see the samples only through Sigma_XX,
+Sigma_YX and tr Sigma_YY, never through an array with m columns.  All
+three also take a stack of n networks, each layer an (n, d_h, d_{h-1})
+array: numpy's batched matmul makes the same BLAS call per network as for
+one network alone, so each network of a stack gets bitwise the results it
+would get by itself.  The table shares W_1 and W_H with the layers, and
+``products_gradient`` writes each layer's block straight into one flat
+parameter vector in the layout of ``flatten``.
 """
 
 from __future__ import annotations
@@ -185,11 +188,14 @@ def partial_suffix(w: _LayerStack, h: int) -> np.ndarray:
 
 def partial_middle(w: _LayerStack, i: int, j: int) -> np.ndarray:
     """W_{i-1} ... W_{j+1} for 0 <= j < i <= H + 1, with i = j + 1 giving
-    I_{d_j}.  Formed afresh on every call."""
+    I_{d_j} and i = j + 2 the read-only layer W_{j+1} itself.  Longer
+    products are formed afresh on every call."""
     _check_index(i, j + 1, w.shape.H + 1)
     _check_index(j, 0, w.shape.H)
-    M = np.eye(w.shape.dims[j])
-    for k in range(j + 1, i):
+    if i == j + 1:
+        return np.eye(w.shape.dims[j])
+    M = w.layer(j + 1)
+    for k in range(j + 2, i):
         M = w.layer(k) @ M
     return M
 
@@ -211,13 +217,16 @@ def unflatten(flat: np.ndarray, dims) -> list:
     return mats
 
 
-def products_loss(table, data: DataMatrices):
-    """Square loss ||W_H..W_1 X - Y||^2 from a ``layer_products`` table: a
-    float64 scalar for one network, an (n,) array for a stack of n."""
-    R = table[0][-1] @ data.X
-    R -= data.Y
-    R *= R
-    return R.reshape(R.shape[:-2] + (-1,)).sum(axis=-1)
+def products_loss(table, bundle: SigmaBundle):
+    """Square loss ||W_H..W_1 X - Y||^2 from a ``layer_products`` table and
+    the second moments, as <P Sigma_XX - 2 Sigma_YX, P> + tr Sigma_YY with
+    P = W_H..W_1: a float64 scalar for one network, an (n,) array for a
+    stack of n."""
+    P = table[0][-1]
+    G = P @ bundle.sigma_xx
+    G -= 2.0 * bundle.sigma_yx
+    G *= P
+    return G.reshape(G.shape[:-2] + (-1,)).sum(axis=-1) + np.trace(bundle.sigma_yy)
 
 
 def products_gradient(table, bundle: SigmaBundle) -> np.ndarray:
@@ -246,7 +255,7 @@ def products_gradient(table, bundle: SigmaBundle) -> np.ndarray:
 def loss(w: Weights, bundle: SigmaBundle, data: DataMatrices) -> float:
     if w.shape.d_x != data.d_x or w.shape.d_y != data.d_y:
         raise InvalidShape("weights incompatible with data dimensions")
-    return float(products_loss(_product_table(w), data))
+    return float(products_loss(_product_table(w), bundle))
 
 
 def gradient(w: Weights, bundle: SigmaBundle) -> Direction:

@@ -140,6 +140,41 @@ def m_column_ftst(layers, dirs, X, Y, r, p, q):
     return A2, A4.T
 
 
+def m_column_c2(layers, dirs, X, Y):
+    """c2 = ||A_1||^2 + 2 <A_2, R> from the order-1 and order-2 terms A_1,
+    A_2 of (W_H + t V_H)..(W_1 + t V_1) X and the residual
+    R = W_H..W_1 X - Y, every array with the m columns of X."""
+    A0, A1, A2 = X, np.zeros_like(X), np.zeros_like(X)
+    for W, V in zip(layers, dirs):
+        A0, A1, A2 = W @ A0, W @ A1 + V @ A0, W @ A2 + V @ A1
+    R = A0 - Y
+    return float(np.sum(A1 * A1)) + 2.0 * float(np.sum(A2 * R))
+
+
+def m_column_hessian_matvec(layers, dirs, X, Y):
+    """The Hessian of ||W_H..W_1 X - Y||^2 applied to the direction dirs,
+    as one block per layer, by Pearlmutter's R-operator on m-column passes:
+    forward products P_h = W_h..W_1 X (P_0 = X), adjoints
+    B_h = (W_H..W_{h+1})^T R (B_H = R), their derivatives dP_h and dB_h
+    along dirs, and blocks 2 (dB_h P_{h-1}^T + B_h dP_{h-1}^T)."""
+    H = len(layers)
+    P = [X]
+    for W in layers:
+        P.append(W @ P[-1])
+    B = [None] * (H + 1)
+    B[H] = P[H] - Y
+    for h in range(H, 1, -1):
+        B[h - 1] = layers[h - 1].T @ B[h]
+    dP = [np.zeros_like(X)]
+    for h in range(1, H + 1):
+        dP.append(layers[h - 1] @ dP[-1] + dirs[h - 1] @ P[h - 1])
+    dB = [None] * (H + 1)
+    dB[H] = dP[H]
+    for h in range(H, 1, -1):
+        dB[h - 1] = layers[h - 1].T @ dB[h] + dirs[h - 1].T @ B[h]
+    return [2.0 * (dB[h] @ P[h - 1].T + B[h] @ dP[h - 1].T) for h in range(1, H + 1)]
+
+
 def polarization_hessian(c2_fn, shapes):
     """Dense Hessian of 2*c2 from the literal polarization identity
     Q(u, v) = c2(u + v) - c2(u) - c2(v), one basis pair at a time."""

@@ -10,7 +10,7 @@ from linsaddle.critical_points import build_critical_point, z_block_shape, Criti
 from linsaddle.network import partial_middle, partial_prefix, partial_suffix
 from linsaddle.ranktol import product_rank_tolerance
 
-from conftest import random_certified_spec, random_weights
+from conftest import random_certified_spec, random_direction, random_weights
 
 
 def test_witness_rejects_an_invalid_pivot(small_problem):
@@ -202,6 +202,29 @@ def test_verdict_is_invariant_under_data_rescaling(rescaling_points, a, b):
         assert (res.verdict, res.support) == expected[name], name
         if name == "eigenswap":
             assert res.witness_c2 == pytest.approx(unit.witness_c2 * b * b, rel=1e-8)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verdict_and_curvature_are_invariant_under_sample_permutation(rescaling_points, seed):
+    # The loss and everything derived from it depend on the samples only
+    # through their second moments, which permuting the columns of X and Y
+    # changes by rounding alone.
+    rng = np.random.default_rng(seed)
+    for name, (data, shape, w, unit) in rescaling_points.items():
+        perm = rng.permutation(data.m)
+        permuted = ls.DataMatrices(data.X[:, perm], data.Y[:, perm])
+        b, bp = ls.build_sigma_bundle(data), ls.build_sigma_bundle(permuted)
+        res = ls.classify(w, bp, permuted)
+        assert (res.verdict, res.support) == (unit.verdict, unit.support), name
+        assert ls.loss(w, bp, permuted) == pytest.approx(ls.loss(w, b, data), rel=1e-10)
+        for _ in range(2):
+            v = random_direction(shape, rng)
+            assert ls.c2_value(w, v, permuted) == pytest.approx(ls.c2_value(w, v, data), rel=1e-10)
+        # lambda_min is 0 at non-strict saddles, so it is compared in the
+        # units of the Hessian's largest eigenvalue.
+        scale = np.linalg.norm(ls.hessian_dense(w, data), 2)
+        lam = ls.hessian_min_eig(w, data, mode="probe")
+        assert abs(ls.hessian_min_eig(w, permuted, mode="probe") - lam) <= 1e-10 * scale, name
 
 
 def test_classify_forms_the_gradient_and_the_rank_floor_once(rescaling_points, monkeypatch):

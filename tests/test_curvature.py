@@ -14,7 +14,9 @@ from linsaddle.critical_points import CriticalPointSpec, transform_weights, z_bl
 from conftest import random_certified_spec, random_direction, random_weights
 from oracles import (
     line_loss,
+    m_column_c2,
     m_column_ftst,
+    m_column_hessian_matvec,
     polarization_hessian,
     polyfit_c2,
     second_difference_c2,
@@ -455,15 +457,72 @@ def test_ft_st_matches_m_column_form_at_m_3000():
 
 
 def test_c2_value_reads_only_the_residual(depth16_point):
-    # c2 needs R alone; the forward/backward passes come with the first
-    # Hessian-vector product and must give the same R and the same c2.
+    # c2 needs E = W_H..W_1 Sigma_XX - Sigma_YX (the residual times X^T)
+    # alone; the prefixes and adjoints come with the first Hessian-vector
+    # product, and the adjoint of the last layer is E itself.
     data, shape, w = depth16_point
     rng = np.random.default_rng(53)
     cache = CurvatureCache(w, data)
     assert "P" not in vars(cache) and "B" not in vars(cache)
+    sigma_xx, sigma_yx = data.X @ data.X.T, data.Y @ data.X.T
+    assert np.allclose(cache.E, ls.global_map(w) @ sigma_xx - sigma_yx, rtol=1e-12, atol=1e-12)
     v = random_direction(shape, rng)
     c2 = cache.c2(v)
-    cache.hessian_matvec(np.concatenate([M.ravel() for M in v.layers]))
-    assert np.array_equal(cache.R, cache.P[shape.H] - data.Y)
-    assert np.array_equal(cache.B[shape.H], cache.R)
+    assert "P" not in vars(cache) and "B" not in vars(cache)
+    cache.hessian_matvec(_flat(v.layers))
+    assert cache.B[shape.H] is cache.E
+    assert cache.P[shape.H] is ls.global_map(w)
     assert ls.c2_value(w, v, data) == cache.c2(v) == c2
+
+
+def _flat(mats):
+    return np.concatenate([M.ravel() for M in mats])
+
+
+def _assert_matches_m_column_form(w, data, directions):
+    cache = CurvatureCache(w, data)
+    for v in directions:
+        ref = m_column_c2(w.layers, v.layers, data.X, data.Y)
+        assert cache.c2(v) == pytest.approx(ref, rel=1e-9)
+        ref = _flat(m_column_hessian_matvec(w.layers, v.layers, data.X, data.Y))
+        hv = cache.hessian_matvec(_flat(v.layers))
+        assert np.allclose(hv, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+
+def test_curvature_matches_m_column_form_at_m_3000():
+    data = ls.generate_gaussian_data(10, 4, 3000, seed=13)
+    b = ls.build_sigma_bundle(data)
+    shape = ls.NetworkShape((10, 8, 8, 8, 4))
+    rng = np.random.default_rng(14)
+    points = [random_weights(shape, rng, scale=0.5)]
+    points += [ls.build_example_family(2, variant, b, shape)
+               for variant in ("tightened", "non_tightened")]
+    for w in points:
+        _assert_matches_m_column_form(w, data, [random_direction(shape, rng) for _ in range(3)])
+
+
+def test_curvature_matches_m_column_form_at_depth_16(depth16_point):
+    data, shape, w = depth16_point
+    rng = np.random.default_rng(54)
+    _assert_matches_m_column_form(w, data, [random_direction(shape, rng) for _ in range(4)])
+
+
+def test_curvature_reads_only_second_moments(deep_problem, depth16_point):
+    # The d_x-column surrogate (L, K^T), Sigma_XX = L L^T and
+    # K = L^{-1} Sigma_XY, has the moments Sigma_XX and Sigma_YX of (X, Y)
+    # (not Sigma_YY, which c2 and the Hessian do not read).
+    data, _, shape = deep_problem
+    rng = np.random.default_rng(55)
+    cases = [(data, shape, random_weights(shape, rng, scale=0.7)), depth16_point]
+    for data, shape, w in cases:
+        b = ls.build_sigma_bundle(data)
+        surrogate = ls.DataMatrices(b.L, np.linalg.solve(b.L, b.sigma_xy).T)
+        assert surrogate.m == data.d_x
+        full, small = CurvatureCache(w, data), CurvatureCache(w, surrogate)
+        for _ in range(3):
+            v = random_direction(shape, rng)
+            assert ls.c2_value(w, v, surrogate) == pytest.approx(ls.c2_value(w, v, data),
+                                                                 rel=1e-10)
+            ref = full.hessian_matvec(_flat(v.layers))
+            assert np.allclose(small.hessian_matvec(_flat(v.layers)), ref,
+                               rtol=1e-10, atol=1e-10 * np.abs(ref).max())
