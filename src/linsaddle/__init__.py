@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .classifier import (
     Classification,
     Pivot,
-    all_pivots,
+    PivotStaircase,
     analyze_pivot,
     classification_to_json,
     classify,

@@ -7,16 +7,22 @@ tightened when the smaller rank equals r.  A rank-deficient critical point
 with support [1, r] is a non-strict saddle exactly when every pivot is
 tightened; in every other case a certified negative-curvature witness exists.
 
-``all_pivots`` alone forms and cuts the pivot blocks, each at a floor in its
-own units: the middle block at ``classify``'s product-rounding floor, the
-outer block at 100 H eps ||Sigma_XY||_2 prod max(1, ||W_h||_2) over its own
-layers, so that its rank does not depend on the units of X and Y.
+More layers never raise a rank, so for each j the untightened pivots form
+one interval a(j) <= i <= b(j): b(j), the last i with middle rank above r,
+and a(j), the first with outer rank above r, both move up with j.  The
+interval is non-empty when the outer rank of (b(j), j) exceeds r, and the
+first untightened pivot in (i, j) order is (a(j1), j1) for the first such
+j1.  ``PivotStaircase`` walks b(j) up from b(j - 1), so it cuts O(H) pivots,
+not H(H - 1)/2, each at a floor in its own units: the middle block at
+``classify``'s product-rounding floor, the outer block at
+100 H eps ||Sigma_XY||_2 prod max(1, ||W_h||_2) over its own layers, so that
+its rank does not depend on the units of X and Y.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,7 +30,7 @@ from .critical_points import SupportResult, associated_support, critical_value
 from .curvature import CurvatureCache, WitnessCase, witness_eigenswap, witness_untightened
 from .data_model import DataMatrices, SigmaBundle
 from .errors import InternalInconsistency, NotApplicable
-from .network import Weights, global_map, gradient, partial_prefix, partial_suffix
+from .network import Weights, global_map, gradient, partial_middle, partial_prefix, partial_suffix
 from .ranktol import (  # RankTolerance and numeric_rank are re-exported
     EPS_WITNESS,
     TAU_CRIT_REL,
@@ -40,7 +46,7 @@ __all__ = [
     "numeric_rank",
     "Pivot",
     "analyze_pivot",
-    "all_pivots",
+    "PivotStaircase",
     "Classification",
     "classify",
     "classification_to_json",
@@ -52,7 +58,7 @@ NON_STRICT_SADDLE = "non_strict_saddle"
 NOT_CRITICAL = "not_critical"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Pivot:
     i: int
     j: int
@@ -73,30 +79,49 @@ def analyze_pivot(i: int, j: int, r: int, blocks: tuple, tols: tuple) -> Pivot:
     return Pivot(i=i, j=j, rank1=rank1, rank2=rank2, tightened=(min(rank1, rank2) == r))
 
 
-def all_pivots(
-    w: Weights,
-    bundle: SigmaBundle,
-    r: int,
-    rank_tol: RankTolerance = RankTolerance(),
-):
-    """All H(H-1)/2 pivots of a critical point of rank r, in (i ascending,
-    j ascending) order.  The middle block is cut with ``rank_tol``, the outer
-    block with its relative part above ``outer_block_floors``.  For each j,
-    W_{j-1}..W_1 Sigma_XY is formed once and the middle block is walked
-    upward, one layer product per pivot."""
-    H = w.shape.H
-    left_floor, right_floor = outer_block_floors(w, bundle)
-    found = {}
-    for j in range(1, H):
-        left = partial_prefix(w, j - 1) @ bundle.sigma_xy
-        middle = np.eye(w.shape.dims[j])
-        for i in range(j + 1, H + 1):
-            floor = left_floor[j - 1] * right_floor[i]
-            blocks = (left @ partial_suffix(w, i + 1), middle)
-            tols = (RankTolerance(absolute=floor, relative=rank_tol.relative), rank_tol)
-            found[i, j] = analyze_pivot(i, j, r, blocks, tols)
-            middle = w.layer(i) @ middle
-    return [found[key] for key in sorted(found)]
+class PivotStaircase:
+    """The pivots of a critical point of rank r < r_max, cut along the
+    staircase: ``first`` is the first untightened pivot in (i, j) order, or
+    None; ``cut`` holds the pivots cut so far, which sort in (i, j) order.
+    Two cuts whose ranks break the monotonicity raise InternalInconsistency."""
+
+    def __init__(self, w: Weights, bundle: SigmaBundle, r: int,
+                 rank_tol: RankTolerance = RankTolerance()):
+        self.w, self.bundle, self.r, self.rank_tol = w, bundle, r, rank_tol
+        self.floors, self.cut, self.first = outer_block_floors(w, bundle), {}, None
+        H, b = w.shape.H, 2
+        for j in range(1, H):
+            i = max(b, j + 1)
+            middle = partial_middle(w, i, j)
+            self.pivot(i, j, middle)
+            while i < H:  # one layer product per step up
+                middle = w.layer(i) @ middle
+                if self.pivot(i + 1, j, middle).rank2 == r:
+                    break
+                i += 1
+            b = i
+            if self.cut[b, j].rank1 > r:
+                while i > j + 1 and self.pivot(i - 1, j).rank1 > r:
+                    i -= 1
+                self.first = self.cut[i, j]
+                return
+
+    def pivot(self, i: int, j: int, middle: np.ndarray | None = None) -> Pivot:
+        """Pivot (i, j); ``middle`` is W_{i-1}..W_{j+1} if already formed."""
+        if (i, j) not in self.cut:
+            w, r = self.w, self.r
+            outer = partial_prefix(w, j - 1) @ self.bundle.sigma_xy @ partial_suffix(w, i + 1)
+            middle = partial_middle(w, i, j) if middle is None else middle
+            floor = self.floors[0][j - 1] * self.floors[1][i]
+            tols = (RankTolerance(absolute=floor, relative=self.rank_tol.relative), self.rank_tol)
+            p = analyze_pivot(i, j, r, (outer, middle), tols)
+            for q in self.cut.values():
+                hi, lo = (q, p) if q.i >= p.i and q.j <= p.j else (p, q)  # hi: more middle layers
+                if hi.i >= lo.i and hi.j <= lo.j and (hi.rank2 > r == lo.rank2
+                                                      or lo.rank1 > r == hi.rank1):
+                    raise InternalInconsistency(f"pivot ranks not monotone: {hi}, {lo}, r = {r}")
+            self.cut[i, j] = p
+        return self.cut[i, j]
 
 
 @dataclass(frozen=True)
@@ -161,7 +186,7 @@ def classify(
     def finish(verdict, pivots=(), witness=None, witness_c2=None):
         return Classification(
             verdict=verdict, support=S, r=r, critical_value=value,
-            pivots=list(pivots), witness=witness, witness_c2=witness_c2,
+            pivots=sorted(pivots), witness=witness, witness_c2=witness_c2,
             approximate=sup.approximate, grad_norm=gn,
         )
 
@@ -169,7 +194,7 @@ def classify(
         # c2 = ||A_1 X||^2 + 2 <A_2, E> must be negative by more than the
         # relative rounding of its own two terms, so the threshold has the
         # units of c2 whatever the scale of X and Y.
-        quad, cross = CurvatureCache(w, data).c2_terms(wit.direction)
+        quad, cross = CurvatureCache(w, bundle).c2_terms(wit.direction)
         c2 = quad + cross
         thr = -EPS_WITNESS * (quad + abs(cross))
         if not (c2 < thr):
@@ -189,17 +214,18 @@ def classify(
         wit = witness_eigenswap(w, bundle, S, rank_tol)
         return finish(STRICT_SADDLE, witness=wit, witness_c2=validated(wit))
 
-    pivots = all_pivots(w, bundle, r, rank_tol)
-    if all(p.tightened for p in pivots):
-        return finish(NON_STRICT_SADDLE, pivots=pivots)
+    stairs = PivotStaircase(w, bundle, r, rank_tol)
+    if stairs.first is None:
+        return finish(NON_STRICT_SADDLE, pivots=stairs.cut.values())
 
+    # The untightened pivots in (i, j) order from the first, cut as reached.
     last_err = None
-    for p in pivots:
-        if p.tightened:
+    for i, j in ((i, j) for i in range(stairs.first.i, w.shape.H + 1) for j in range(1, i)):
+        if (i, j) < (stairs.first.i, stairs.first.j) or stairs.pivot(i, j).tightened:
             continue
         try:
-            wit = witness_untightened(w, bundle, data, S, (p.i, p.j), rank_tol)
-            return finish(STRICT_SADDLE, pivots=pivots, witness=wit,
+            wit = witness_untightened(w, bundle, data, S, (i, j), rank_tol)
+            return finish(STRICT_SADDLE, pivots=stairs.cut.values(), witness=wit,
                           witness_c2=validated(wit))
         except NotApplicable as err:
             last_err = err
@@ -224,11 +250,7 @@ def classification_to_json(c: Classification) -> str:
             "support": None if c.support is None else list(c.support),
             "r": c.r,
             "critical_value": c.critical_value,
-            "pivots": [
-                {"i": p.i, "j": p.j, "rank1": p.rank1, "rank2": p.rank2,
-                 "tightened": p.tightened}
-                for p in c.pivots
-            ],
+            "pivots": [asdict(p) for p in c.pivots],
             "witness": wit,
             "approximate": c.approximate,
             "grad_norm": c.grad_norm,

@@ -40,7 +40,6 @@ from .network import (
     Direction,
     NetworkShape,
     Weights,
-    flatten,
     global_map,
     partial_middle,
     partial_prefix,
@@ -130,8 +129,8 @@ class CurvatureCache:
     """Forward and backward passes at a fixed W for repeated c2 evaluation
     and Hessian-vector products, in the second moments of the data.
 
-    Makes the moment pass of ``data_model`` over the samples once, for
-    Sigma_XX = X X^T and Sigma_YX = Y X^T, and keeps
+    Takes Sigma_XX and Sigma_YX from a ``SigmaBundle``, or from one moment
+    pass of ``data_model`` over the samples of ``DataMatrices``, and keeps
     E = W_H..W_1 Sigma_XX - Sigma_YX (which is R X^T for the residual
     R = W_H..W_1 X - Y) and, built on the first Hessian-vector product, the
     prefixes P_h = W_h..W_1 of the weights' product table (P_0 = I) and the
@@ -142,12 +141,13 @@ class CurvatureCache:
     O(H) matrix products.
     """
 
-    def __init__(self, w: Weights, data: DataMatrices):
+    def __init__(self, w: Weights, data: DataMatrices | SigmaBundle):
         if w.shape.d_x != data.d_x or w.shape.d_y != data.d_y:
             raise InvalidShape("weights incompatible with data")
         self.w = w
         self.H = w.shape.H
-        self.sigma_xx, sigma_xy, _ = _moments(data)
+        bundled = isinstance(data, SigmaBundle)
+        self.sigma_xx, sigma_xy = (data.sigma_xx, data.sigma_xy) if bundled else _moments(data)[:2]
         self.sigma_yx = sigma_xy.T
         self.E = global_map(w) @ self.sigma_xx - self.sigma_yx
 
@@ -176,19 +176,23 @@ class CurvatureCache:
         (dP_1 = V_1, dP_h = W_h dP_{h-1} + V_h P_{h-1}; dB_H = dP_H Sigma_XX,
         dB_{h-1} = W_h^T dB_h + V_h^T B_h), the gradient 2 B_h P_{h-1}^T has
         derivative 2 (dB_h P_{h-1}^T + B_h dP_{h-1}^T), which is 2 dB_1 at
-        h = 1 (P_0 = I, dP_0 = 0)."""
-        v = unflatten(np.ravel(flat), self.w.shape.dims)
+        h = 1 (P_0 = I, dP_0 = 0).  Both are linear in V, so passes on 2 V
+        give the factor 2 exactly, block by block into one flat output."""
+        dims = self.w.shape.dims
+        v = unflatten(2.0 * np.ravel(flat), dims)
         H, W, P, B = self.H, self.w.layers, self.P, self.B
         dP = [None, v[0]]
         for h in range(2, H + 1):
             dP.append(W[h - 1] @ dP[-1] + v[h - 1] @ P[h - 1])
-        dB = [None] * (H + 1)
-        dB[H] = dP[H] @ self.sigma_xx
+        out = np.empty(self.w.shape.n_params)
+        blocks = unflatten(out, dims)
+        dB = dP[H] @ self.sigma_xx
         for h in range(H, 1, -1):
-            dB[h - 1] = W[h - 1].T @ dB[h] + v[h - 1].T @ B[h]
-        return flatten([2.0 * dB[1]] + [
-            2.0 * (dB[h] @ P[h - 1].T + B[h] @ dP[h - 1].T) for h in range(2, H + 1)
-        ])
+            np.matmul(dB, P[h - 1].T, out=blocks[h - 1])
+            blocks[h - 1] += B[h] @ dP[h - 1].T
+            dB = W[h - 1].T @ dB + v[h - 1].T @ B[h]
+        blocks[0][...] = dB
+        return out
 
 
 def c2_value(w: Weights, v: Direction, data: DataMatrices) -> float:
@@ -209,32 +213,40 @@ def hessian_dense(w: Weights, data: DataMatrices) -> np.ndarray:
 def _lanczos_min(matvec, n: int, tol: float):
     """Smallest eigenpair (theta, x) of the symmetric operator `matvec` on R^n.
 
-    Lanczos from a seeded start vector, with full reorthogonalization (two
-    classical Gram-Schmidt passes) and no restarts, so that a zero
-    eigenvalue is not skipped as it is by restarted solvers that lock onto
-    the smallest nonzero one.  The basis grows with the steps taken.  Stops
-    when the Ritz residual |beta_k s_k| of the smallest Ritz value is at
-    most tol * max|theta|, or when beta_k <= 1e-12 * max|theta| (the Krylov
-    space is invariant); after PROBE_MAXITER steps raises ProbeNotConverged.
+    Lanczos from a seeded start vector, with full reorthogonalization and no
+    restarts, so that a zero eigenvalue is not skipped as it is by restarted
+    solvers that lock onto the smallest nonzero one.  Each step makes one
+    classical Gram-Schmidt pass, and a second only when the first cancels
+    (shrinks the vector below 1/sqrt 2 of its length; Daniel, Gragg, Kaufman
+    and Stewart 1976).  The basis and the tridiagonal grow with the steps.
+    Stops when the Ritz residual |beta_k s_k| of the smallest Ritz value is
+    at most tol * max|theta|, or when beta_k <= 1e-12 * max|theta| (the
+    Krylov space is invariant); after PROBE_MAXITER steps raises
+    ProbeNotConverged.
     """
     q = np.random.default_rng(PROBE_SEED).standard_normal(n)
     Q = np.empty((min(16, n), n))
+    T = np.zeros((len(Q), len(Q)))
     Q[0] = q / np.linalg.norm(q)
-    alpha, beta = [], []
     for k in range(1, min(PROBE_MAXITER, n) + 1):
         v = matvec(Q[k - 1])
-        alpha.append(float(Q[k - 1] @ v))
-        for _ in range(2):
-            v -= Q[:k].T @ (Q[:k] @ v)
+        T[k - 1, k - 1] = alpha = Q[k - 1] @ v
+        v -= alpha * Q[k - 1] + (T[k - 2, k - 1] * Q[k - 2] if k > 1 else 0.0)
+        before = np.linalg.norm(v)
+        v -= Q[:k].T @ (Q[:k] @ v)
         b = float(np.linalg.norm(v))
-        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        if b < before / np.sqrt(2.0):
+            v -= Q[:k].T @ (Q[:k] @ v)
+            b = float(np.linalg.norm(v))
+        theta, s = np.linalg.eigh(T[:k, :k])
         scale = float(np.abs(theta).max())
         if abs(b * s[-1, 0]) <= tol * scale or b <= 1e-12 * scale:
             return float(theta[0]), Q[:k].T @ s[:, 0]
         if k == len(Q):
             Q = np.concatenate([Q, np.empty_like(Q)])
+            T = np.pad(T, (0, k))
         Q[k] = v / b
-        beta.append(b)
+        T[k - 1, k] = T[k, k - 1] = b
     raise ProbeNotConverged(f"Lanczos probe did not converge in {k} steps")
 
 
@@ -459,9 +471,10 @@ def _tightened(w: Weights, bundle: SigmaBundle):
     ``TightenedStructure`` together with r and the blocks Z_1..Z_H, as the
     weights of the network with widths (d_x, d_1 - r, ..., d_y - r) so that
     their products come from its product table.  Rank cuts use the
-    floors of ``classify``, and q is read from the pivots: W_q..W_1 Sigma_XY
-    is the outer block of pivot (H, q + 1)."""
-    from .classifier import all_pivots  # classifier imports this module
+    floors of ``classify``, tightness is decided by ``PivotStaircase``, and q
+    is read from its cuts: W_q..W_1 Sigma_XY is the outer block of pivot
+    (H, q + 1)."""
+    from .classifier import PivotStaircase  # classifier imports this module
 
     shape = w.shape
     H = shape.H
@@ -476,20 +489,16 @@ def _tightened(w: Weights, bundle: SigmaBundle):
     )
     z = Weights(z, NetworkShape((shape.d_x,) + tuple(d - r for d in shape.dims[1:])))
 
-    pivots = all_pivots(w, bundle, r, rank_tol)
-    for pv in pivots:
-        if not pv.tightened:
-            raise NotTightened(f"pivot ({pv.i}, {pv.j}) is not tightened")
-    outer_rank = {(pv.i, pv.j): pv.rank1 for pv in pivots}
+    stairs = PivotStaircase(w, bundle, r, rank_tol)
+    if stairs.first is not None:
+        raise NotTightened(f"pivot ({stairs.first.i}, {stairs.first.j}) is not tightened")
 
-    p = None
-    for h in range(H, 2, -1):
-        if numeric_rank(partial_suffix(w, h), rank_tol) == r:
-            p = h
-            break
+    p = next((h for h in range(H, 2, -1)
+              if numeric_rank(partial_suffix(w, h), rank_tol) == r), None)
     if p is None:
         raise InternalInconsistency("no rank-collapse index p found above layer 2")
-    q = next((k for k in range(1, min(p - 1, H - 2) + 1) if outer_rank[H, k + 1] == r), None)
+    q = next((k for k in range(1, min(p - 1, H - 2) + 1)
+              if stairs.pivot(H, k + 1).rank1 == r), None)
     if q is None:
         raise InternalInconsistency("no rank-collapse index q found below layer H-1")
 

@@ -4,6 +4,8 @@ Everything here is deliberately naive (loops, finite differences, literal
 polarization) and shares no code with the package.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 
@@ -210,3 +212,43 @@ def best_rank_r_map(X, Y, r):
     C = Y @ X.T @ np.linalg.inv(X @ X.T)
     U = np.linalg.eigh(C @ X @ Y.T)[1][:, ::-1][:, :r]
     return U @ U.T @ C
+
+
+SweptPivot = namedtuple("SweptPivot", "i j rank1 rank2 tightened")
+
+
+def _chain(mats, n):
+    """mats[-1] @ ... @ mats[0], the n x n identity for an empty list."""
+    out = np.eye(n)
+    for M in mats:
+        out = M @ out
+    return out
+
+
+def _count_above(M, absolute, relative):
+    s = np.linalg.svd(M, compute_uv=False)
+    rel = max(M.shape) * np.finfo(float).eps if relative is None else relative
+    return int(np.count_nonzero(s > absolute + rel * s[0])) if s[0] > 0 else 0
+
+
+def all_pivots_sweep(layers, sigma_xy, r, absolute, relative=None):
+    """Every pivot (i, j), 1 <= j < i <= H, in (i, j) order, each block formed
+    from its definition and cut on its own: the middle block
+    W_{i-1}..W_{j+1} at absolute + relative sigma_max, the outer block
+    W_{j-1}..W_1 Sigma_XY W_H..W_{i+1} at
+    100 H eps ||Sigma_XY||_2 prod max(1, ||W_h||_2) over its own layers plus
+    relative sigma_max (relative None: max(shape) eps)."""
+    H = len(layers)
+    g = [max(1.0, np.linalg.norm(W, 2)) for W in layers]
+    unit = 100 * H * np.finfo(float).eps * np.linalg.norm(sigma_xy, 2)
+    out = []
+    for i in range(2, H + 1):
+        for j in range(1, i):
+            outer = (_chain(layers[:j - 1], sigma_xy.shape[0]) @ sigma_xy
+                     @ _chain(layers[i:], layers[i - 1].shape[0]))
+            floor = unit * np.prod(g[:j - 1]) * np.prod(g[i:])
+            rank1 = _count_above(outer, floor, relative)
+            rank2 = _count_above(_chain(layers[j:i - 1], layers[j - 1].shape[0]),
+                                 absolute, relative)
+            out.append(SweptPivot(i, j, rank1, rank2, min(rank1, rank2) == r))
+    return out

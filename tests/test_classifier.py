@@ -1,16 +1,20 @@
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import linsaddle as ls
-from linsaddle.classifier import all_pivots, classification_to_json
+import linsaddle.classifier as classifier
+import linsaddle.curvature as curvature
+import linsaddle.data_model as data_model
+from linsaddle.classifier import classification_to_json
 from linsaddle.critical_points import build_critical_point, z_block_shape, CriticalPointSpec
-from linsaddle.network import partial_middle, partial_prefix, partial_suffix
 from linsaddle.ranktol import product_rank_tolerance
 
 from conftest import random_certified_spec, random_direction, random_weights
+from oracles import all_pivots_sweep
 
 
 def test_witness_rejects_an_invalid_pivot(small_problem):
@@ -25,7 +29,7 @@ def test_pivot_count_and_order(small_problem):
     rng = np.random.default_rng(1)
     spec = random_certified_spec(shape, b.d_y, rng, support=(1, 2))
     w = build_critical_point(spec, b, shape)
-    pivots = ls.all_pivots(w, b, 2)
+    pivots = all_pivots_sweep(list(w.layers), b.sigma_xy, 2, product_rank_tolerance(w).absolute)
     H = shape.H
     assert len(pivots) == H * (H - 1) // 2
     assert [(p.i, p.j) for p in pivots] == [(2, 1), (3, 1), (3, 2)]
@@ -264,25 +268,141 @@ def test_classification_json(deep_problem):
     assert obj["approximate"] is False
 
 
+def _assert_staircase_agrees(w, b, r):
+    """The staircase at a critical point of rank r against the full sweep:
+    the same all-tightened decision, the same first untightened pivot in
+    (i, j) order (None for neither) and the sweep's ranks at every pivot it
+    cut."""
+    rank_tol = product_rank_tolerance(w)
+    sweep = {(p.i, p.j): p for p in all_pivots_sweep(list(w.layers), b.sigma_xy, r,
+                                                     rank_tol.absolute, rank_tol.relative)}
+    stairs = ls.PivotStaircase(w, b, r, rank_tol)
+    first = None if stairs.first is None else (stairs.first.i, stairs.first.j)
+    assert first == next((key for key in sorted(sweep) if not sweep[key].tightened), None)
+    assert stairs.cut
+    for key, p in stairs.cut.items():
+        assert (p.i, p.j, p.rank1, p.rank2, p.tightened) == tuple(sweep[key]), key
+    return stairs, sweep
+
+
+def _assert_q_agrees(w, b, r, sweep):
+    # q + 1 is the first j whose outer block at i = H has rank r.
+    H = w.shape.H
+    st = curvature._tightened(w, b)[0]
+    q = next(k for k in range(1, min(st.p - 1, H - 2) + 1) if sweep[H, k + 1].rank1 == r)
+    assert st.q == q
+
+
 @pytest.mark.parametrize("variant", ["tightened", "non_tightened"])
-def test_all_pivots_equals_each_pivot_alone_at_depth_16(variant):
+def test_staircase_agrees_with_the_full_sweep_at_depth_16(variant):
     data = ls.generate_gaussian_data(5, 4, 30, seed=21)
     b = ls.build_sigma_bundle(data)
     shape = ls.NetworkShape((5,) + (6,) * 15 + (4,))
     w = ls.build_example_family(2, variant, b, shape)
-    # Each block formed from its definition; the outer block is cut at
-    # 100 H eps ||Sigma_XY|| prod max(1, ||W_h||) over its own layers.
+    stairs, sweep = _assert_staircase_agrees(w, b, 2)
+    assert (stairs.first is None) == (variant == "tightened")
     H = shape.H
+    assert len(stairs.cut) < 2 * H < len(sweep)
+    if variant == "tightened":
+        _assert_q_agrees(w, b, 2, sweep)
+    assert ls.classify(w, b, data).pivots == sorted(stairs.cut.values())
+
+
+@pytest.mark.parametrize("H", [8, 16, 24])
+def test_staircase_agrees_with_the_full_sweep_at_example_points(H):
+    data = ls.generate_gaussian_data(20, 6, 60, seed=H)
+    b = ls.build_sigma_bundle(data)
+    shape = ls.NetworkShape((20,) * H + (6,))
+    for interior in ("identity", "unit_corner"):
+        for variant in ("tightened", "non_tightened"):
+            w = ls.build_example_family(2, variant, b, shape, interior=interior)
+            stairs, sweep = _assert_staircase_agrees(w, b, 2)
+            assert (stairs.first is None) == (variant == "tightened")
+            if variant == "tightened":
+                _assert_q_agrees(w, b, 2, sweep)
+
+
+def test_staircase_agrees_with_the_full_sweep_on_certify_points():
+    # Leading supports with r < r_max, the only points whose verdict the
+    # pivots decide; q is checked at the canonical point (D = I) of every
+    # tightened spec of depth >= 3.
+    rng = np.random.default_rng(60)
+    data = ls.generate_gaussian_data(7, 4, 40, seed=61)
+    b = ls.build_sigma_bundle(data)
+    shapes = [(7, 5, 4), (7, 6, 5, 4), (7, 6, 5, 6, 5, 4)]
+    counts = {}
+    for dims in shapes:
+        shape = ls.NetworkShape(dims)
+        for _ in range(100):
+            r = int(rng.integers(0, shape.r_max))
+            spec = random_certified_spec(shape, b.d_y, rng, support=tuple(range(1, r + 1)))
+            stairs, _ = _assert_staircase_agrees(build_critical_point(spec, b, shape), b, r)
+            tightened = stairs.first is None
+            counts[shape.H, tightened] = counts.get((shape.H, tightened), 0) + 1
+            if tightened and shape.H >= 3:
+                canonical = build_critical_point(replace(spec, d_blocks=None), b, shape)
+                _, sweep = _assert_staircase_agrees(canonical, b, r)
+                _assert_q_agrees(canonical, b, r, sweep)
+    assert sum(counts.values()) == 300
+    assert counts.get((2, True), 0) == 0  # H = 2 has no non-strict saddles
+    assert counts[3, True] and counts[5, True] and counts[3, False] and counts[5, False]
+
+
+def test_a_non_monotone_cut_is_an_internal_inconsistency(monkeypatch, deep_problem):
+    # An outer rank that falls as i grows along a column contradicts the
+    # rank the staircase has already read for the pivot below it.
+    data, b, shape = deep_problem
+    w = ls.build_example_family(2, "tightened", b, shape)
+
+    def falling(i, j, r, blocks, tols):
+        return ls.Pivot(i, j, r + 1 if i == j + 1 else r, r + 1, i != j + 1)
+
+    monkeypatch.setattr(classifier, "analyze_pivot", falling)
+    with pytest.raises(ls.InternalInconsistency, match="not monotone"):
+        ls.classify(w, b, data)
+
+
+def test_witness_falls_back_to_the_next_untightened_pivot(monkeypatch, deep_problem):
+    # With Z_2 = 0 and Z_4 Z_3 = 0 (Z_3 and Z_4 nonzero, masked) the point is
+    # critical and the pivots (3, 2) and (4, 2) are untightened.  When the
+    # first has no witness, classify takes the next one in (i, j) order.
+    data, b, shape = deep_problem
+    rng = np.random.default_rng(62)
+    z = [rng.standard_normal(z_block_shape(shape, 2, h)) for h in range(1, 5)]
+    z[1][:] = 0.0
+    z[2][1:, :] = 0.0
+    z[3][:, 0] = 0.0
+    spec = CriticalPointSpec(support=(1, 2), z_blocks=tuple(z))
+    w = build_critical_point(spec, b, shape, require_certified=False)
     rank_tol = product_rank_tolerance(w)
-    norms = [max(1.0, np.linalg.norm(M, 2)) for M in w.layers]
-    unit = 100 * H * np.finfo(float).eps * np.linalg.norm(b.sigma_xy, 2)
-    each = []
-    for i in range(2, H + 1):
-        for j in range(1, i):
-            outer = partial_prefix(w, j - 1) @ b.sigma_xy @ partial_suffix(w, i + 1)
-            floor = unit * np.prod(norms[:j - 1]) * np.prod(norms[i:])
-            rank1 = ls.numeric_rank(outer, ls.RankTolerance(absolute=floor))
-            rank2 = ls.numeric_rank(partial_middle(w, i, j), rank_tol)
-            each.append(ls.Pivot(i, j, rank1, rank2, min(rank1, rank2) == 2))
-    assert all_pivots(w, b, 2, rank_tol) == each
-    assert all(p.tightened for p in each) == (variant == "tightened")
+    order = [(p.i, p.j) for p in all_pivots_sweep(list(w.layers), b.sigma_xy, 2,
+                                                  rank_tol.absolute) if not p.tightened]
+    assert order == [(3, 2), (4, 2)]
+    witness = classifier.witness_untightened
+
+    def refuse_first(w, bundle, data, S, pivot, rank_tol):
+        if pivot == order[0]:
+            raise ls.NotApplicable("refused")
+        return witness(w, bundle, data, S, pivot, rank_tol)
+
+    monkeypatch.setattr(classifier, "witness_untightened", refuse_first)
+    res = ls.classify(w, b, data)
+    assert res.verdict == "strict_saddle" and res.witness.pivot == order[1]
+    assert [(p.i, p.j) for p in res.pivots if not p.tightened] == order
+
+
+def test_classify_makes_no_moment_pass(rescaling_points, monkeypatch):
+    # The witness is validated on the bundle's moments, not on a fresh pass
+    # over the samples.
+    calls = []
+    moments = data_model._moments
+    for mod in (data_model, curvature):
+        monkeypatch.setattr(mod, "_moments", lambda d: calls.append(d) or moments(d))
+    data, shape, w, unit = rescaling_points["non_tightened"]
+    b = ls.build_sigma_bundle(data)
+    calls.clear()
+    res = ls.classify(w, b, data)
+    assert res.verdict == unit.verdict == "strict_saddle"
+    assert calls == []
+    # The bundle's moments are the data's, so c2 is bitwise the same.
+    assert res.witness_c2 == ls.c2_value(w, res.witness.direction, data)

@@ -13,6 +13,7 @@ from linsaddle.critical_points import CriticalPointSpec, transform_weights, z_bl
 
 from conftest import random_certified_spec, random_direction, random_weights
 from oracles import (
+    all_pivots_sweep,
     line_loss,
     m_column_c2,
     m_column_ftst,
@@ -154,6 +155,27 @@ def test_probe_finds_the_zero_eigenvalue_at_a_tightened_point():
     assert ls.hessian_min_eig(w, data, mode="probe") == probe  # seeded start vector
 
 
+@pytest.mark.parametrize("variant", ["tightened", "non_tightened"])
+def test_probe_matches_the_dense_spectrum_at_depth_8(variant):
+    # One Gram-Schmidt pass per step, a second only on cancellation: the
+    # probe still finds lambda_min (0 at the tightened point, negative at
+    # the strict one), repeats bit for bit, and returns a unit Ritz vector
+    # with a small residual.
+    data = ls.generate_gaussian_data(8, 4, 60, seed=7)
+    shape = ls.NetworkShape((8,) * 8 + (4,))
+    w = ls.build_example_family(2, variant, ls.build_sigma_bundle(data), shape,
+                                interior="identity")
+    M = ls.hessian_dense(w, data)
+    dense = float(np.linalg.eigvalsh(M)[0])
+    lam, vec = ls.hessian_min_eig(w, data, mode="probe", return_vector=True)
+    assert (dense < -1.0) == (variant == "non_tightened")
+    assert lam == pytest.approx(dense, abs=1e-6)
+    assert ls.hessian_min_eig(w, data, mode="probe") == lam
+    x = _flat(vec.layers)
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(M @ x - lam * x) <= 1e-5 * np.linalg.norm(M, 2)
+
+
 def test_probe_is_capped_and_raises_a_library_error(monkeypatch, deep_problem):
     data, b, shape = deep_problem
     w = ls.build_example_family(2, "tightened", b, shape)
@@ -263,7 +285,7 @@ def test_untightened_witnesses_match_measured_c2(deep_problem):
             shape, b.d_y, rng, support=(1, int(rng.integers(2, 3)))
         )
         w = ls.build_critical_point(spec, b, shape)
-        for p in ls.all_pivots(w, b, len(spec.support)):
+        for p in all_pivots_sweep(list(w.layers), b.sigma_xy, len(spec.support), 0.0):
             if p.tightened:
                 continue
             try:
@@ -307,7 +329,7 @@ def test_untightened_witness_is_invariant_under_hidden_rotations(deep_problem):
         w_rot = ls.Weights(
             [Q[h] @ w.layer(h) @ Q[h - 1].T for h in range(1, shape.H + 1)], shape
         )
-        for p in ls.all_pivots(w, b, 2):
+        for p in all_pivots_sweep(list(w.layers), b.sigma_xy, 2, 0.0):
             if p.tightened:
                 continue
             wit = ls.witness_untightened(w, b, data, spec.support, (p.i, p.j))
@@ -339,7 +361,7 @@ def test_adjacent_pivot_witness_does_not_depend_on_the_kernel_basis(monkeypatch,
     for _ in range(15):
         spec = random_certified_spec(shape, b.d_y, rng, support=(1, 2))
         w = ls.build_critical_point(spec, b, shape)
-        for p in ls.all_pivots(w, b, 2):
+        for p in all_pivots_sweep(list(w.layers), b.sigma_xy, 2, 0.0):
             if p.tightened or p.i != p.j + 1:
                 continue
             rotate[0] = False
