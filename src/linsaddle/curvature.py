@@ -13,13 +13,16 @@ fed by a rank-one perturbation of layer i, both taken from singular vectors
 least quadratic coefficient) rather than from coordinates or from a
 particular kernel basis.  Everything here reads the samples only through
 their second moments Sigma_XX and Sigma_YX (and tr Sigma_YY for the
-expansion's constant term): no array has an axis of length m.
+expansion's constant term): no array has an axis of length m.  The
+Hessian-vector product of the Lanczos probe is bound by numpy call overhead,
+so it makes one matrix product per layer step on buffers laid out once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -40,6 +43,7 @@ from .network import (
     Direction,
     NetworkShape,
     Weights,
+    _product_table,
     global_map,
     partial_middle,
     partial_prefix,
@@ -86,10 +90,11 @@ def _line_orders(w: Weights, v: Direction, order: int) -> list:
     by their power of t, where A_k sums every way of substituting k layers by
     their perturbations.  One pass over the layers updates all orders
     (A_k <- W_h A_k + V_h A_{k-1}), starting from A_0 = W_1 and A_1 = V_1;
-    orders above `order` (at least 1) are dropped.  Each A_k is d_y x d_x."""
+    orders above `order` (at least 1) are dropped.  A_0 after layer h is the
+    prefix W_h..W_1 of the weights' product table.  Each A_k is d_y x d_x."""
     A = [w.layers[0], v.layers[0]]
-    for Wh, Vh in zip(w.layers[1:], v.layers[1:]):
-        new = [Wh @ A[0]]
+    for Wh, Vh, prefix in zip(w.layers[1:], v.layers[1:], _product_table(w)[0][2:]):
+        new = [prefix]
         for k in range(1, len(A)):
             new.append(Wh @ A[k] + Vh @ A[k - 1])
         if len(A) <= order:
@@ -136,9 +141,16 @@ class CurvatureCache:
     prefixes P_h = W_h..W_1 of the weights' product table (P_0 = I) and the
     backward adjoints B_h = (W_H..W_{h+1})^T E (B_H = E): O(H) arrays of
     d_x columns, none of m.  c2(V) = <A_1 Sigma_XX, A_1> + 2 <A_2, E> from
-    the order-2 truncation of the line expansion needs only E; the Hessian
-    acts on V by Pearlmutter's R-operator on the two passes.  Each costs
-    O(H) matrix products.
+    the order-2 truncation of the line expansion needs only E and the
+    prefixes of the weights' product table, about 4H matrix products.  The
+    Hessian acts on V by Pearlmutter's R-operator on the two passes.  Its
+    first call lays P, B and the layers out in concatenated buffers
+    (``_fused``, O(H d d_x) floats), so that each two-term step of a pass
+    is one matrix product and the gradient blocks of a run of equal-shaped
+    layers one stacked product: 2H + 3R + 2 numpy calls for the R runs of
+    layers 2..H, against about 6H products and 3H additions with one
+    product per term.  The buffers make a cache unsafe to share between
+    threads.
     """
 
     def __init__(self, w: Weights, data: DataMatrices | SigmaBundle):
@@ -169,29 +181,83 @@ class CurvatureCache:
         quad, cross = self.c2_terms(v)
         return quad + cross
 
+    @cached_property
+    def _fused(self):
+        """Buffers of ``hessian_matvec``, filled from P, B and the layers on
+        its first call, and the views its products read and write.
+
+        A (d, 2, n) buffer of slots X_0, X_1 reads as [X_0 | X_1] (d x 2n) or
+        as their rows interleaved (2d x n).  Layer h >= 2 has
+        S_h = (dP_{h-1}, P_{h-1}), T_h = (B_h, dB_h), G_h = (2 V_h, W_h),
+        and F_h with W_h and 2 V_h interleaved entry by entry, so that
+          forward   F_h S_h   = W_h dP_{h-1} + 2 V_h P_{h-1},
+          backward  G_h^T T_h = 2 V_h^T B_h + W_h^T dB_h,
+          block     T_h S_h^T = B_h dP_{h-1}^T + dB_h P_{h-1}^T,
+        with S_h, T_h read as 2d x d_x in the passes and d x 2 d_x in the
+        blocks.  No one layout of (W_h, 2 V_h) serves both passes, hence F
+        and G.  Each step writes into the slot that the next one reads.  A
+        run of consecutive equal-shaped layers keeps S, T, F and G stacked,
+        and its parameters are one (k, d_h, d_{h-1}) slice of the flat
+        layout, so its copies of 2 V and its blocks take one call each.
+
+        Returns the buffer of 2 V, the (destination, source) copies from it,
+        the (a, b, out) steps in order, and the (a, b, lo, hi, shape)
+        products written to the output's slice lo:hi: the last backward
+        step, whose dB_1 is the first block, and each run's blocks."""
+        dims, d_x, H = self.w.shape.dims, self.w.shape.d_x, self.H
+        W, P, B = self.w.layers, self.P, self.B
+        v2 = np.empty(self.w.shape.n_params)
+        S, T, F, G, copies, blocks = {}, {}, {}, {}, [], []
+        off = dims[1] * d_x
+        for (rows, cols), run in groupby(range(2, H + 1), lambda h: (dims[h], dims[h - 1])):
+            run = list(run)
+            k, size = len(run), len(run) * rows * cols
+            s, t = np.empty((k, cols, 2, d_x)), np.empty((k, rows, 2, d_x))
+            f, g = np.empty((k, rows, cols, 2)), np.empty((k, rows, 2, cols))
+            v = v2[off:off + size].reshape(k, rows, cols)
+            copies += [(f[..., 1], v), (g[:, :, 0], v)]
+            blocks.append((t.reshape(k, rows, 2 * d_x), s.reshape(k, cols, 2 * d_x).swapaxes(1, 2),
+                           off, off + size, (k, rows, cols)))
+            off += size
+            for i, h in enumerate(run):
+                s[i, :, 1], t[i, :, 0] = P[h - 1], B[h]
+                f[i, ..., 0] = g[i, :, 1] = W[h - 1]
+                S[h], T[h] = s[i], t[i]
+                F[h], G[h] = f[i].reshape(rows, 2 * cols), g[i].reshape(2 * rows, cols).T
+        copies.append((S[2][:, 0], v2[:dims[1] * d_x].reshape(dims[1], d_x)))
+        dP_H = np.empty((dims[H], d_x))
+        steps = [(F[h], S[h].reshape(2 * dims[h - 1], d_x), S[h + 1][:, 0] if h < H else dP_H)
+                 for h in range(2, H + 1)]
+        steps.append((dP_H, self.sigma_xx, T[H][:, 1]))
+        steps += [(G[h], T[h].reshape(2 * dims[h], d_x), T[h - 1][:, 1]) for h in range(H, 2, -1)]
+        first = (G[2], T[2].reshape(2 * dims[2], d_x), 0, dims[1] * d_x, (dims[1], d_x))
+        return v2, copies, steps, [first] + blocks
+
     def hessian_matvec(self, flat: np.ndarray) -> np.ndarray:
-        """Action of the Hessian of t -> L(W + tV) at t=0 (i.e. of 2 c2).
+        """Action of the Hessian of t -> L(W + tV) at t=0 (i.e. of 2 c2) on
+        the flat parameter vector of V.
 
         With dP_h and dB_h the derivatives of P_h and B_h along V
         (dP_1 = V_1, dP_h = W_h dP_{h-1} + V_h P_{h-1}; dB_H = dP_H Sigma_XX,
         dB_{h-1} = W_h^T dB_h + V_h^T B_h), the gradient 2 B_h P_{h-1}^T has
         derivative 2 (dB_h P_{h-1}^T + B_h dP_{h-1}^T), which is 2 dB_1 at
         h = 1 (P_0 = I, dP_0 = 0).  Both are linear in V, so passes on 2 V
-        give the factor 2 exactly, block by block into one flat output."""
-        dims = self.w.shape.dims
-        v = unflatten(2.0 * np.ravel(flat), dims)
-        H, W, P, B = self.H, self.w.layers, self.P, self.B
-        dP = [None, v[0]]
-        for h in range(2, H + 1):
-            dP.append(W[h - 1] @ dP[-1] + v[h - 1] @ P[h - 1])
-        out = np.empty(self.w.shape.n_params)
-        blocks = unflatten(out, dims)
-        dB = dP[H] @ self.sigma_xx
-        for h in range(H, 1, -1):
-            np.matmul(dB, P[h - 1].T, out=blocks[h - 1])
-            blocks[h - 1] += B[h] @ dP[h - 1].T
-            dB = W[h - 1].T @ dB + v[h - 1].T @ B[h]
-        blocks[0][...] = dB
+        give the factor 2 exactly.  Each step of either pass is one product
+        of the buffers of ``_fused``, and the blocks of h >= 2 are one
+        stacked product per run of equal-shaped layers, each written into
+        its slice of one flat output.  Raises InvalidShape unless flat is
+        one vector of n_params entries."""
+        v2, copies, steps, blocks = self._fused
+        if np.shape(flat) != v2.shape:
+            raise InvalidShape(f"expected {v2.size} parameters, got shape {np.shape(flat)}")
+        np.multiply(flat, 2.0, out=v2)
+        for dst, src in copies:
+            np.copyto(dst, src)
+        for a, b, c in steps:
+            np.matmul(a, b, out=c)
+        out = np.empty(v2.size)
+        for a, b, lo, hi, shape in blocks:
+            np.matmul(a, b, out=out[lo:hi].reshape(shape))
         return out
 
 

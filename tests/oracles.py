@@ -177,6 +177,35 @@ def m_column_hessian_matvec(layers, dirs, X, Y):
     return [2.0 * (dB[h] @ P[h - 1].T + B[h] @ dP[h - 1].T) for h in range(1, H + 1)]
 
 
+def layerwise_hessian_matvec(layers, sigma_xx, sigma_yx, dirs):
+    """The Hessian of the loss applied to the direction dirs, as one block
+    per layer, by Pearlmutter's R-operator on d_x-column passes, one layer
+    at a time: prefixes P_h = W_h..W_1 (P_0 = I), adjoints
+    B_h = W_{h+1}^T B_{h+1} from B_H = P_H Sigma_XX - Sigma_YX, their
+    derivatives dP_h = W_h dP_{h-1} + V_h P_{h-1} and
+    dB_{h-1} = W_h^T dB_h + V_h^T B_h from dB_H = dP_H Sigma_XX, and blocks
+    2 (dB_h P_{h-1}^T + B_h dP_{h-1}^T) (2 dB_1 for the first layer), each
+    term its own product."""
+    H = len(layers)
+    P = [np.eye(sigma_xx.shape[0])]
+    for W in layers:
+        P.append(W @ P[-1])
+    B = [None] * (H + 1)
+    B[H] = P[H] @ sigma_xx - sigma_yx
+    for h in range(H, 1, -1):
+        B[h - 1] = layers[h - 1].T @ B[h]
+    dP = [None, dirs[0]]
+    for h in range(2, H + 1):
+        dP.append(layers[h - 1] @ dP[-1] + dirs[h - 1] @ P[h - 1])
+    blocks = [None] * H
+    dB = dP[H] @ sigma_xx
+    for h in range(H, 1, -1):
+        blocks[h - 1] = 2.0 * (dB @ P[h - 1].T + B[h] @ dP[h - 1].T)
+        dB = layers[h - 1].T @ dB + dirs[h - 1].T @ B[h]
+    blocks[0] = 2.0 * dB
+    return blocks
+
+
 def polarization_hessian(c2_fn, shapes):
     """Dense Hessian of 2*c2 from the literal polarization identity
     Q(u, v) = c2(u + v) - c2(u) - c2(v), one basis pair at a time."""

@@ -14,6 +14,7 @@ from linsaddle.critical_points import CriticalPointSpec, transform_weights, z_bl
 from conftest import random_certified_spec, random_direction, random_weights
 from oracles import (
     all_pivots_sweep,
+    layerwise_hessian_matvec,
     line_loss,
     m_column_c2,
     m_column_ftst,
@@ -499,6 +500,94 @@ def test_c2_value_reads_only_the_residual(depth16_point):
 
 def _flat(mats):
     return np.concatenate([M.ravel() for M in mats])
+
+
+def _old_line_orders(w, v, order):
+    # The recurrence before A_0 was read from the product table: A_0 is
+    # multiplied out again at every layer.
+    A = [w.layers[0], v.layers[0]]
+    for Wh, Vh in zip(w.layers[1:], v.layers[1:]):
+        new = [Wh @ A[0]]
+        for k in range(1, len(A)):
+            new.append(Wh @ A[k] + Vh @ A[k - 1])
+        if len(A) <= order:
+            new.append(Vh @ A[-1])
+        A = new
+    return A
+
+
+def test_line_orders_read_the_prefix_table_bit_for_bit(monkeypatch, deep_problem, depth16_point):
+    data, _, shape = deep_problem
+    rng = np.random.default_rng(56)
+    deep = ls.generate_gaussian_data(20, 6, 200, seed=57)
+    deep_shape = ls.NetworkShape((20,) * 8 + (6,))
+    cases = [(data, random_weights(shape, rng, scale=0.7)), depth16_point[::2],
+             (deep, ls.build_example_family(2, "non_tightened", ls.build_sigma_bundle(deep),
+                                            deep_shape, interior="identity"))]
+
+    def values(w, vs, data):
+        out = [ls.c2_value(w, v, data) for v in vs]
+        if w.shape.H <= MAX_TAYLOR_DEPTH:
+            out += [c for v in vs for c in ls.taylor_coeffs(w, v, data).coeffs]
+        return out
+
+    for data, w in cases:
+        vs = [random_direction(w.shape, rng) for _ in range(3)]
+        new = values(w, vs, data)
+        with monkeypatch.context() as patch:
+            patch.setattr(curvature, "_line_orders", _old_line_orders)
+            assert values(w, vs, data) == new
+
+
+def _hessian_cases():
+    rng = np.random.default_rng(58)
+    cases = []
+    for dims, scale in [((3, 1, 4, 4, 4, 2), 0.8),  # a width-1 hidden layer
+                        ((5, 2, 7, 7, 1), 0.6),  # d_y = 1
+                        ((12, 3, 3, 12, 2), 0.6),  # d_x wider than the hidden layers
+                        ((5, 4, 3), 0.8),  # H = 2
+                        ((5, 4, 3), 0.0),  # zero weights at H = 2
+                        ((3, 4, 4, 2), 0.0)]:  # zero weights: the Hessian is exactly 0
+        shape = ls.NetworkShape(dims)
+        data = ls.generate_gaussian_data(dims[0], dims[-1], 30, seed=len(cases))
+        cases.append(pytest.param(data, random_weights(shape, rng, scale=scale),
+                                  id=f"{'-'.join(map(str, dims))}-scale{scale}"))
+    data = ls.generate_gaussian_data(20, 6, 200, seed=59)
+    shape = ls.NetworkShape((20,) * 8 + (6,))  # the depth-8 deep_probe shape
+    for variant in ("tightened", "non_tightened"):
+        w = ls.build_example_family(2, variant, ls.build_sigma_bundle(data), shape,
+                                    interior="identity")
+        cases.append(pytest.param(data, w, id=f"deep_probe-{variant}"))
+    return cases
+
+
+@pytest.mark.parametrize("data, w", _hessian_cases())
+def test_hessian_matvec_matches_the_layerwise_oracle(data, w):
+    # The fused passes and stacked blocks hold to one product per term, and
+    # the operator they apply is symmetric.
+    rng = np.random.default_rng(60)
+    cache = CurvatureCache(w, data)
+    us = [random_direction(w.shape, rng) for _ in range(3)]
+    hus = []
+    for u in us:
+        ref = _flat(layerwise_hessian_matvec(w.layers, cache.sigma_xx, cache.sigma_yx, u.layers))
+        hu = cache.hessian_matvec(_flat(u.layers))
+        assert np.linalg.norm(hu - ref) <= 1e-12 * np.linalg.norm(ref)
+        hus.append(hu)
+    flats = [_flat(u.layers) for u in us]
+    for a, b in [(0, 1), (1, 2)]:
+        u, hv, v, hu = flats[a], hus[b], flats[b], hus[a]
+        assert abs(u @ hv - v @ hu) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(hv)
+
+
+def test_hessian_matvec_requires_one_parameter_vector(deep_problem):
+    data, _, shape = deep_problem
+    w = random_weights(shape, np.random.default_rng(61), scale=0.5)
+    cache = CurvatureCache(w, data)
+    x = np.ones(shape.n_params)
+    for bad in (np.append(x, [1.0, 2.0]), x[:-1], np.stack([x, x])):
+        with pytest.raises(ls.InvalidShape):
+            cache.hessian_matvec(bad)
 
 
 def _assert_matches_m_column_form(w, data, directions):
