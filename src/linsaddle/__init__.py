@@ -65,7 +65,6 @@ from .errors import (
     NeedsCanonicalization,
     NoTightenedPointExists,
     NotApplicable,
-    NotCertifiedCritical,
     NotCritical,
     NotTightened,
     ProbeNotConverged,

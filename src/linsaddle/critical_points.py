@@ -7,16 +7,18 @@ free blocks Z_1..Z_H and invertible blocks D_1..D_{H-1}:
     W_h = D_h [[I_r, 0], [0, Z_h]] D_{h-1}^{-1}     for h in [2, H-1]
     W_1 = D_1 [U_S^T Sigma_YX Sigma_XX^{-1} ; Z_1]
 
-Such a point is certified critical when r = r_max or at least two Z blocks
-vanish.  The converse direction (canonical_form) recovers (S, Z, D) from an
-arbitrary first-order critical point by explicit basis completions.
+With G = Sigma_XY U_Q, such a point is critical exactly when Z_H..Z_1 = 0
+and Z_{h-1}..Z_1 G Z_H..Z_{h+1} = 0 for every h; D plays no part.  The
+converse direction (canonical_form) recovers (S, Z, D) from an arbitrary
+first-order critical point by explicit basis completions.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .errors import (
     InvalidRank,
     InvalidShape,
     NoTightenedPointExists,
-    NotCertifiedCritical,
     NotCritical,
     TooLarge,
 )
@@ -37,6 +38,7 @@ from .network import (
     Weights,
     global_map,
     gradient,
+    layer_products,
     partial_middle,
     partial_suffix,
 )
@@ -47,6 +49,7 @@ from .ranktol import (
     RankTolerance,
     criticality_scale,
     product_rank_tolerance,
+    z_chain_floors,
 )
 
 
@@ -66,19 +69,10 @@ class CriticalPointSpec:
     support: tuple  # sorted 1-based indices into [1, d_y]
     z_blocks: tuple  # Z_1 .. Z_H
     d_blocks: tuple | None = None  # D_1 .. D_{H-1}, None means identities
-    certified: bool = True
 
     @property
     def r(self) -> int:
         return len(self.support)
-
-    def zero_block_count(self) -> int:
-        return sum(
-            1 for Z in self.z_blocks if Z.size == 0 or not np.any(Z)
-        )
-
-    def is_certified_critical(self, r_max: int) -> bool:
-        return self.r == r_max or self.zero_block_count() >= 2
 
     def validate(self, shape: NetworkShape, d_y: int) -> None:
         r = self.r
@@ -120,7 +114,6 @@ def spec_to_json(spec: CriticalPointSpec) -> str:
             "d_blocks": None
             if spec.d_blocks is None
             else [D.tolist() for D in spec.d_blocks],
-            "certified": spec.certified,
         }
     )
 
@@ -136,12 +129,21 @@ def spec_from_json(text: str, shape: NetworkShape) -> CriticalPointSpec:
     d_blocks = obj.get("d_blocks")
     if d_blocks is not None:
         d_blocks = tuple(np.asarray(D, dtype=float) for D in d_blocks)
-    return CriticalPointSpec(
-        support=support,
-        z_blocks=z_blocks,
-        d_blocks=d_blocks,
-        certified=bool(obj.get("certified", True)),
-    )
+    return CriticalPointSpec(support=support, z_blocks=z_blocks, d_blocks=d_blocks)
+
+
+def _nonzero_product(z_blocks, G):
+    """The name of the first product of the criticality condition whose
+    Frobenius norm exceeds its ``z_chain_floors`` floor, None when all
+    vanish.  G enters the product table as a layer H + 1 after Z_H.  An
+    empty block gives a zero product with a zero floor, which passes."""
+    floors = z_chain_floors([math.sqrt(np.vdot(Z, Z)) for Z in z_blocks], math.sqrt(np.vdot(G, G)))
+    pre, suf = layer_products(tuple(z_blocks) + (G,))
+    for h, floor in enumerate(floors):
+        P = pre[-2] if h == 0 else pre[h - 1] @ suf[h + 1]
+        if math.sqrt(np.vdot(P, P)) > floor:
+            return "Z_H..Z_1" if h == 0 else f"Z_{h - 1}..Z_1 G Z_H..Z_{h + 1}"
+    return None
 
 
 def build_critical_point(
@@ -150,17 +152,18 @@ def build_critical_point(
     shape: NetworkShape,
     require_certified: bool = True,
 ) -> Weights:
-    """Materialize weights from a spec.  Refuses specs outside the certified
-    sufficient condition unless require_certified=False (used when round-
-    tripping canonical forms that the theory does not certify)."""
+    """Materialize weights from a spec.  Raises NotCritical unless the spec
+    meets the exact criticality condition of the module docstring, each
+    product cut at its ``z_chain_floors`` floor; require_certified=False
+    skips that check."""
     if shape.d_x != bundle.d_x or shape.d_y != bundle.d_y:
         raise InvalidShape("shape incompatible with bundle")
     spec.validate(shape, bundle.d_y)
     r = spec.r
-    if require_certified and not spec.is_certified_critical(shape.r_max):
-        raise NotCertifiedCritical(
-            "spec has r < r_max and fewer than two zero Z blocks"
-        )
+    U_S = bundle.u_cols(spec.support)
+    U_Q = bundle.u_complement(spec.support)
+    if require_certified and (bad := _nonzero_product(spec.z_blocks, bundle.sigma_xy @ U_Q)):
+        raise NotCritical(f"the spec is not critical: {bad} is not zero")
 
     H = shape.H
     d_blocks = spec.d_blocks
@@ -173,8 +176,6 @@ def build_critical_point(
             raise IllConditioned(f"D_{h} condition number {cond:.3g} exceeds limit")
         d_invs.append(np.linalg.inv(D))
 
-    U_S = bundle.u_cols(spec.support)
-    U_Q = bundle.u_complement(spec.support)
     C = bundle.sigma_yx_sigma_xx_inv()
 
     layers = []
@@ -443,14 +444,8 @@ def canonical_form(
     rank_tol: RankTolerance = RankTolerance(),
     tau_crit: float | None = None,
 ) -> CriticalPointSpec:
-    """Recover a (S, Z, D) spec whose rebuild reproduces the global map.
-
-    The recovered spec carries certified=False when it falls outside the
-    certified sufficient condition (r < r_max with fewer than two zero Z
-    blocks) -- the necessary-form recovery still holds in that case.
-    """
-    shape = w.shape
-    H = shape.H
+    """Recover a (S, Z, D) spec whose rebuild reproduces the global map."""
+    H = w.shape.H
     sup = associated_support(w, bundle, tau_crit=tau_crit, rank_tol=rank_tol)
     S = sup.support
     r = len(S)
@@ -472,17 +467,12 @@ def canonical_form(
         transform_weights(w, d_list), bundle, S, w.frob_norm(), DegenerateBasis
     )
 
-    # Snap numerically-zero blocks to exact zeros before certifying.
+    # Snap numerically-zero blocks to exact zeros.
     z_final = tuple(
         np.zeros_like(Z) if Z.size == 0 or np.linalg.norm(Z) <= tol else Z.copy()
         for Z in z_list
     )
-    spec = CriticalPointSpec(
-        support=S, z_blocks=z_final, d_blocks=tuple(d_list), certified=True
-    )
-    if not spec.is_certified_critical(shape.r_max):
-        spec = replace(spec, certified=False)
-    return spec
+    return CriticalPointSpec(support=S, z_blocks=z_final, d_blocks=tuple(d_list))
 
 
 def transform_weights(w: Weights, d_list) -> Weights:

@@ -29,10 +29,6 @@ class AmbiguousProjector(LinSaddleError):
     """A projector diagonal entry falls in the ambiguity band and the support cannot be read off."""
 
 
-class NotCertifiedCritical(LinSaddleError):
-    """The spec does not satisfy the certified sufficient condition for criticality."""
-
-
 class IllConditioned(LinSaddleError):
     """An invertible block is too ill-conditioned to be used safely."""
 

@@ -42,6 +42,7 @@ from .network import (
 
 DIVERGE_LIMIT = 1e12
 ESCAPE_GATE = 3.0  # tightened / non-tightened median escape epoch, paper's contrast
+HISTOGRAM_BINS = 20  # escape-epoch bins of write_histogram_csv
 
 
 @dataclass(frozen=True)
@@ -198,14 +199,13 @@ def run_optimizer(
     return Weights([M[0] for M in layers], w0.shape), trace
 
 
-def escape_threshold(bundle: SigmaBundle, r: int, margin_index: int | None = None) -> float:
+def escape_threshold(bundle: SigmaBundle, r: int) -> float:
     """Halfway between the rank-r plateau and the critical value with the
-    eigenvalue at margin_index (default r + 1) added."""
-    k = r + 1 if margin_index is None else margin_index
-    if not (1 <= k <= bundle.d_y):
-        raise InvalidRank(f"escape margin index {k} outside [1, {bundle.d_y}]")
+    eigenvalue r + 1 added."""
+    if not (0 <= r < bundle.d_y):
+        raise InvalidRank(f"need 0 <= r < d_y = {bundle.d_y}, got {r}")
     plateau = critical_value(tuple(range(1, r + 1)), bundle)
-    return plateau - 0.5 * float(bundle.lambdas[k - 1])
+    return plateau - 0.5 * float(bundle.lambdas[r])
 
 
 def escape_epoch(trace, threshold: float) -> int | None:
@@ -292,13 +292,13 @@ def write_runs_csv(path, runs) -> None:
             )
 
 
-def write_histogram_csv(path, runs, n_bins: int = 20, max_epochs: int | None = None) -> None:
-    """Escape-epoch histogram with a trailing 'never' bin per variant."""
+def write_histogram_csv(path, runs, max_epochs: int | None = None) -> None:
+    """Escape-epoch histogram, HISTOGRAM_BINS bins and a 'never' bin per variant."""
     variants = sorted({r.variant for r in runs})
     hi = max_epochs or max(
         (r.escape_epoch for r in runs if r.escape_epoch is not None), default=1
     )
-    edges = np.linspace(0, hi, n_bins + 1)
+    edges = np.linspace(0, hi, HISTOGRAM_BINS + 1)
     with open(path, "w", newline="") as f:
         wr = csv.writer(f)
         wr.writerow(["variant", "bin_lo", "bin_hi", "count"])
@@ -306,7 +306,7 @@ def write_histogram_csv(path, runs, n_bins: int = 20, max_epochs: int | None = N
             eps = [r.escape_epoch for r in runs if r.variant == var]
             finite = np.array([e for e in eps if e is not None], dtype=float)
             counts, _ = np.histogram(finite, bins=edges)
-            for b in range(n_bins):
+            for b in range(HISTOGRAM_BINS):
                 wr.writerow([var, repr(float(edges[b])), repr(float(edges[b + 1])),
                              int(counts[b])])
             wr.writerow([var, "never", "never", sum(1 for e in eps if e is None)])

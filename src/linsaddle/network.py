@@ -128,10 +128,6 @@ class Direction(_LayerStack):
     """A tangent perturbation, same layout as Weights."""
 
 
-def zeros_like(shape: NetworkShape) -> Direction:
-    return Direction([np.zeros(shape.layer_shape(h)) for h in range(1, shape.H + 1)], shape)
-
-
 def layer_products(layers):
     """(prefixes, suffixes) of a layer list, with prefixes[h] = W_h ... W_1 for
     h in [0, H] and suffixes[h] = W_H ... W_h for h in [1, H + 1]

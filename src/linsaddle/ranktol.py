@@ -11,6 +11,9 @@ live here, each compared with a quantity of its own units:
   outer pivot block W_{j-1}..W_1 Sigma_XY W_H..W_{i+1} holds Sigma_XY, so
   ``outer_block_floors`` gives it a floor in its own units instead,
   100 H eps ||Sigma_XY||_2 times prod max(1, ||W_h||_2) over its layers;
+- exact criticality of a spec: each product Z_H..Z_1 and Z_{h-1}..Z_1 G
+  Z_H..Z_{h+1}, G = Sigma_XY U_Q, is zero when its Frobenius norm is at most
+  ``z_chain_floors``, 100 H eps times the product of its factors' norms;
 - first-order criticality: ||grad|| <= TAU_CRIT_REL * criticality_scale,
   the natural size of a gradient, 1 + ||W|| (||Sigma_XX|| + ||Sigma_YX||);
 - canonical block equations: residual <= EPS_CANON (1 + ||W|| + ||C||),
@@ -116,3 +119,12 @@ def outer_block_floors(w: Weights, bundle: SigmaBundle) -> tuple[list, list]:
     left = list(accumulate(g, mul, initial=unit))
     right = list(accumulate(reversed(g), mul, initial=1.0))[::-1]
     return left, right
+
+
+def z_chain_floors(z_norms, g_norm: float) -> list:
+    """Rounding floors of the exact criticality test from the Frobenius norms
+    ||Z_1|| .. ||Z_H|| and ||G||, 100 H eps times the norms of the factors:
+    of Z_H..Z_1 at index 0 and of Z_{h-1}..Z_1 G Z_H..Z_{h+1} at index h."""
+    left = list(accumulate(z_norms, mul, initial=100.0 * len(z_norms) * np.finfo(float).eps))
+    right = list(accumulate(reversed(z_norms), mul, initial=g_norm))[::-1]
+    return left[-1:] + [lo * hi for lo, hi in zip(left, right[1:])]

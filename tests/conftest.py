@@ -51,8 +51,8 @@ def random_weights(shape, rng, scale=1.0):
 
 
 def random_certified_spec(shape, d_y, rng, support=None):
-    """Random (S, Z, D) spec satisfying the certified condition, with
-    well-conditioned random D blocks."""
+    """Random critical (S, Z, D) spec, critical because r = r_max or two Z
+    blocks are zero, with well-conditioned random D blocks."""
     from linsaddle.critical_points import CriticalPointSpec, z_block_shape
 
     if support is None:
@@ -79,3 +79,18 @@ def random_certified_spec(shape, d_y, rng, support=None):
     return CriticalPointSpec(
         support=support, z_blocks=tuple(z_blocks), d_blocks=d_blocks
     )
+
+
+def masked_critical_spec(shape):
+    """The critical spec with S = (1, 2) on widths (7, 6, 5, 6, 4) whose Z
+    blocks are Gaussian except that Z_2 = 0 and Z_4 Z_3 = 0 with Z_3 and Z_4
+    nonzero (Z_3 nonzero in its first row only, Z_4 zero in its first
+    column), so that the point is critical without two zero blocks."""
+    from linsaddle.critical_points import CriticalPointSpec, z_block_shape
+
+    rng = np.random.default_rng(62)
+    z = [rng.standard_normal(z_block_shape(shape, 2, h)) for h in range(1, 5)]
+    z[1][:] = 0.0
+    z[2][1:, :] = 0.0
+    z[3][:, 0] = 0.0
+    return CriticalPointSpec(support=(1, 2), z_blocks=tuple(z))

@@ -281,3 +281,38 @@ def all_pivots_sweep(layers, sigma_xy, r, absolute, relative=None):
                                  absolute, relative)
             out.append(SweptPivot(i, j, rank1, rank2, min(rank1, rank2) == r))
     return out
+
+
+def spec_verdict(spec, bundle, rel=1e-8):
+    """(critical, verdict) of a spec (S, Z, D), read from its Z products
+    alone; D plays no part.  With G = Sigma_XY U_Q, the spec is critical when
+    Z_H..Z_1 = 0 and Z_{h-1}..Z_1 G Z_H..Z_{h+1} = 0 for every h.  A critical
+    spec is a global minimizer when r = r_max and S = [1, r], a strict saddle
+    when S != [1, r], and otherwise a non-strict saddle exactly when every
+    pivot (i, j), 1 <= j < i <= H, has Z_{j-1}..Z_1 G Z_H..Z_{i+1} = 0 or
+    Z_{i-1}..Z_{j+1} = 0.  A product counts as zero when its Frobenius norm
+    is at most rel times the product of its factors' Frobenius norms.  The
+    verdict of a spec that is not critical is None."""
+    Z = list(spec.z_blocks)
+    H, S, r = len(Z), tuple(spec.support), len(spec.support)
+    G = bundle.sigma_xy @ bundle.U[:, [k for k in range(bundle.U.shape[0]) if k + 1 not in S]]
+    sizes = [Z[0].shape[1]] + [M.shape[0] for M in Z]  # e_0 .. e_H
+
+    def vanishes(first, mats):
+        # mats in the order they apply, so the product is mats[-1] @ ... @ mats[0]
+        P = _chain(mats, sizes[first])
+        return np.linalg.norm(P) <= rel * np.prod([np.linalg.norm(M) for M in mats])
+
+    def outer(i, j):  # Z_{j-1}..Z_1 G Z_H..Z_{i+1}
+        return vanishes(i, Z[i:] + [G] + Z[:j - 1])
+
+    critical = vanishes(0, Z) and all(outer(h, h) for h in range(1, H + 1))
+    if not critical:
+        return False, None
+    if S != tuple(range(1, r + 1)):
+        return True, "strict_saddle"
+    if r == min(sizes[0], *(e + r for e in sizes[1:])):
+        return True, "global_minimizer"
+    tightened = all(outer(i, j) or vanishes(j, Z[j:i - 1])
+                    for i in range(2, H + 1) for j in range(1, i))
+    return True, "non_strict_saddle" if tightened else "strict_saddle"

@@ -9,6 +9,8 @@ import pytest
 import linsaddle as ls
 from linsaddle.cli import main
 
+from conftest import masked_critical_spec
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -115,12 +117,51 @@ def test_canonicalize_roundtrip(tmp_path, capsys, data_files):
     assert code == 0
     spec = json.loads(out)
     assert spec["support"] == [2, 4]
+    assert "certified" not in spec
     # the recovered spec feeds back into construct
     spath = tmp_path / "spec.json"
     spath.write_text(out)
     code, _ = run_cli(capsys, "construct", "--x", x, "--y", y,
                       "--dims", "6,5,5,4", "--spec", str(spath))
     assert code == 0
+
+
+@pytest.fixture()
+def masked_spec(tmp_path, capsys):
+    """Data files for d_x=7, d_y=4, m=40 and the masked critical spec
+    (Z_2 = 0, Z_4 Z_3 = 0) on widths (7, 6, 5, 6, 4), as a JSON object."""
+    prefix = str(tmp_path / "deep")
+    code, _ = run_cli(capsys, "gen-data", "--dx", "7", "--dy", "4", "--m", "40",
+                      "--seed", "1", "--out-prefix", prefix)
+    assert code == 0
+    spec = masked_critical_spec(ls.NetworkShape((7, 6, 5, 6, 4)))
+    return f"{prefix}_X.csv", f"{prefix}_Y.csv", json.loads(ls.spec_to_json(spec))
+
+
+@pytest.mark.parametrize("certified", [None, False])
+def test_construct_accepts_a_critical_spec_without_two_zero_blocks(
+        tmp_path, capsys, masked_spec, certified):
+    # A spec file from before the exact criticality test may still carry a
+    # "certified" key; it is ignored.
+    x, y, obj = masked_spec
+    if certified is not None:
+        obj["certified"] = certified
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps(obj))
+    code, out = run_cli(capsys, "construct", "--x", x, "--y", y,
+                        "--dims", "7,6,5,6,4", "--spec", str(spath))
+    assert code == 0
+    assert json.loads(out)["dims"] == [7, 6, 5, 6, 4]
+
+
+def test_construct_refuses_a_spec_that_is_not_critical(tmp_path, capsys, masked_spec):
+    x, y, obj = masked_spec
+    obj["z_blocks"][3] = np.ones((2, 4)).tolist()  # Z_4 Z_3 != 0
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps(obj))
+    code, _ = run_cli(capsys, "construct", "--x", x, "--y", y,
+                      "--dims", "7,6,5,6,4", "--spec", str(spath))
+    assert code == 2
 
 
 def test_probe_output(tmp_path, capsys, data_files):

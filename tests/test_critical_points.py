@@ -50,7 +50,7 @@ def test_build_rejects_uncertified(small_problem):
         Z = np.ones(z_block_shape(shape, r, h))  # no zero blocks
         z.append(Z)
     spec = CriticalPointSpec(support=(1, 2), z_blocks=tuple(z))
-    with pytest.raises(ls.NotCertifiedCritical):
+    with pytest.raises(ls.NotCritical):
         build_critical_point(spec, b, shape)
 
 
@@ -204,7 +204,7 @@ def test_canonical_form_roundtrip(deep_problem, seed):
     w = build_critical_point(spec, b, shape)
     rec = canonical_form(w, b)
     assert rec.support == spec.support
-    w2 = build_critical_point(rec, b, shape, require_certified=False)
+    w2 = build_critical_point(rec, b, shape)
     gm, gm2 = ls.global_map(w), ls.global_map(w2)
     assert np.linalg.norm(gm - gm2) <= 1e-8 * (1 + np.linalg.norm(gm))
 
@@ -232,7 +232,7 @@ def test_canonical_form_h2(shallow_problem):
     w = build_critical_point(spec, b, shape)
     rec = canonical_form(w, b)
     assert rec.support == (1, 2)
-    w2 = build_critical_point(rec, b, shape, require_certified=False)
+    w2 = build_critical_point(rec, b, shape)
     assert np.allclose(ls.global_map(w2), ls.global_map(w), atol=1e-8)
 
 
@@ -272,7 +272,7 @@ def test_canonical_form_cuts_ranks_like_classify():
     assert ls.classify(w, b, data).verdict == "non_strict_saddle"
     rec = canonical_form(w, b)
     assert rec.support == support
-    w2 = build_critical_point(rec, b, w.shape, require_certified=False)
+    w2 = build_critical_point(rec, b, w.shape)
     gm, gm2 = ls.global_map(w), ls.global_map(w2)
     assert np.linalg.norm(gm - gm2) <= 1e-8 * (1 + np.linalg.norm(gm))
 
@@ -290,7 +290,7 @@ def test_spec_json_roundtrip(small_problem):
     spec = random_certified_spec(shape, b.d_y, rng, support=(2, 3))
     text = ls.spec_to_json(spec)
     obj = json.loads(text)
-    assert set(obj) == {"support", "z_blocks", "d_blocks", "certified"}
+    assert set(obj) == {"support", "z_blocks", "d_blocks"}
     back = ls.spec_from_json(text, shape)
     assert back.support == spec.support
     for a, c in zip(back.z_blocks, spec.z_blocks):

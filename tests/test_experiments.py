@@ -110,11 +110,8 @@ def test_escape_threshold_and_epoch(small_problem):
     thr = escape_threshold(b, 2)
     plateau = ls.critical_value((1, 2), b)
     assert thr == pytest.approx(plateau - 0.5 * b.lambdas[2])
-    assert escape_threshold(b, 2, margin_index=4) == pytest.approx(
-        plateau - 0.5 * b.lambdas[3]
-    )
     with pytest.raises(ls.InvalidRank):
-        escape_threshold(b, 2, margin_index=5)
+        escape_threshold(b, b.d_y)
     assert escape_epoch([5.0, 4.0, 3.0], 3.5) == 2
     assert escape_epoch([5.0, 4.0], 0.5) is None
     assert escape_epoch([], 1.0) is None
@@ -177,7 +174,7 @@ def test_csv_and_json_outputs(tmp_path):
     assert rows[0] == ["run", "variant", "escape_epoch", "final_loss", "diverged"]
     assert rows[2][2] == ""  # censored epoch stays empty
     hp = tmp_path / "hist.csv"
-    write_histogram_csv(hp, runs, n_bins=4, max_epochs=16)
+    write_histogram_csv(hp, runs, max_epochs=16)
     hrows = list(csv.reader(hp.open()))
     never = [r for r in hrows if r[1] == "never"]
     assert len(never) == 2  # one per variant

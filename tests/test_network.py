@@ -12,7 +12,6 @@ from linsaddle.network import (
     partial_suffix,
     products_gradient,
     unflatten,
-    zeros_like,
 )
 
 from conftest import random_weights
@@ -97,10 +96,8 @@ def test_weights_json_roundtrip(small_problem):
     assert set(obj) == {"dims", "layers"}
 
 
-def test_zeros_like_and_norms(small_problem):
+def test_norms(small_problem):
     _, _, shape = small_problem
-    z = zeros_like(shape)
-    assert z.frob_norm() == 0.0
     w = random_weights(shape, np.random.default_rng(3))
     assert w.frob_norm() == pytest.approx(np.sqrt(w.sq_norm()))
 
