@@ -149,7 +149,7 @@ def classify(
     Strict-saddle verdicts always carry a validated witness direction whose
     measured c2 is certified negative.  Gradient norms up to 100x the
     criticality tolerance are classified with the approximate flag set;
-    beyond that the verdict is not_critical.
+    beyond that the verdict is not_critical.  ``data`` is not read.
     """
     gn = gradient(w, bundle).frob_norm()
     scale = criticality_scale(w, bundle)
@@ -207,11 +207,11 @@ def classify(
     if r == r_max:
         if S == leading:
             return finish(GLOBAL_MINIMIZER)
-        wit = witness_eigenswap(w, bundle, S, rank_tol)
+        wit = witness_eigenswap(w, bundle, S)
         return finish(STRICT_SADDLE, witness=wit, witness_c2=validated(wit))
 
     if S != leading:
-        wit = witness_eigenswap(w, bundle, S, rank_tol)
+        wit = witness_eigenswap(w, bundle, S)
         return finish(STRICT_SADDLE, witness=wit, witness_c2=validated(wit))
 
     stairs = PivotStaircase(w, bundle, r, rank_tol)
@@ -224,7 +224,7 @@ def classify(
         if (i, j) < (stairs.first.i, stairs.first.j) or stairs.pivot(i, j).tightened:
             continue
         try:
-            wit = witness_untightened(w, bundle, data, S, (i, j), rank_tol)
+            wit = witness_untightened(w, bundle, S, (i, j), rank_tol)
             return finish(STRICT_SADDLE, pivots=stairs.cut.values(), witness=wit,
                           witness_c2=validated(wit))
         except NotApplicable as err:

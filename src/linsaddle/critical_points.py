@@ -8,9 +8,10 @@ free blocks Z_1..Z_H and invertible blocks D_1..D_{H-1}:
     W_1 = D_1 [U_S^T Sigma_YX Sigma_XX^{-1} ; Z_1]
 
 With G = Sigma_XY U_Q, such a point is critical exactly when Z_H..Z_1 = 0
-and Z_{h-1}..Z_1 G Z_H..Z_{h+1} = 0 for every h; D plays no part.  The
-converse direction (canonical_form) recovers (S, Z, D) from an arbitrary
-first-order critical point by explicit basis completions.
+and Z_{h-1}..Z_1 G Z_H..Z_{h+1} = 0 for every h; D plays no part.
+canonical_form is the inverse: from the support S and the suffixes of the
+weights' product table it sets D_h = [F_h | E_h], F_h the signal columns
+that W_H..W_{h+1} maps onto U_S and E_h the kernel of U_S^T W_H..W_{h+1}.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .network import (
     global_map,
     gradient,
     layer_products,
-    partial_middle,
     partial_suffix,
 )
 from .ranktol import (
@@ -326,96 +326,35 @@ def enumerate_critical_values(bundle: SigmaBundle, shape: NetworkShape):
 # Canonicalization: recover (S, Z, D) from an arbitrary critical point.
 # ---------------------------------------------------------------------------
 
-def clem_d_matrix(
-    w: Weights,
-    bundle: SigmaBundle,
-    support,
-    rank_tol: RankTolerance = RankTolerance(),
-):
-    """The invertible matrix D with W_H ... W_2 = [U_S, 0] D.
-
-    Built from the SVD of K = W_H ... W_2: the top block of D is U_S^T K and
-    the bottom block is an orthonormal basis of the kernel of K.  Returns
-    (D, D_inv, K).  The last d_1 - r columns of D_inv span ker(K).
-    """
-    r = len(support)
-    K = partial_suffix(w, 2)
-    d_1 = K.shape[1]
-    U_S = bundle.u_cols(support)
-    if r == 0:
-        D = np.eye(d_1)
-        return D, D.copy(), K
-    uK, sK, vtK = np.linalg.svd(K)
-    thr = rank_tol.threshold(K.shape, float(sK[0]) if sK.size else 0.0)
-    rk = int(np.count_nonzero(sK > thr))
-    if rk != r:
-        raise NotCritical(
-            f"rank of W_H...W_2 is {rk}, expected |S| = {r}"
-        )
-    # Orthonormal kernel basis aligned with the coordinate axes: Gram-Schmidt
-    # over the kernel projector's columns in natural order, so that a point
-    # already in canonical position gets the identity-aligned basis back.
-    P_ker = vtK[r:, :].T @ vtK[r:, :]
-    basis = []
-    for col in P_ker.T:
-        v = col.copy()
-        for u in basis:
-            v -= (u @ v) * u
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            basis.append(v / nv)
-        if len(basis) == d_1 - r:
+def _aligned_kernel(vt_ker: np.ndarray) -> np.ndarray:
+    """An orthonormal basis, as columns, of the row space of the orthonormal
+    rows vt_ker, aligned with the coordinate axes: Gram-Schmidt over the
+    columns of its projector in natural order, skipping those already in the
+    span, so that a space spanned by axes gets those axes back.  It runs in
+    the coordinates of vt_ker, so the basis lies in its row space to
+    rounding."""
+    k = vt_ker.shape[0]
+    Q, n = np.zeros((k, k)), 0
+    for col in vt_ker.T:
+        if n == k:
             break
-    if len(basis) != d_1 - r:
-        raise DegenerateBasis("could not assemble a kernel basis for W_H...W_2")
-    D = np.vstack([U_S.T @ K, np.array(basis).reshape(len(basis), d_1)])
-    cond = np.linalg.cond(D)
-    if not np.isfinite(cond) or cond > D_COND_LIMIT:
-        raise IllConditioned(f"canonical D has condition number {cond:.3g}")
-    return D, np.linalg.inv(D), K
-
-
-def _complete_basis(cols: np.ndarray) -> np.ndarray:
-    """Extend independent columns to an invertible matrix by appending an
-    orthonormal basis of their orthogonal complement."""
-    n, r = cols.shape
-    if r == 0:
-        return np.eye(n)
-    Q, R = np.linalg.qr(cols, mode="complete")
-    diag = np.abs(np.diag(R[:r, :r]))
-    if np.any(diag < 1e-12 * max(1.0, np.linalg.norm(cols))):
-        raise DegenerateBasis("columns to complete are numerically dependent")
-    return np.hstack([cols, Q[:, r:]])
-
-
-def _simplif_first(A, B, U_S):
-    """Given A B = [U_S, 0], produce D with A D = [U_S, U_Q N] and
-    D^{-1} B = [[I_r, 0], [0, *]]."""
-    r = U_S.shape[1]
-    E = _complete_basis(B[:, :r])
-    F_inv = np.eye(A.shape[1])
-    F_inv[:r, r:] = -U_S.T @ (A @ E[:, r:])
-    return E @ F_inv
-
-
-def _simplif_step(B, C, r):
-    """Given B C = [[I_r, 0], [0, P]], produce D with
-    B D = [[I_r, 0], [0, Z]] and D^{-1} C of the same form."""
-    E = _complete_basis(C[:, :r])
-    F = np.eye(B.shape[1])
-    F[:r, r:] = -(B @ E)[:r, r:]
-    return E @ F
+        v = col - Q[:, :n] @ (Q[:, :n].T @ col)
+        nv = math.sqrt(v @ v)
+        if nv > 1e-8:
+            Q[:, n] = v / nv
+            n += 1
+    return vt_ker.T @ Q
 
 
 def _canonical_blocks(w: Weights, bundle: SigmaBundle, support, norm_w: float, error):
     """The blocks Z_1..Z_H of weights in canonical form for ``support``,
 
         W_H = [U_S, U_Q Z_H],  W_h = [[I_r, 0], [0, Z_h]],  W_1 = [U_S^T C; Z_1],
-        W_H..W_2 = [U_S, 0],   C = Sigma_YX Sigma_XX^{-1},
+        W_H..W_2 = [U_S, 0],   C = Sigma_YX Sigma_XX^{-1}.
 
-    and the tolerance EPS_CANON (1 + norm_w + ||C||) of these equations,
-    norm_w the Frobenius norm of the weights the point came from.  Raises
-    ``error`` when a residual exceeds it."""
+    Raises ``error`` when a residual of these equations exceeds
+    EPS_CANON (1 + norm_w + ||C||), norm_w the Frobenius norm of the weights
+    the point came from."""
     r = len(support)
     U_S, U_Q = bundle.u_cols(support), bundle.u_complement(support)
     C = bundle.sigma_yx_sigma_xx_inv()
@@ -435,7 +374,7 @@ def _canonical_blocks(w: Weights, bundle: SigmaBundle, support, norm_w: float, e
     tol = EPS_CANON * (1.0 + norm_w + np.linalg.norm(C))
     if max(errs) > tol:
         raise error(f"canonical residual {max(errs):.3g} exceeds tolerance {tol:.3g}")
-    return z, tol
+    return z
 
 
 def canonical_form(
@@ -444,33 +383,35 @@ def canonical_form(
     rank_tol: RankTolerance = RankTolerance(),
     tau_crit: float | None = None,
 ) -> CriticalPointSpec:
-    """Recover a (S, Z, D) spec whose rebuild reproduces the global map."""
-    H = w.shape.H
-    sup = associated_support(w, bundle, tau_crit=tau_crit, rank_tol=rank_tol)
-    S = sup.support
+    """Recover a (S, Z, D) spec of a critical point, the inverse of
+    ``build_critical_point``.  With the support S from
+    ``associated_support`` and A_h = U_S^T W_H..W_{h+1}, of rank r = |S| at
+    a critical point, D_h = [F_h | E_h] with F_1 = A_1^+ (so that
+    W_H..W_2 F_1 = U_S), F_h = W_h F_{h-1} and E_h an orthonormal basis of
+    ker A_h aligned with the axes.  W_{h+1} maps F_h onto F_{h+1} and ker A_h
+    into ker A_{h+1}, which puts every layer in the block form of the module
+    docstring; ``_canonical_blocks`` verifies it.  No rank is cut beyond the
+    support recovery's.  A block Z_h is snapped to zero when its norm is at
+    most EPS_CANON times that of its transformed layer."""
+    S = associated_support(w, bundle, tau_crit=tau_crit, rank_tol=rank_tol).support
     r = len(S)
-
-    # The rank cut of W_H..W_2 uses the same product-rounding floor as
-    # classify, so that a point classify accepted is not rejected here.
-    _, D1, _ = clem_d_matrix(w, bundle, S, product_rank_tolerance(w, rank_tol))
-
-    d_list = [D1] + [None] * (H - 2)  # D_1 .. D_{H-1}
-    if H > 2:
-        # Peel W_H, then walk down the hidden layers.
-        d_list[H - 2] = _simplif_first(
-            w.layer(H), partial_middle(w, H, 1) @ D1, bundle.u_cols(S)
-        )
-        for h in range(H - 1, 2, -1):
-            Bm = np.linalg.solve(d_list[h - 1], w.layer(h))
-            d_list[h - 2] = _simplif_step(Bm, partial_middle(w, h, 1) @ D1, r)
-    z_list, tol = _canonical_blocks(
-        transform_weights(w, d_list), bundle, S, w.frob_norm(), DegenerateBasis
-    )
-
-    # Snap numerically-zero blocks to exact zeros.
+    U_S = bundle.u_cols(S)
+    d_list, wt = [np.eye(d) for d in w.shape.dims[1:-1]], w  # r = 0: every A_h is empty
+    if r:
+        for h in range(1, w.shape.H):
+            u, s, vt = np.linalg.svd(U_S.T @ partial_suffix(w, h + 1))
+            if h == 1 and not s[-1] > 0:
+                raise IllConditioned(f"U_S^T W_H..W_2 has rank below |S| = {r}")
+            F = vt[:r].T @ (u.T / s[:, None]) if h == 1 else w.layer(h) @ F
+            D = d_list[h - 1] = np.hstack([F, _aligned_kernel(vt[r:])])
+            cond = np.linalg.cond(D)
+            if not np.isfinite(cond) or cond > D_COND_LIMIT:
+                raise IllConditioned(f"canonical D_{h} has condition number {cond:.3g}")
+        wt = transform_weights(w, d_list)
+    z = _canonical_blocks(wt, bundle, S, w.frob_norm(), DegenerateBasis)
     z_final = tuple(
-        np.zeros_like(Z) if Z.size == 0 or np.linalg.norm(Z) <= tol else Z.copy()
-        for Z in z_list
+        np.zeros_like(Z) if np.linalg.norm(Z) <= EPS_CANON * np.linalg.norm(Wh) else Z.copy()
+        for Z, Wh in zip(z, wt.layers)
     )
     return CriticalPointSpec(support=S, z_blocks=z_final, d_blocks=tuple(d_list))
 

@@ -26,7 +26,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .critical_points import _canonical_blocks, clem_d_matrix
+from .critical_points import _canonical_blocks
 from .data_model import DataMatrices, SigmaBundle, _moments
 from .errors import (
     InternalInconsistency,
@@ -357,17 +357,14 @@ class WitnessCase:
     diagnostics: dict = field(default_factory=dict)
 
 
-def witness_eigenswap(
-    w: Weights,
-    bundle: SigmaBundle,
-    support,
-    rank_tol: RankTolerance = RankTolerance(),
-) -> WitnessCase:
+def witness_eigenswap(w: Weights, bundle: SigmaBundle, support) -> WitnessCase:
     """Descent direction swapping an eigenvector out of the support.
 
-    Applies whenever some unused eigenvalue exceeds a used one; the loss
-    along the witness is exactly L(W) + (lambda_j - lambda_i) t^2
-    + lambda_i t^4, so c2 = lambda_j - lambda_i < 0.
+    Applies whenever some unused eigenvalue exceeds a used one.  W_1 is
+    perturbed by F_1 V^T C, F_1 = (U_S^T W_H..W_2)^+, and W_H by V U_S^T W_H;
+    the loss sees the first only through W_H..W_2 F_1 V^T C = U_S V^T C, so
+    along the witness it is exactly L(W) + (lambda_j - lambda_i) t^2
+    + lambda_i t^4, and c2 = lambda_j - lambda_i < 0.
     """
     S = tuple(sorted(support))
     comp = sorted(set(range(1, bundle.d_y + 1)) - set(S))
@@ -377,13 +374,13 @@ def witness_eigenswap(
     g = S.index(j)  # 0-based position of j within S
     r = len(S)
 
-    D, D_inv, _K = clem_d_matrix(w, bundle, S, rank_tol)
+    U_S = bundle.u_cols(S)
     V = np.outer(bundle.U[:, i - 1], np.eye(r)[g])  # d_y x r
-    C = bundle.sigma_yx_sigma_xx_inv()
     shape = w.shape
     mats = _zero_direction(shape)
-    mats[0] = D_inv @ np.vstack([V.T @ C, np.zeros((shape.dims[1] - r, shape.d_x))])
-    mats[-1] = V @ (bundle.u_cols(S).T @ w.layer(shape.H))
+    F_1 = np.linalg.pinv(U_S.T @ partial_suffix(w, 2))
+    mats[0] = F_1 @ (V.T @ bundle.sigma_yx_sigma_xx_inv())
+    mats[-1] = V @ (U_S.T @ w.layer(shape.H))
     c2_pred = float(bundle.lambdas[j - 1] - bundle.lambdas[i - 1])
     return WitnessCase(
         direction=Direction(mats, shape),
@@ -393,7 +390,6 @@ def witness_eigenswap(
             "swap_in": i,
             "swap_out": j,
             "quartic_coeff": float(bundle.lambdas[i - 1]),
-            "cond_D": float(np.linalg.cond(D)),
         },
     )
 
@@ -422,7 +418,6 @@ def _zero_direction(shape):
 def witness_untightened(
     w: Weights,
     bundle: SigmaBundle,
-    data: DataMatrices,
     support,
     pivot: tuple,
     rank_tol: RankTolerance = RankTolerance(),
@@ -441,7 +436,7 @@ def witness_untightened(
         T = W_{j-1}..W_1 Sigma_XY U_Q U_Q^T W_H..W_{i+1},
         a_coef = ||W_H..W_{i+1} e c^T W_{i-1}..W_1 L||^2 >= 0,
 
-    with Sigma_XX = L L^T the bundle's Cholesky factor; ``data`` is not read.
+    with Sigma_XX = L L^T the bundle's Cholesky factor.
     (a, e) is the top singular pair of T, so a^T T e = sigma_1(T) > 0.  With
     N an orthonormal kernel basis of W_H..W_{j+1}, b = N v for the top right
     singular vector v of W_{i-1}..W_{j+1} N, and c is the image of b over its
@@ -465,7 +460,7 @@ def witness_untightened(
     suf = partial_suffix(w, j + 1)
     N = _kernel_basis(suf, rank_tol)
     if j > 1 and suf.shape[1] - N.shape[1] > len(S):  # rank(W_H..W_{j+1}) > r
-        return witness_untightened(w, bundle, data, S, (j, 1), rank_tol)
+        return witness_untightened(w, bundle, S, (j, 1), rank_tol)
 
     pre, suf_i = partial_prefix(w, j - 1), partial_suffix(w, i + 1)
     T = pre @ bundle.sigma_xy @ U_Q @ (U_Q.T @ suf_i)
@@ -550,7 +545,7 @@ def _tightened(w: Weights, bundle: SigmaBundle):
     r = numeric_rank(partial_suffix(w, 1), rank_tol)
     if r >= shape.r_max:
         raise NotApplicable("tightened analysis targets rank-deficient points")
-    z, _ = _canonical_blocks(
+    z = _canonical_blocks(
         w, bundle, tuple(range(1, r + 1)), w.frob_norm(), NeedsCanonicalization
     )
     z = Weights(z, NetworkShape((shape.d_x,) + tuple(d - r for d in shape.dims[1:])))

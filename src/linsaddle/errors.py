@@ -38,7 +38,7 @@ class NoTightenedPointExists(LinSaddleError):
 
 
 class DegenerateBasis(LinSaddleError):
-    """Numerical basis completion failed during canonicalization."""
+    """The canonical block equations do not hold for the recovered D."""
 
 
 class NeedsCanonicalization(LinSaddleError):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import DataMatrices, SigmaBundle
+from .data_model import SigmaBundle
 from .errors import InvalidShape
 
 
@@ -248,9 +248,9 @@ def products_gradient(table, bundle: SigmaBundle) -> np.ndarray:
     return flat
 
 
-def loss(w: Weights, bundle: SigmaBundle, data: DataMatrices) -> float:
-    if w.shape.d_x != data.d_x or w.shape.d_y != data.d_y:
-        raise InvalidShape("weights incompatible with data dimensions")
+def loss(w: Weights, bundle: SigmaBundle) -> float:
+    if w.shape.d_x != bundle.d_x or w.shape.d_y != bundle.d_y:
+        raise InvalidShape("weights incompatible with bundle dimensions")
     return float(products_loss(_product_table(w), bundle))
 
 

@@ -6,8 +6,9 @@ live here, each compared with a quantity of its own units:
 - rank cuts count singular values above ``RankTolerance.threshold``:
   absolute + relative * sigma_max (relative defaults to max(shape) * eps).
   ``product_rank_tolerance`` floors the absolute part at the rounding error
-  of the layer products, 100 H eps prod max(1, ||W_h||_2); ``classify``,
-  ``canonical_form`` and the tightened-point certificate cut with it.  The
+  of the layer products, 100 H eps prod max(1, ||W_h||_2); ``classify``
+  and the tightened-point certificate cut with it, and ``canonical_form``
+  makes no cut of its own beyond the support recovery's.  The
   outer pivot block W_{j-1}..W_1 Sigma_XY W_H..W_{i+1} holds Sigma_XY, so
   ``outer_block_floors`` gives it a floor in its own units instead,
   100 H eps ||Sigma_XY||_2 times prod max(1, ||W_h||_2) over its layers;
@@ -19,7 +20,9 @@ live here, each compared with a quantity of its own units:
 - canonical block equations: residual <= EPS_CANON (1 + ||W|| + ||C||),
   C = Sigma_YX Sigma_XX^{-1}, and the product identities of a tightened
   point within EPS_CANON (1 + ||W|| + ||Sigma_XY||); blocks D are refused
-  past condition number D_COND_LIMIT;
+  past condition number D_COND_LIMIT; a canonical block Z_h is snapped to
+  zero when ||Z_h|| <= EPS_CANON ||Wt_h||, Wt_h its transformed layer, in
+  whose units it is;
 - witnesses: a measured c2 is negative by more than EPS_WITNESS times the
   sum of the magnitudes of its two terms; a pivot data block T counts as
   zero when sigma_1(T) <= BETA_ZERO_TOL times the product of the 2-norms of

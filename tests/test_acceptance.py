@@ -57,7 +57,7 @@ def test_criterion_1_construction_soundness(corpus):
         gn = ls.gradient(w, bundle).frob_norm()
         assert gn <= 1e-9 * criticality_scale(w, bundle)
         expect = ls.critical_value(spec.support, bundle)
-        assert ls.loss(w, bundle, data) == pytest.approx(
+        assert ls.loss(w, bundle) == pytest.approx(
             expect, rel=1e-8, abs=1e-8
         )
     assert build_time + (time.monotonic() - t0) < 60.0
@@ -73,7 +73,7 @@ def test_criterion_2_classifier_vs_spectrum(corpus):
         res = ls.classify(w, bundle, data)
         lam = ls.hessian_min_eig(w, data, mode="dense")
         s = witness_scale(w, data)
-        value = ls.loss(w, bundle, data)
+        value = ls.loss(w, bundle)
         minimum = ls.critical_value(tuple(range(1, shape.r_max + 1)), bundle)
         if res.verdict == "strict_saddle":
             assert lam < -1e-8 * s

@@ -24,7 +24,7 @@ def test_witness_rejects_an_invalid_pivot(small_problem):
     data, b, shape = small_problem
     w = random_weights(shape, np.random.default_rng(0))
     with pytest.raises(ls.InvalidPivot):
-        ls.witness_untightened(w, b, data, (1,), pivot=(1, 1))
+        ls.witness_untightened(w, b, (1,), pivot=(1, 1))
 
 
 def test_pivot_count_and_order(small_problem):
@@ -234,7 +234,7 @@ def test_verdict_and_curvature_are_invariant_under_sample_permutation(rescaling_
         b, bp = ls.build_sigma_bundle(data), ls.build_sigma_bundle(permuted)
         res = ls.classify(w, bp, permuted)
         assert (res.verdict, res.support) == (unit.verdict, unit.support), name
-        assert ls.loss(w, bp, permuted) == pytest.approx(ls.loss(w, b, data), rel=1e-10)
+        assert ls.loss(w, bp) == pytest.approx(ls.loss(w, b), rel=1e-10)
         for _ in range(2):
             v = random_direction(shape, rng)
             assert ls.c2_value(w, v, permuted) == pytest.approx(ls.c2_value(w, v, data), rel=1e-10)
@@ -388,10 +388,10 @@ def test_witness_falls_back_to_the_next_untightened_pivot(monkeypatch, deep_prob
     assert order == [(3, 2), (4, 2)]
     witness = classifier.witness_untightened
 
-    def refuse_first(w, bundle, data, S, pivot, rank_tol):
+    def refuse_first(w, bundle, S, pivot, rank_tol):
         if pivot == order[0]:
             raise ls.NotApplicable("refused")
-        return witness(w, bundle, data, S, pivot, rank_tol)
+        return witness(w, bundle, S, pivot, rank_tol)
 
     monkeypatch.setattr(classifier, "witness_untightened", refuse_first)
     res = ls.classify(w, b, data)
@@ -464,6 +464,7 @@ def _check_census_draw(data, scaled, shape, spec, a, b):
     res = ls.classify(w, bundle, scaled)
     assert (res.verdict, res.support, res.approximate) == (verdict, spec.support, False)
     canonical = ls.canonical_form(w, bundle)
+    assert spec_verdict(canonical, bundle) == (True, verdict)
     assert canonical.support == spec.support
     build_critical_point(canonical, bundle, shape)  # the canonical spec passes the check
     r = spec.r

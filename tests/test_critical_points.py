@@ -8,7 +8,6 @@ from linsaddle.critical_points import (
     CriticalPointSpec,
     build_critical_point,
     canonical_form,
-    clem_d_matrix,
     transform_weights,
     z_block_shape,
 )
@@ -16,6 +15,7 @@ from linsaddle.network import partial_suffix
 from linsaddle.ranktol import criticality_scale
 
 from conftest import random_certified_spec, random_direction, random_weights
+from oracles import spec_verdict
 
 
 def grad_ok(w, bundle, tol=1e-9):
@@ -31,7 +31,7 @@ def test_build_global_minimizer(small_problem):
     )
     assert grad_ok(w, b)
     expect = float(np.trace(b.sigma_yy) - np.sum(b.lambdas))
-    assert ls.loss(w, b, data) == pytest.approx(expect, rel=1e-10)
+    assert ls.loss(w, b) == pytest.approx(expect, rel=1e-10)
 
 
 def test_build_empty_support(small_problem):
@@ -39,7 +39,7 @@ def test_build_empty_support(small_problem):
     z = tuple(np.zeros(z_block_shape(shape, 0, h)) for h in range(1, shape.H + 1))
     w = build_critical_point(CriticalPointSpec(support=(), z_blocks=z), b, shape)
     assert np.allclose(ls.global_map(w), 0)
-    assert ls.loss(w, b, data) == pytest.approx(float(np.trace(b.sigma_yy)))
+    assert ls.loss(w, b) == pytest.approx(float(np.trace(b.sigma_yy)))
 
 
 def test_build_rejects_uncertified(small_problem):
@@ -80,7 +80,7 @@ def test_random_certified_specs_are_critical(deep_problem, seed):
     spec = random_certified_spec(shape, b.d_y, rng)
     w = build_critical_point(spec, b, shape)
     assert grad_ok(w, b)
-    assert ls.loss(w, b, data) == pytest.approx(
+    assert ls.loss(w, b) == pytest.approx(
         ls.critical_value(spec.support, b), rel=1e-8, abs=1e-8
     )
 
@@ -163,18 +163,17 @@ def test_enumerate_guard():
         ls.enumerate_critical_values(b, ls.NetworkShape((25, 21, 21)))
 
 
-def test_clem_matrix_factorization(small_problem):
-    # W_H..W_2 = [U_S, 0] D with the bottom of D spanning ker(W_H..W_2)
+def test_canonical_d1_factorization(small_problem):
+    # W_H..W_2 D_1 = [U_S, 0]: the last d_1 - r columns of D_1 span ker(W_H..W_2)
     _, b, shape = small_problem
     rng = np.random.default_rng(3)
     spec = random_certified_spec(shape, b.d_y, rng, support=(1, 2))
     w = build_critical_point(spec, b, shape)
-    D, D_inv, K = clem_d_matrix(w, b, (1, 2))
-    U_S = b.u_cols((1, 2))
-    stacked = np.hstack([U_S, np.zeros((b.d_y, shape.dims[1] - 2))])
-    assert np.allclose(stacked @ D, K, atol=1e-8)
-    assert np.allclose(D @ D_inv, np.eye(shape.dims[1]), atol=1e-8)
-    assert np.allclose(K @ D_inv[:, 2:], 0, atol=1e-8)
+    D = canonical_form(w, b).d_blocks[0]
+    K = partial_suffix(w, 2)
+    stacked = np.hstack([b.u_cols((1, 2)), np.zeros((b.d_y, shape.dims[1] - 2))])
+    assert np.allclose(K @ D, stacked, atol=1e-8)
+    assert np.linalg.matrix_rank(D) == shape.dims[1]
 
 
 def test_canonical_form_fixed_point(deep_problem):
@@ -192,6 +191,24 @@ def test_canonical_form_fixed_point(deep_problem):
     w = build_critical_point(spec, b, shape)
     rec = canonical_form(w, b)
     assert rec.support == (1, 2)
+    for Zin, Zout in zip(spec.z_blocks, rec.z_blocks):
+        assert np.allclose(Zin, Zout, atol=1e-8)
+
+
+def test_canonical_form_recovers_axis_permuted_d(deep_problem):
+    # D_h a permutation that moves the signal axes last: the kernel bases are
+    # aligned with the axes in their order, so D and Z come back as built
+    _, b, shape = deep_problem
+    rng = np.random.default_rng(4)
+    r = 2
+    z = [np.zeros(z_block_shape(shape, r, h)) for h in range(1, shape.H + 1)]
+    for Z in z[1:-1]:
+        Z[:] = rng.standard_normal(Z.shape)
+    d = tuple(np.roll(np.eye(k), r, axis=1) for k in shape.dims[1:-1])
+    spec = CriticalPointSpec(support=(1, 2), z_blocks=tuple(z), d_blocks=d)
+    rec = canonical_form(build_critical_point(spec, b, shape), b)
+    for Din, Dout in zip(spec.d_blocks, rec.d_blocks):
+        assert np.allclose(Din, Dout, atol=1e-8)
     for Zin, Zout in zip(spec.z_blocks, rec.z_blocks):
         assert np.allclose(Zin, Zout, atol=1e-8)
 
@@ -223,6 +240,9 @@ def test_canonical_form_invariant_under_d_transform(deep_problem):
     assert np.allclose(ls.global_map(wt), ls.global_map(w), atol=1e-8)
     rec = canonical_form(wt, b)
     assert rec.support == (1, 2)
+    assert np.allclose(ls.global_map(build_critical_point(rec, b, shape)), ls.global_map(w),
+                       atol=1e-8)
+    assert spec_verdict(rec, b) == spec_verdict(spec, b) == (True, "strict_saddle")
 
 
 def test_canonical_form_h2(shallow_problem):

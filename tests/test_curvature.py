@@ -61,7 +61,7 @@ def test_taylor_low_order_terms(small_problem):
     w = random_weights(shape, rng, scale=0.5)
     v = random_direction(shape, rng)
     tc = ls.taylor_coeffs(w, v, data)
-    assert tc.coeffs[0] == pytest.approx(ls.loss(w, b, data), rel=1e-12)
+    assert tc.coeffs[0] == pytest.approx(ls.loss(w, b), rel=1e-12)
     g = ls.gradient(w, b)
     inner = sum(float(np.sum(G * V)) for G, V in zip(g.layers, v.layers))
     assert tc.coeffs[1] == pytest.approx(inner, rel=1e-9)
@@ -290,7 +290,7 @@ def test_untightened_witnesses_match_measured_c2(deep_problem):
             if p.tightened:
                 continue
             try:
-                wit = ls.witness_untightened(w, b, data, spec.support, (p.i, p.j))
+                wit = ls.witness_untightened(w, b, spec.support, (p.i, p.j))
             except ls.NotApplicable:
                 continue
             seen.add(wit.case)
@@ -333,10 +333,10 @@ def test_untightened_witness_is_invariant_under_hidden_rotations(deep_problem):
         for p in all_pivots_sweep(list(w.layers), b.sigma_xy, 2, 0.0):
             if p.tightened:
                 continue
-            wit = ls.witness_untightened(w, b, data, spec.support, (p.i, p.j))
+            wit = ls.witness_untightened(w, b, spec.support, (p.i, p.j))
             if wit.pivot != (p.i, p.j):
                 continue  # reduced to (j, 1)
-            rot = ls.witness_untightened(w_rot, b, data, spec.support, (p.i, p.j))
+            rot = ls.witness_untightened(w_rot, b, spec.support, (p.i, p.j))
             assert rot.pivot == wit.pivot
             assert rot.c2_predicted == pytest.approx(wit.c2_predicted, rel=1e-10)
             compared += 1
@@ -367,14 +367,14 @@ def test_adjacent_pivot_witness_does_not_depend_on_the_kernel_basis(monkeypatch,
                 continue
             rotate[0] = False
             try:
-                wit = ls.witness_untightened(w, b, data, spec.support, (p.i, p.j))
+                wit = ls.witness_untightened(w, b, spec.support, (p.i, p.j))
             except ls.NotApplicable:
                 continue
             if wit.pivot != (p.i, p.j):
                 continue  # reduced to (j, 1)
             rotate[0] = True
             for _ in range(3):
-                rot = ls.witness_untightened(w, b, data, spec.support, (p.i, p.j))
+                rot = ls.witness_untightened(w, b, spec.support, (p.i, p.j))
                 assert rot.c2_predicted == pytest.approx(wit.c2_predicted, rel=1e-8)
                 assert ls.c2_value(w, rot.direction, data) == pytest.approx(
                     rot.c2_predicted, rel=1e-6, abs=1e-10)

@@ -204,7 +204,7 @@ def serial_reference(w0, bundle, data, opt, max_epochs):
     gscale = 1.0 / (data.m * data.d_y) if opt.mse_scaling else 1.0
     W = list(w0.layers)
     cur = w0
-    trace = [ls.loss(cur, bundle, data)]
+    trace = [ls.loss(cur, bundle)]
     m1 = [np.zeros_like(M) for M in W]
     m2 = [np.zeros_like(M) for M in W]
     for epoch in range(1, max_epochs + 1):
@@ -221,7 +221,7 @@ def serial_reference(w0, bundle, data, opt, max_epochs):
                 m2[h] = opt.beta2 * m2[h] + (1.0 - opt.beta2) * gh * gh
                 W[h] = W[h] - opt.lr * (m1[h] / b1t) / (np.sqrt(m2[h] / b2t) + opt.eps)
         cur = ls.Weights(W, w0.shape)
-        trace.append(ls.loss(cur, bundle, data))
+        trace.append(ls.loss(cur, bundle))
         if not np.isfinite(trace[-1]) or trace[-1] > DIVERGE_LIMIT:
             return W, trace, True
     return W, trace, False
@@ -276,7 +276,7 @@ def test_train_runs_edge_cases(small_problem):
     layers, traces, diverged = train_runs([], b, data)
     assert layers == [] and traces == [] and diverged.size == 0
     _, (trace,), diverged = train_runs([w], b, data, max_epochs=0)
-    assert trace.tolist() == [ls.loss(w, b, data)] and not diverged[0]
+    assert trace.tolist() == [ls.loss(w, b)] and not diverged[0]
     other = random_weights(ls.NetworkShape((6, 3, 5, 4)), np.random.default_rng(9))
     with pytest.raises(ls.InvalidShape):
         train_runs([w, other], b, data)

@@ -59,7 +59,7 @@ def test_loss_matches_naive(small_problem):
     data, bundle, shape = small_problem
     rng = np.random.default_rng(1)
     w = random_weights(shape, rng, scale=0.5)
-    assert ls.loss(w, bundle, data) == pytest.approx(
+    assert ls.loss(w, bundle) == pytest.approx(
         naive_loss(list(w.layers), data.X, data.Y), rel=1e-12
     )
 
