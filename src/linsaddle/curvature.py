@@ -20,6 +20,7 @@ so it makes one matrix product per layer step on buffers laid out once.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -606,6 +607,14 @@ def ft_st_decomposition(
     tightened, depth >= 3.  The decomposition certifies the absence of
     second-order descent directions.
 
+    The tightened structure (r, the rank-collapse indices p and q, checked
+    against their product identities, and the blocks Z_h) depends on the
+    point and the bundle only, so the first call keeps it on ``w`` and later
+    calls with the same bundle object reuse it for every direction; another
+    bundle gets a fresh analysis.  The entry holds the bundle only through a
+    weak reference.  A point that fails the analysis keeps nothing and
+    raises again on every call.
+
     Only second moments enter.  With V_Q the right singular vectors of
     Sigma_YX Sigma_XX^{-1} X for lambda_{r+1..d_y}, X V_Q is
     Sigma_XY U_Q Lambda_Q^{-1/2}, and X times the projector onto the other
@@ -615,7 +624,12 @@ def ft_st_decomposition(
     Sigma_XX = L L^T) has the same squared norm.  ``data`` is not read.
     """
     H = w.shape.H
-    st, r, z = _tightened(w, bundle)
+    memo = w._tightened
+    if memo is not None and memo[0]() is bundle:
+        st, r, z = memo[1]
+    else:
+        st, r, z = found = _tightened(w, bundle)
+        object.__setattr__(w, "_tightened", (weakref.ref(bundle), found))
     p, q = st.p, st.q
 
     J1 = range(p, H)

@@ -14,7 +14,7 @@ eigenvalues lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -204,7 +204,9 @@ def check_assumption_h(data: DataMatrices) -> AssumptionReport:
 
 def build_sigma_bundle(data: DataMatrices) -> SigmaBundle:
     """The bundle of `data`, after the checks of ``check_assumption_h``
-    (AssumptionViolated if any fails), from one pass over the samples."""
+    (AssumptionViolated if any fails), from one pass over the samples.  Its
+    arrays are read-only, like those of ``DataMatrices``, so what is derived
+    from a bundle object stays valid for as long as that object lives."""
     report, (sigma_xx, sigma_xy, sigma_yy), eig = _assess(data)
     if not report.holds:
         names = ", ".join(c[0] for c in report.failed())
@@ -222,6 +224,8 @@ def build_sigma_bundle(data: DataMatrices) -> SigmaBundle:
         lambdas=s**2,
     )
     _validate_bundle(bundle, K, P)
+    for f in fields(bundle):
+        getattr(bundle, f.name).flags.writeable = False
     return bundle
 
 

@@ -9,10 +9,18 @@ This module is the one place where layer products are formed.  Each
 ``Weights``/``Direction`` carries a product table, built on first use by any
 of ``partial_prefix``, ``partial_suffix``, ``global_map`` or ``gradient``:
 the H + 1 prefixes W_h..W_1 and the H + 1 suffixes W_H..W_h, read-only and
-shared by every later caller (the layers are read-only, so the table cannot
-go stale).  Building it costs 2H matrix products and O(H) memory.  Middle
-products W_{i-1}..W_{j+1} come from ``partial_middle``; there are O(H^2) of
-them, so they are formed on demand and not kept.
+shared by every later caller.  Building it costs 2H matrix products and O(H)
+memory.  Middle products W_{i-1}..W_{j+1} come from ``partial_middle``;
+there are O(H^2) of them, so they are formed on demand and not kept.
+
+Besides the table, a stack keeps two more results on first use: its layers'
+spectral norms (``layer_norms``) and, on weights at a tightened point, the
+tightened structure that ``curvature.ft_st_decomposition`` derives from the
+weights and a data bundle.  None of them can go stale: the layers are
+read-only, and the tightened structure is keyed by the bundle object through
+a weak reference, so it is reused only for that same bundle (a frozen
+dataclass whose arrays ``build_sigma_bundle`` makes read-only) and keeps no
+bundle alive.
 
 ``layer_products`` builds the table, and ``products_loss`` and
 ``products_gradient`` read it together with the second moments of the
@@ -75,9 +83,16 @@ class NetworkShape:
 
 
 class _LayerStack:
-    """Immutable ordered list of layer matrices compatible with a shape."""
+    """Immutable ordered list of layer matrices compatible with a shape.
 
-    __slots__ = ("layers", "shape", "_products", "_norms")
+    Besides the read-only layers it keeps what is derived from them alone
+    on first use, the product table and the layer norms, and the tightened
+    structure of ``curvature.ft_st_decomposition`` as (weak reference to the
+    bundle, structure).  The layers never change, so none of these can go
+    stale; the structure also depends on the bundle and is read only while
+    the caller passes that same bundle object."""
+
+    __slots__ = ("layers", "shape", "_products", "_norms", "_tightened")
 
     def __init__(self, layers, shape: NetworkShape):
         mats = []
@@ -97,6 +112,7 @@ class _LayerStack:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_products", None)
         object.__setattr__(self, "_norms", None)
+        object.__setattr__(self, "_tightened", None)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("immutable")

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -450,6 +453,93 @@ def test_ft_st_rejects_full_rank(deep_problem):
     )
     with pytest.raises(ls.NotApplicable):
         ls.ft_st_decomposition(w, random_direction(shape, rng), b, data)
+
+
+def _count_tightened(monkeypatch):
+    calls = []
+    real = curvature._tightened
+
+    def counted(w, bundle):
+        calls.append(bundle)
+        return real(w, bundle)
+
+    monkeypatch.setattr(curvature, "_tightened", counted)
+    return calls
+
+
+def test_ft_st_analyses_a_point_once_per_bundle(monkeypatch, deep_problem):
+    data, b, shape = deep_problem
+    w = ls.build_example_family(2, "tightened", b, shape)
+    rng = np.random.default_rng(43)
+    dirs = [random_direction(shape, rng) for _ in range(3)]
+    calls = _count_tightened(monkeypatch)
+    decs = [ls.ft_st_decomposition(w, v, b, data) for v in dirs]
+    assert len(calls) == 1
+    fresh = [ls.ft_st_decomposition(ls.Weights(w.layers, shape), v, b, data) for v in dirs]
+    assert len(calls) == 4
+    for dec, ref in zip(decs, fresh):
+        assert dec.a1 == ref.a1 and dec.structure == ref.structure
+        for name in ("A2", "A3", "A4"):
+            assert np.array_equal(getattr(dec, name), getattr(ref, name))
+    # An equal bundle that is another object is analysed afresh, once.
+    b2 = ls.build_sigma_bundle(data)
+    for v in dirs:
+        ls.ft_st_decomposition(w, v, b2, data)
+    assert len(calls) == 5 and calls[-1] is b2
+
+
+def test_ft_st_keeps_nothing_for_a_point_that_fails(monkeypatch, deep_problem):
+    data, b, shape = deep_problem
+    w = ls.build_example_family(2, "non_tightened", b, shape)
+    v = random_direction(shape, np.random.default_rng(44))
+    calls = _count_tightened(monkeypatch)
+    for n in (1, 2):
+        with pytest.raises(ls.NotTightened):
+            ls.ft_st_decomposition(w, v, b, data)
+        assert len(calls) == n and w._tightened is None
+
+
+def test_ft_st_does_not_keep_its_bundle_alive(deep_problem):
+    data, _, shape = deep_problem
+    bundle = ls.build_sigma_bundle(data)
+    w = ls.build_example_family(2, "tightened", bundle, shape)
+    ls.ft_st_decomposition(w, random_direction(shape, np.random.default_rng(45)), bundle, data)
+    ref = weakref.ref(bundle)
+    assert w._tightened is not None
+    del bundle
+    gc.collect()
+    assert ref() is None and w._tightened is not None
+
+
+def test_ft_st_at_depth_8_with_both_identity_ranges():
+    # Z_4 = Z_5 = 0, Z_8 Z_7 Z_6 = 0 and Z_3 Z_2 Z_1 Sigma_XY U_Q = 0 while
+    # Z_8 Z_7 and Z_2 Z_1 Sigma_XY U_Q are nonzero, so p = 6 and q = 3: the
+    # identity checks cover W_{i-1}..W_2 for i = 6..8 and W_7..W_{i+1} for
+    # i = 1..3.  Adjacent widths differ, so a product taken on the wrong side
+    # fails.
+    m, r = 50, 1
+    data = ls.generate_gaussian_data(6, 4, m, seed=3)
+    b = ls.build_sigma_bundle(data)
+    shape = ls.NetworkShape((6, 5, 6, 5, 6, 5, 5, 6, 4))
+    rng = np.random.default_rng(7)
+    z = [rng.standard_normal(z_block_shape(shape, r, h)) for h in range(1, 9)]
+    z[3][:] = z[4][:] = 0.0
+    N = z[1] @ z[0] @ b.sigma_xy @ b.U[:, r:]
+    z[2] -= z[2] @ N @ np.linalg.pinv(N)
+    K = z[7] @ z[6]
+    z[5] -= np.linalg.pinv(K) @ K @ z[5]
+    w = ls.build_critical_point(CriticalPointSpec(support=(1,), z_blocks=tuple(z)), b, shape)
+    assert ls.classify(w, b, data).verdict == "non_strict_saddle"
+    for _ in range(3):
+        v = random_direction(shape, rng)
+        dec = ls.ft_st_decomposition(w, v, b, data)
+        assert (dec.structure.p, dec.structure.q) == (6, 3)
+        assert dec.structure.residual < 1e-12 * (1.0 + w.frob_norm())
+        A2, A4 = m_column_ftst(w.layers, v.layers, data.X, data.Y, r, 6, 3)
+        assert float(np.sum(dec.A2**2)) == pytest.approx(float(np.sum(A2**2)), rel=1e-9)
+        assert np.allclose(dec.A4, A4, rtol=1e-9, atol=1e-9 * np.abs(A4).max())
+        assert dec.c2 == pytest.approx(ls.c2_value(w, v, data), rel=1e-8)
+        assert dec.c2 >= 0.0 and dec.a1 >= 0.0
 
 
 def test_ft_st_matches_m_column_form_at_m_3000():

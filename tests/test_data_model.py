@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,15 @@ def test_bundle_has_no_sample_axis():
         assert max(arr.shape) <= 6, name
     for gone in ("m", "V", "delta", "sigma_half", "v_q_cols", "v_sprime_cols"):
         assert not hasattr(b, gone)
+
+
+def test_bundle_arrays_are_read_only():
+    # What is derived from a bundle object (the tightened structure kept on
+    # weights) stays valid only if the bundle cannot change in place.
+    b = ls.build_sigma_bundle(ls.generate_gaussian_data(6, 4, 50, seed=9))
+    for f in fields(b):
+        with pytest.raises(ValueError):
+            getattr(b, f.name)[0] = 0.0
 
 
 def test_bundle_makes_one_pass_over_the_samples(monkeypatch, small_problem):
