@@ -35,9 +35,9 @@ from .ranktol import (  # RankTolerance and numeric_rank are re-exported
     EPS_WITNESS,
     TAU_CRIT_REL,
     RankTolerance,
+    chain_floor,
     criticality_scale,
     numeric_rank,
-    outer_block_floors,
     product_rank_tolerance,
 )
 
@@ -88,7 +88,7 @@ class PivotStaircase:
     def __init__(self, w: Weights, bundle: SigmaBundle, r: int,
                  rank_tol: RankTolerance = RankTolerance()):
         self.w, self.bundle, self.r, self.rank_tol = w, bundle, r, rank_tol
-        self.floors, self.cut, self.first = outer_block_floors(w, bundle), {}, None
+        self.g, self.cut, self.first = [max(1.0, norm) for norm in w.layer_norms()], {}, None
         H, b = w.shape.H, 2
         for j in range(1, H):
             i = max(b, j + 1)
@@ -112,7 +112,8 @@ class PivotStaircase:
             w, r = self.w, self.r
             outer = partial_prefix(w, j - 1) @ self.bundle.sigma_xy @ partial_suffix(w, i + 1)
             middle = partial_middle(w, i, j) if middle is None else middle
-            floor = self.floors[0][j - 1] * self.floors[1][i]
+            floor = chain_floor(w.shape.H, [self.bundle.sigma_xy_norm] + self.g[:j - 1]
+                                + self.g[i:])
             tols = (RankTolerance(absolute=floor, relative=self.rank_tol.relative), self.rank_tol)
             p = analyze_pivot(i, j, r, (outer, middle), tols)
             for q in self.cut.values():

@@ -47,9 +47,9 @@ from .ranktol import (
     EPS_CANON,
     TAU_CRIT_REL,
     RankTolerance,
+    chain_floor,
     criticality_scale,
     product_rank_tolerance,
-    z_chain_floors,
 )
 
 
@@ -132,18 +132,58 @@ def spec_from_json(text: str, shape: NetworkShape) -> CriticalPointSpec:
     return CriticalPointSpec(support=support, z_blocks=z_blocks, d_blocks=d_blocks)
 
 
-def _nonzero_product(z_blocks, G):
-    """The name of the first product of the criticality condition whose
-    Frobenius norm exceeds its ``z_chain_floors`` floor, None when all
-    vanish.  G enters the product table as a layer H + 1 after Z_H.  An
-    empty block gives a zero product with a zero floor, which passes."""
-    floors = z_chain_floors([math.sqrt(np.vdot(Z, Z)) for Z in z_blocks], math.sqrt(np.vdot(G, G)))
-    pre, suf = layer_products(tuple(z_blocks) + (G,))
-    for h, floor in enumerate(floors):
-        P = pre[-2] if h == 0 else pre[h - 1] @ suf[h + 1]
-        if math.sqrt(np.vdot(P, P)) > floor:
-            return "Z_H..Z_1" if h == 0 else f"Z_{h - 1}..Z_1 G Z_H..Z_{h + 1}"
-    return None
+class _ZChains:
+    """Zero tests, each at its ``chain_floor``, on the chains of the blocks
+    Z_1..Z_H of a spec and G = Sigma_XY U_Q: pre[k] = Z_k..Z_1,
+    suf[h] = Z_H..Z_h, zg[k] = Z_k..Z_1 G (k < H), norms[h - 1] = ||Z_h||."""
+
+    def __init__(self, z_blocks, G):
+        self.blocks = [np.ascontiguousarray(Z) for Z in z_blocks]
+        self.H = len(self.blocks)
+        self.pre, self.suf = layer_products(self.blocks)
+        self.zg = [P @ G for P in self.pre[:-1]]
+        self.norms = [math.sqrt(np.vdot(Z, Z)) for Z in self.blocks]
+        self.g_norm = math.sqrt(np.vdot(G, G))
+
+    def zero(self, P, factor_norms) -> bool:
+        return math.sqrt(np.vdot(P, P)) <= chain_floor(self.H, factor_norms)
+
+    def outer_zero(self, i, j) -> bool:
+        """Whether Z_{j-1}..Z_1 G Z_H..Z_{i+1} vanishes."""
+        n = self.norms
+        return self.zero(self.zg[j - 1] @ self.suf[i + 1], n[:j - 1] + [self.g_norm] + n[i:])
+
+    def nonzero_product(self):
+        """The first product of the criticality condition that is not zero."""
+        if not self.zero(self.pre[-1], self.norms):
+            return "Z_H..Z_1"
+        return next((f"Z_{h - 1}..Z_1 G Z_H..Z_{h + 1}" for h in range(1, self.H + 1)
+                     if not self.outer_zero(h, h)), None)
+
+    def untightened_pivot(self):
+        """The first pivot (i, j) in (i, j) order whose outer chain
+        Z_{j-1}..Z_1 G Z_H..Z_{i+1} and middle chain Z_{i-1}..Z_{j+1} are both
+        nonzero, None if all are tightened.  A chain that vanishes still does
+        when made longer, so in column j the middle chain is nonzero up to
+        some b(j) and the outer chain from some a(j) on, both rising with j:
+        walking b up from b(j - 1) takes O(H) tests."""
+        H, n, b = self.H, self.norms, 2
+        for j in range(1, H):
+            i = max(b, j + 1)
+            mid = np.eye(self.blocks[j - 1].shape[0])
+            for Zk in self.blocks[j:i - 1]:
+                mid = Zk @ mid
+            while i < H:
+                mid = self.blocks[i - 1] @ mid  # Z_i..Z_{j+1}
+                if self.zero(mid, n[j:i]):
+                    break
+                i += 1
+            b = i
+            if not self.outer_zero(b, j):
+                while i > j + 1 and not self.outer_zero(i - 1, j):
+                    i -= 1
+                return i, j
+        return None
 
 
 def build_critical_point(
@@ -154,40 +194,36 @@ def build_critical_point(
 ) -> Weights:
     """Materialize weights from a spec.  Raises NotCritical unless the spec
     meets the exact criticality condition of the module docstring, each
-    product cut at its ``z_chain_floors`` floor; require_certified=False
-    skips that check."""
+    product cut at its ``chain_floor``; require_certified=False skips that
+    check.  Omitted D blocks are identities, and the layers are then the
+    block matrices themselves."""
     if shape.d_x != bundle.d_x or shape.d_y != bundle.d_y:
         raise InvalidShape("shape incompatible with bundle")
     spec.validate(shape, bundle.d_y)
     r = spec.r
     U_S = bundle.u_cols(spec.support)
     U_Q = bundle.u_complement(spec.support)
-    if require_certified and (bad := _nonzero_product(spec.z_blocks, bundle.sigma_xy @ U_Q)):
-        raise NotCritical(f"the spec is not critical: {bad} is not zero")
+    if require_certified:
+        if bad := _ZChains(spec.z_blocks, bundle.sigma_xy @ U_Q).nonzero_product():
+            raise NotCritical(f"the spec is not critical: {bad} is not zero")
 
     H = shape.H
-    d_blocks = spec.d_blocks
-    if d_blocks is None:
-        d_blocks = tuple(np.eye(shape.dims[h]) for h in range(1, H))
-    d_invs = []
-    for h, D in enumerate(d_blocks, start=1):
-        cond = np.linalg.cond(D)
-        if not np.isfinite(cond) or cond > D_COND_LIMIT:
-            raise IllConditioned(f"D_{h} condition number {cond:.3g} exceeds limit")
-        d_invs.append(np.linalg.inv(D))
-
-    C = bundle.sigma_yx_sigma_xx_inv()
-
-    layers = []
-    W1 = d_blocks[0] @ np.vstack([U_S.T @ C, spec.z_blocks[0]])
-    layers.append(W1)
+    layers = [np.vstack([U_S.T @ bundle.sigma_yx_sigma_xx_inv(), spec.z_blocks[0]])]
     for h in range(2, H):
         B = np.zeros((shape.dims[h], shape.dims[h - 1]))
         B[:r, :r] = np.eye(r)
         B[r:, r:] = spec.z_blocks[h - 1]
-        layers.append(d_blocks[h - 1] @ B @ d_invs[h - 2])
-    WH = np.hstack([U_S, U_Q @ spec.z_blocks[H - 1]]) @ d_invs[H - 2]
-    layers.append(WH)
+        layers.append(B)
+    layers.append(np.hstack([U_S, U_Q @ spec.z_blocks[-1]]))
+    if (d := spec.d_blocks) is not None:  # W_h = D_h B_h D_{h-1}^{-1}
+        for h, D in enumerate(d, start=1):
+            cond = np.linalg.cond(D)
+            if not np.isfinite(cond) or cond > D_COND_LIMIT:
+                raise IllConditioned(f"D_{h} condition number {cond:.3g} exceeds limit")
+        d_invs = [np.linalg.inv(D) for D in d]
+        layers = ([d[0] @ layers[0]]
+                  + [d[h - 1] @ layers[h - 1] @ d_invs[h - 2] for h in range(2, H)]
+                  + [layers[-1] @ d_invs[-1]])
     return Weights(layers, shape)
 
 

@@ -23,11 +23,11 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
-from .critical_points import _canonical_blocks
+from .critical_points import _canonical_blocks, _ZChains
 from .data_model import DataMatrices, SigmaBundle, _moments
 from .errors import (
     InternalInconsistency,
@@ -42,7 +42,6 @@ from .errors import (
 )
 from .network import (
     Direction,
-    NetworkShape,
     Weights,
     _product_table,
     global_map,
@@ -51,13 +50,7 @@ from .network import (
     partial_suffix,
     unflatten,
 )
-from .ranktol import (
-    BETA_ZERO_TOL,
-    EPS_CANON,
-    RankTolerance,
-    numeric_rank,
-    product_rank_tolerance,
-)
+from .ranktol import BETA_ZERO_TOL, RankTolerance, chain_floor, numeric_rank
 
 MAX_TAYLOR_DEPTH = 12
 MAX_DENSE_PARAMS = 2000
@@ -505,9 +498,9 @@ def witness_untightened(
 
 @dataclass(frozen=True)
 class TightenedStructure:
-    p: int  # largest h in [3, H] with rank(W_H .. W_h) = r
-    q: int  # smallest q in [1, min(p-1, H-2)] with rank(W_q..W_1 Sigma_XY) = r
-    residual: float
+    p: int  # largest h in [3, H] with Z_H..Z_h = 0
+    q: int  # smallest k in [1, min(p-1, H-2)] with Z_k..Z_1 G = 0, G = Sigma_XY U_Q
+    residual: float  # largest Frobenius norm among the chains of the product identities
 
 
 @dataclass(frozen=True)
@@ -528,69 +521,44 @@ class FtStDecomposition:
 
 
 def _tightened(w: Weights, bundle: SigmaBundle):
-    """Locate the rank-collapse indices (p, q) of a tightened canonical point
-    and verify the product identities they imply.  Returns the
-    ``TightenedStructure`` together with r and the blocks Z_1..Z_H, as the
-    weights of the network with widths (d_x, d_1 - r, ..., d_y - r) so that
-    their products come from its product table.  Rank cuts use the
-    floors of ``classify``, tightness is decided by ``PivotStaircase``, and q
-    is read from its cuts: W_q..W_1 Sigma_XY is the outer block of pivot
-    (H, q + 1)."""
-    from .classifier import PivotStaircase  # classifier imports this module
-
-    shape = w.shape
-    H = shape.H
+    """The ``TightenedStructure`` of a tightened canonical point, r and the
+    ``_ZChains`` of its blocks.  r is the rank of the global map cut at its
+    ``chain_floor``; the rest are zero tests on Z chains, since at canonical
+    weights rank(W_H..W_h) = r exactly when Z_H..Z_h = 0, and
+    rank(W_k..W_1 Sigma_XY) = r exactly when Z_k..Z_1 G = 0."""
+    shape, H = w.shape, w.shape.H
     if H < 3:
         raise InvalidShape("tightened structure requires depth H >= 3")
-    rank_tol = product_rank_tolerance(w)
-    r = numeric_rank(partial_suffix(w, 1), rank_tol)
+    floor = chain_floor(H, [np.linalg.norm(W) for W in w.layers])
+    r = numeric_rank(global_map(w), RankTolerance(absolute=floor))
     if r >= shape.r_max:
         raise NotApplicable("tightened analysis targets rank-deficient points")
-    z = _canonical_blocks(
-        w, bundle, tuple(range(1, r + 1)), w.frob_norm(), NeedsCanonicalization
-    )
-    z = Weights(z, NetworkShape((shape.d_x,) + tuple(d - r for d in shape.dims[1:])))
+    z = _ZChains(_canonical_blocks(w, bundle, tuple(range(1, r + 1)), w.frob_norm(),
+                                   NeedsCanonicalization), bundle.sigma_xy @ bundle.U[:, r:])
+    if (pivot := z.untightened_pivot()) is not None:
+        raise NotTightened(f"pivot {pivot} is not tightened")
 
-    stairs = PivotStaircase(w, bundle, r, rank_tol)
-    if stairs.first is not None:
-        raise NotTightened(f"pivot ({stairs.first.i}, {stairs.first.j}) is not tightened")
-
-    p = next((h for h in range(H, 2, -1)
-              if numeric_rank(partial_suffix(w, h), rank_tol) == r), None)
+    n, g = z.norms, [z.g_norm]
+    p = next((h for h in range(H, 2, -1) if z.zero(z.suf[h], n[h - 1:])), None)
     if p is None:
         raise InternalInconsistency("no rank-collapse index p found above layer 2")
-    q = next((k for k in range(1, min(p - 1, H - 2) + 1)
-              if stairs.pivot(H, k + 1).rank1 == r), None)
+    q = next((k for k in range(1, min(p - 1, H - 2) + 1) if z.zero(z.zg[k], n[:k] + g)), None)
     if q is None:
         raise InternalInconsistency("no rank-collapse index q found below layer H-1")
 
-    # Product identities implied by (p, q).
-    U_S = bundle.U[:, :r]
-    scale = 1.0 + w.frob_norm() + np.linalg.norm(bundle.sigma_xy)
-    errs = [0.0]
-    for i in range(1, p):
-        suf = partial_suffix(w, i + 1)
-        errs.append(
-            np.linalg.norm(
-                suf - np.hstack([U_S, np.zeros((shape.d_y, suf.shape[1] - r))])
-            )
-        )
-    # W_{i-1}..W_2 for i >= p and W_{H-1}..W_{i+1} for i <= q are [[I_r, 0], [0, 0]].
-    mids = [partial_middle(w, i, 1) for i in range(p, H + 1)]
-    mids += [partial_middle(w, H, i) for i in range(1, q + 1)]
-    for mid in mids:
-        tgt = np.zeros_like(mid)
-        tgt[:r, :r] = np.eye(r)
-        errs.append(np.linalg.norm(mid - tgt))
-    U_Q = bundle.U[:, r:]
-    for i in range(q + 1, H + 1):
-        # Z_{i-1} .. Z_1 Sigma_XY U_Q = 0
-        errs.append(np.linalg.norm(partial_prefix(z, i - 1) @ bundle.sigma_xy @ U_Q))
-    residual = max(errs)
-    if residual > EPS_CANON * scale:
-        raise InternalInconsistency(
-            f"tightened product identities violated by {residual:.3g}"
-        )
+    # The product identities implied by (p, q), as chains that must vanish:
+    # Z_H..Z_{i+1} (i < p), Z_{i-1}..Z_2 (i >= p), Z_{H-1}..Z_{i+1} (i <= q)
+    # and Z_{i-1}..Z_1 G (i > q).
+    Z = z.blocks
+    up = accumulate(Z[1:H - 1], lambda M, Zi: Zi @ M)  # Z_{i-1}..Z_2, i = 3..H
+    down = accumulate(Z[H - 2:0:-1], lambda M, Zi: M @ Zi)  # Z_{H-1}..Z_{i+1}, i = H-2..1
+    chains = [(z.suf[i + 1], n[i:]) for i in range(1, p)]
+    chains += [(M, n[1:i - 1]) for i, M in enumerate(up, start=3) if i >= p]
+    chains += [(M, n[i:H - 1]) for i, M in zip(range(H - 2, 0, -1), down) if i <= q]
+    chains += [(z.zg[i - 1], n[:i - 1] + g) for i in range(q + 1, H + 1)]
+    residual = max(np.linalg.norm(M) for M, _ in chains)
+    if not all(z.zero(M, factors) for M, factors in chains):
+        raise InternalInconsistency(f"tightened product identities violated by {residual:.3g}")
     return TightenedStructure(p=p, q=q, residual=float(residual)), r, z
 
 
@@ -608,7 +576,7 @@ def ft_st_decomposition(
     second-order descent directions.
 
     The tightened structure (r, the rank-collapse indices p and q, checked
-    against their product identities, and the blocks Z_h) depends on the
+    against their product identities, and the Z chains) depends on the
     point and the bundle only, so the first call keeps it on ``w`` and later
     calls with the same bundle object reuse it for every direction; another
     bundle gets a fresh analysis.  The entry holds the bundle only through a
@@ -645,10 +613,10 @@ def ft_st_decomposition(
     Pi = np.eye(bundle.d_x) - (XV_Q / delta_q) @ U_Q.T @ C
 
     # a1: swap-type quadratic with eigenvalue gaps as weights; the Z products
-    # Z_H..Z_{i+1} and Z_{i-1}..Z_1 are suffixes and prefixes of z.
+    # Z_H..Z_{i+1} and Z_{i-1}..Z_1 are suffixes and prefixes of the Z chains.
     T1 = U_Q.T @ v.layer(H)[:, :r]
     for i in J1:
-        T1 = T1 + partial_suffix(z, i + 1) @ v.layer(i)[r:, :r]
+        T1 = T1 + z.suf[i + 1] @ v.layer(i)[r:, :r]
     gaps = lam[:r][None, :] - lam[r:][:, None]  # (d_y - r) x r, all > 0
     a1 = float(np.sum(gaps * T1 * T1))
 
@@ -657,16 +625,15 @@ def ft_st_decomposition(
     for i in J1:
         M = M + v.layer(i)[:r, :r] @ P_S
     for i in J2:
-        M = M + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ partial_prefix(z, i - 1)
+        M = M + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ z.pre[i - 1]
     for i in J3:
-        Kz = partial_prefix(z, i - 1)
-        M = M + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ (Kz @ Pi)
+        M = M + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ (z.pre[i - 1] @ Pi)
     A2 = (M + v.layer(1)[:r, :] @ Pi) @ bundle.L
 
     A3 = delta_q[:, None] * T1
     A4 = v.layer(1)[:r, :] @ XV_Q
     for i in J3:
-        A4 = A4 + v.layer(i)[:r, r:] @ (partial_prefix(z, i - 1) @ XV_Q)
+        A4 = A4 + v.layer(i)[:r, r:] @ (z.pre[i - 1] @ XV_Q)
     A4 = A4.T
 
     return FtStDecomposition(a1=a1, A2=A2, A3=A3, A4=A4, structure=st)

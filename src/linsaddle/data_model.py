@@ -96,8 +96,15 @@ class SigmaBundle:
         sel = sorted(set(range(1, self.d_y + 1)) - set(support))
         return self.U[:, [s - 1 for s in sel]]
 
+    @cached_property
+    def _c(self) -> np.ndarray:
+        C = np.linalg.solve(self.sigma_xx.T, self.sigma_yx.T).T
+        C.flags.writeable = False
+        return C
+
     def sigma_yx_sigma_xx_inv(self) -> np.ndarray:
-        return np.linalg.solve(self.sigma_xx.T, self.sigma_yx.T).T
+        """C = Sigma_YX Sigma_XX^{-1}, solved on first use and kept read-only."""
+        return self._c
 
 
 @dataclass(frozen=True)

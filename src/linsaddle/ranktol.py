@@ -7,22 +7,23 @@ live here, each compared with a quantity of its own units:
   absolute + relative * sigma_max (relative defaults to max(shape) * eps).
   ``product_rank_tolerance`` floors the absolute part at the rounding error
   of the layer products, 100 H eps prod max(1, ||W_h||_2); ``classify``
-  and the tightened-point certificate cut with it, and ``canonical_form``
-  makes no cut of its own beyond the support recovery's.  The
-  outer pivot block W_{j-1}..W_1 Sigma_XY W_H..W_{i+1} holds Sigma_XY, so
-  ``outer_block_floors`` gives it a floor in its own units instead,
-  100 H eps ||Sigma_XY||_2 times prod max(1, ||W_h||_2) over its layers;
-- exact criticality of a spec: each product Z_H..Z_1 and Z_{h-1}..Z_1 G
-  Z_H..Z_{h+1}, G = Sigma_XY U_Q, is zero when its Frobenius norm is at most
-  ``z_chain_floors``, 100 H eps times the product of its factors' norms;
+  cuts with it, and ``canonical_form`` makes no cut of its own beyond the
+  support recovery's.  The outer pivot block W_{j-1}..W_1 Sigma_XY
+  W_H..W_{i+1} holds Sigma_XY, so ``classify`` cuts it at a floor in its
+  own units, the ``chain_floor`` of ||Sigma_XY||_2 and max(1, ||W_h||_2)
+  over its layers;
+- a chain of Z blocks and G = Sigma_XY U_Q is zero when its Frobenius norm
+  is at most its ``chain_floor``, 100 H eps times the product of its
+  factors' Frobenius norms: so are the exact criticality of a spec and the
+  tightness, rank-collapse indices and product identities of a tightened
+  point decided, whose global map is cut at the layers' ``chain_floor``;
 - first-order criticality: ||grad|| <= TAU_CRIT_REL * criticality_scale,
   the natural size of a gradient, 1 + ||W|| (||Sigma_XX|| + ||Sigma_YX||);
 - canonical block equations: residual <= EPS_CANON (1 + ||W|| + ||C||),
-  C = Sigma_YX Sigma_XX^{-1}, and the product identities of a tightened
-  point within EPS_CANON (1 + ||W|| + ||Sigma_XY||); blocks D are refused
-  past condition number D_COND_LIMIT; a canonical block Z_h is snapped to
-  zero when ||Z_h|| <= EPS_CANON ||Wt_h||, Wt_h its transformed layer, in
-  whose units it is;
+  C = Sigma_YX Sigma_XX^{-1}; blocks D are refused past condition number
+  D_COND_LIMIT; a canonical block Z_h is snapped to zero when
+  ||Z_h|| <= EPS_CANON ||Wt_h||, Wt_h its transformed layer, in whose
+  units it is;
 - witnesses: a measured c2 is negative by more than EPS_WITNESS times the
   sum of the magnitudes of its two terms; a pivot data block T counts as
   zero when sigma_1(T) <= BETA_ZERO_TOL times the product of the 2-norms of
@@ -39,9 +40,8 @@ constants are fixed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import mul
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -96,6 +96,13 @@ def criticality_scale(w: Weights, bundle: SigmaBundle) -> float:
     return 1.0 + w.frob_norm() * data_norm
 
 
+def chain_floor(H: int, factor_norms) -> float:
+    """Rounding floor of a product of factors of a depth-H network: 100 H eps
+    times the product of the factor norms given, in the units of the product
+    when these are the factors' own (Frobenius) norms."""
+    return 100.0 * H * np.finfo(float).eps * math.prod(factor_norms)
+
+
 def product_rank_tolerance(
     w: Weights, rank_tol: RankTolerance = RankTolerance()
 ) -> RankTolerance:
@@ -103,31 +110,7 @@ def product_rank_tolerance(
     the layer products (times a safety factor).  Matrix products of many
     layers carry O(eps * prod ||W_h||) noise that a purely relative
     machine-precision cutoff would count as genuine singular values."""
-    prod = 1.0
-    for norm in w.layer_norms():
-        prod *= max(1.0, norm)
-    floor = 100.0 * w.shape.H * np.finfo(float).eps * prod
+    floor = chain_floor(w.shape.H, [max(1.0, norm) for norm in w.layer_norms()])
     return RankTolerance(
         absolute=max(rank_tol.absolute, floor), relative=rank_tol.relative
     )
-
-
-def outer_block_floors(w: Weights, bundle: SigmaBundle) -> tuple[list, list]:
-    """Rounding floors of the outer pivot blocks W_{j-1}..W_1 Sigma_XY
-    W_H..W_{i+1}: 100 H eps ||Sigma_XY||_2 times prod max(1, ||W_h||_2) over
-    the layers h < j and h > i.  Returned as (left, right) with the floor of
-    pivot (i, j) equal to left[j - 1] * right[i]."""
-    g = [max(1.0, norm) for norm in w.layer_norms()]
-    unit = 100.0 * w.shape.H * np.finfo(float).eps * bundle.sigma_xy_norm
-    left = list(accumulate(g, mul, initial=unit))
-    right = list(accumulate(reversed(g), mul, initial=1.0))[::-1]
-    return left, right
-
-
-def z_chain_floors(z_norms, g_norm: float) -> list:
-    """Rounding floors of the exact criticality test from the Frobenius norms
-    ||Z_1|| .. ||Z_H|| and ||G||, 100 H eps times the norms of the factors:
-    of Z_H..Z_1 at index 0 and of Z_{h-1}..Z_1 G Z_H..Z_{h+1} at index h."""
-    left = list(accumulate(z_norms, mul, initial=100.0 * len(z_norms) * np.finfo(float).eps))
-    right = list(accumulate(reversed(z_norms), mul, initial=g_norm))[::-1]
-    return left[-1:] + [lo * hi for lo, hi in zip(left, right[1:])]

@@ -12,8 +12,15 @@ import linsaddle.classifier as classifier
 import linsaddle.curvature as curvature
 import linsaddle.data_model as data_model
 from linsaddle.classifier import classification_to_json
-from linsaddle.critical_points import build_critical_point, z_block_shape, CriticalPointSpec
-from linsaddle.curvature import MAX_DENSE_PARAMS
+from linsaddle.critical_points import (
+    CriticalPointSpec,
+    _canonical_blocks,
+    _ZChains,
+    build_critical_point,
+    z_block_shape,
+)
+from linsaddle.curvature import MAX_DENSE_PARAMS, CurvatureCache, _line_orders
+from linsaddle.network import partial_suffix
 from linsaddle.ranktol import product_rank_tolerance
 
 from conftest import masked_critical_spec, random_certified_spec, random_direction, random_weights
@@ -300,15 +307,30 @@ def _assert_staircase_agrees(w, b, r):
 
 
 def _assert_q_agrees(w, b, r, sweep):
-    # q + 1 is the first j whose outer block at i = H has rank r.
+    # The Z-chain indices against their rank definitions: p is the largest
+    # h >= 3 with rank(W_H..W_h) = r, and q + 1 the first j whose outer block
+    # at i = H has rank r.
     H = w.shape.H
     st = curvature._tightened(w, b)[0]
+    rank_tol = product_rank_tolerance(w)
+    assert st.p == next(h for h in range(H, 2, -1)
+                        if ls.numeric_rank(partial_suffix(w, h), rank_tol) == r)
     q = next(k for k in range(1, min(st.p - 1, H - 2) + 1) if sweep[H, k + 1].rank1 == r)
     assert st.q == q
 
 
+def _z_chain_tests(w, b, r, monkeypatch):
+    """The first untightened pivot that the Z-chain staircase finds at the
+    canonical point w of support [1, r], and the zero tests it makes."""
+    chains = _ZChains(_canonical_blocks(w, b, tuple(range(1, r + 1)), w.frob_norm(),
+                                        ls.NeedsCanonicalization), b.sigma_xy @ b.U[:, r:])
+    tests, zero = [], _ZChains.zero
+    monkeypatch.setattr(_ZChains, "zero", lambda self, *a: tests.append(a) or zero(self, *a))
+    return chains.untightened_pivot(), len(tests)
+
+
 @pytest.mark.parametrize("variant", ["tightened", "non_tightened"])
-def test_staircase_agrees_with_the_full_sweep_at_depth_16(variant):
+def test_staircase_agrees_with_the_full_sweep_at_depth_16(variant, monkeypatch):
     data = ls.generate_gaussian_data(5, 4, 30, seed=21)
     b = ls.build_sigma_bundle(data)
     shape = ls.NetworkShape((5,) + (6,) * 15 + (4,))
@@ -319,6 +341,11 @@ def test_staircase_agrees_with_the_full_sweep_at_depth_16(variant):
     assert len(stairs.cut) < 2 * H < len(sweep)
     if variant == "tightened":
         _assert_q_agrees(w, b, 2, sweep)
+    # The example points are canonical, and the Z chains find the same first
+    # untightened pivot in fewer than 2H zero tests.
+    first, n_tests = _z_chain_tests(w, b, 2, monkeypatch)
+    assert first == (None if stairs.first is None else (stairs.first.i, stairs.first.j))
+    assert n_tests < 2 * H
     assert ls.classify(w, b, data).pivots == sorted(stairs.cut.values())
 
 
@@ -470,6 +497,8 @@ def _check_census_draw(data, scaled, shape, spec, a, b):
     r = spec.r
     if r < shape.r_max and spec.support == tuple(range(1, r + 1)):
         _assert_staircase_agrees(w, bundle, r)
+        if shape.H >= 3:
+            _check_census_certificate(canonical, bundle, shape, verdict, b / a)
     if shape.n_params <= MAX_DENSE_PARAMS:
         # The loss at the rescaled data is b^2 times the loss of the unit
         # point, whose W_1 is (a/b) times this one, so this congruence gives
@@ -486,6 +515,28 @@ def _check_census_draw(data, scaled, shape, spec, a, b):
         else:
             assert abs(lam) <= 1e-12 * scale
     return verdict
+
+
+def _check_census_certificate(canonical, bundle, shape, verdict, ratio):
+    # The sum-of-squares certificate at the canonical point (D = I) along a
+    # direction whose layer 1 scales like W_1: the point is refused at strict
+    # draws, and at non-strict ones its c2 is the measured quad + cross to
+    # the rounding of the two terms.  Where c2 = 0 the measured cross
+    # 2 <A_2, E> can be nothing but the rounding of a zero A_2 (about 1e-16
+    # at r = 0 draws, with quad = 0), so cross is held to 2 <|A_2|, |E|>,
+    # with |A_2| the order-2 term of the line through |W| along |V|.
+    w = build_critical_point(replace(canonical, d_blocks=None), bundle, shape)
+    layers = random_direction(shape, np.random.default_rng(shape.n_params)).layers
+    v = ls.Direction([layers[0] * ratio] + list(layers[1:]), shape)
+    if verdict == "strict_saddle":
+        with pytest.raises(ls.NotTightened):
+            ls.ft_st_decomposition(w, v, bundle, None)
+        return
+    cache = CurvatureCache(w, bundle)
+    quad, cross = cache.c2_terms(v)
+    A2_abs = _line_orders(*(type(s)([np.abs(M) for M in s.layers], shape) for s in (w, v)), 2)[2]
+    bound = quad + 2.0 * float(np.sum(A2_abs * np.abs(cache.E)))
+    assert abs(ls.ft_st_decomposition(w, v, bundle, None).c2 - (quad + cross)) <= 1e-8 * bound
 
 
 def test_census_of_masked_specs():

@@ -66,6 +66,19 @@ def test_build_rejects_ill_conditioned_d(small_problem):
         build_critical_point(replace(spec, d_blocks=tuple(bad)), b, shape)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_omitted_d_blocks_build_the_identity_d_weights(deep_problem, seed):
+    # d_blocks=None skips the conditioning and the products that explicit
+    # identity D blocks go through, and gives the same weights bit for bit.
+    _, b, shape = deep_problem
+    from dataclasses import replace
+
+    spec = replace(random_certified_spec(shape, b.d_y, np.random.default_rng(seed)), d_blocks=None)
+    eye = replace(spec, d_blocks=tuple(np.eye(d) for d in shape.dims[1:-1]))
+    w, w_eye = build_critical_point(spec, b, shape), build_critical_point(eye, b, shape)
+    assert all(np.array_equal(W, W_eye) for W, W_eye in zip(w.layers, w_eye.layers))
+
+
 def test_build_validates_block_shapes(small_problem):
     _, b, shape = small_problem
     z = tuple(np.zeros((1, 1)) for _ in range(shape.H))

@@ -511,24 +511,30 @@ def test_ft_st_does_not_keep_its_bundle_alive(deep_problem):
     assert ref() is None and w._tightened is not None
 
 
-def test_ft_st_at_depth_8_with_both_identity_ranges():
+def _depth_8_point():
     # Z_4 = Z_5 = 0, Z_8 Z_7 Z_6 = 0 and Z_3 Z_2 Z_1 Sigma_XY U_Q = 0 while
     # Z_8 Z_7 and Z_2 Z_1 Sigma_XY U_Q are nonzero, so p = 6 and q = 3: the
     # identity checks cover W_{i-1}..W_2 for i = 6..8 and W_7..W_{i+1} for
     # i = 1..3.  Adjacent widths differ, so a product taken on the wrong side
-    # fails.
-    m, r = 50, 1
-    data = ls.generate_gaussian_data(6, 4, m, seed=3)
+    # fails.  Returns the data, bundle, shape, weights (r = 1) and the
+    # generator that drew them, for the directions.
+    data = ls.generate_gaussian_data(6, 4, 50, seed=3)
     b = ls.build_sigma_bundle(data)
     shape = ls.NetworkShape((6, 5, 6, 5, 6, 5, 5, 6, 4))
     rng = np.random.default_rng(7)
-    z = [rng.standard_normal(z_block_shape(shape, r, h)) for h in range(1, 9)]
+    z = [rng.standard_normal(z_block_shape(shape, 1, h)) for h in range(1, 9)]
     z[3][:] = z[4][:] = 0.0
-    N = z[1] @ z[0] @ b.sigma_xy @ b.U[:, r:]
+    N = z[1] @ z[0] @ b.sigma_xy @ b.U[:, 1:]
     z[2] -= z[2] @ N @ np.linalg.pinv(N)
     K = z[7] @ z[6]
     z[5] -= np.linalg.pinv(K) @ K @ z[5]
     w = ls.build_critical_point(CriticalPointSpec(support=(1,), z_blocks=tuple(z)), b, shape)
+    return data, b, shape, w, rng
+
+
+def test_ft_st_at_depth_8_with_both_identity_ranges():
+    data, b, shape, w, rng = _depth_8_point()
+    r = 1
     assert ls.classify(w, b, data).verdict == "non_strict_saddle"
     for _ in range(3):
         v = random_direction(shape, rng)
@@ -540,6 +546,27 @@ def test_ft_st_at_depth_8_with_both_identity_ranges():
         assert np.allclose(dec.A4, A4, rtol=1e-9, atol=1e-9 * np.abs(A4).max())
         assert dec.c2 == pytest.approx(ls.c2_value(w, v, data), rel=1e-8)
         assert dec.c2 >= 0.0 and dec.a1 >= 0.0
+
+
+@pytest.mark.parametrize("a", [1e-6, 1e6])
+@pytest.mark.parametrize("b", [1e-6, 1e6])
+def test_ft_st_at_depth_8_under_a_change_of_units(a, b):
+    # X -> aX, Y -> bY and W_1 -> (b/a) W_1 keep the point canonical with the
+    # same Z chains up to the factor b/a on Z_1, so (p, q) stays (6, 3); along
+    # a direction whose layer 1 scales the same way, c2 scales by b^2.
+    data, bundle, shape, w, rng = _depth_8_point()
+    scaled = ls.DataMatrices(data.X * a, data.Y * b)
+
+    def covariant(s):
+        return type(s)([s.layer(1) * (b / a)] + list(s.layers[1:]), shape)
+
+    w_s, bundle_s = covariant(w), ls.build_sigma_bundle(scaled)
+    for _ in range(3):
+        v = random_direction(shape, rng)
+        dec = ls.ft_st_decomposition(w, v, bundle, data)
+        dec_s = ls.ft_st_decomposition(w_s, covariant(v), bundle_s, scaled)
+        assert (dec_s.structure.p, dec_s.structure.q) == (6, 3)
+        assert dec_s.c2 == pytest.approx(b**2 * dec.c2, rel=1e-8)
 
 
 def test_ft_st_matches_m_column_form_at_m_3000():

@@ -124,6 +124,13 @@ def test_bundle_arrays_are_read_only():
             getattr(b, f.name)[0] = 0.0
 
 
+def test_regression_map_is_solved_once_per_bundle():
+    b = ls.build_sigma_bundle(ls.generate_gaussian_data(6, 4, 50, seed=9))
+    C = b.sigma_yx_sigma_xx_inv()
+    assert b.sigma_yx_sigma_xx_inv() is C and not C.flags.writeable
+    assert np.array_equal(C, np.linalg.solve(b.sigma_xx.T, b.sigma_yx.T).T)
+
+
 def test_bundle_makes_one_pass_over_the_samples(monkeypatch, small_problem):
     data, b, _ = small_problem
     calls = []
