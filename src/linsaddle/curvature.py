@@ -40,16 +40,8 @@ from .errors import (
     TooDeep,
     TooLarge,
 )
-from .network import (
-    Direction,
-    Weights,
-    _product_table,
-    global_map,
-    partial_middle,
-    partial_prefix,
-    partial_suffix,
-    unflatten,
-)
+from .network import (Direction, Weights, _product_table, global_map, partial_middle,
+                      partial_prefix, partial_suffix, residual_moment, unflatten)
 from .ranktol import BETA_ZERO_TOL, RankTolerance, chain_floor, numeric_rank
 
 MAX_TAYLOR_DEPTH = 12
@@ -155,7 +147,7 @@ class CurvatureCache:
         bundled = isinstance(data, SigmaBundle)
         self.sigma_xx, sigma_xy = (data.sigma_xx, data.sigma_xy) if bundled else _moments(data)[:2]
         self.sigma_yx = sigma_xy.T
-        self.E = global_map(w) @ self.sigma_xx - self.sigma_yx
+        self.E = residual_moment(global_map(w), self)  # reads sigma_xx, sigma_yx
 
     @cached_property
     def P(self) -> list:

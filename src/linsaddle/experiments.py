@@ -30,15 +30,8 @@ import numpy as np
 from .critical_points import build_example_family, critical_value
 from .data_model import DataMatrices, SigmaBundle, build_sigma_bundle, generate_gaussian_data
 from .errors import Diverged, InvalidRank, InvalidShape
-from .network import (
-    NetworkShape,
-    Weights,
-    flatten,
-    layer_products,
-    products_gradient,
-    products_loss,
-    unflatten,
-)
+from .network import (NetworkShape, Weights, flatten, prefix_products, products_gradient,
+                      products_loss, residual_moment, unflatten)
 
 DIVERGE_LIMIT = 1e12
 ESCAPE_GATE = 3.0  # tightened / non-tightened median escape epoch, paper's contrast
@@ -106,12 +99,13 @@ def train_runs(
     epoch = one parameter update of every run still training.
 
     The runs' parameter vectors are the rows of one array, whose layer views
-    are (n, d_h, d_{h-1}) stacks; each epoch is one batched pass (layer
-    products, gradient, Adam or GD step, loss) in which every run gets
-    exactly the arithmetic it would get alone.  The weights, their layer
-    views, the Adam moments and one scratch array are made once (again only
-    when a diverged run leaves), and the updates run in place on them and on
-    the flat gradient.  A run stops at the first
+    are (n, d_h, d_{h-1}) stacks; each epoch is one batched pass (gradient,
+    Adam or GD step, H - 1 prefix products and one ``residual_moment`` E for
+    this epoch's loss and the next one's gradient: 3H - 2 matrix products)
+    in which every run gets exactly the arithmetic it would get alone.  The
+    weights, the gradient, their layer views, the Adam moments and one
+    scratch array are made once (again only when a diverged run leaves), and
+    the updates run in place on them.  A run stops at the first
     epoch whose (unnormalized) loss is non-finite or above DIVERGE_LIMIT:
     that epoch ends its trace, and the run takes no further part.
 
@@ -132,17 +126,18 @@ def train_runs(
         raise InvalidShape("weights incompatible with data dimensions")
     gscale = 1.0 / (data.m * data.d_y) if opt.mse_scaling else 1.0
     W = np.stack([flatten(w.layers) for w in w0s])  # one row per live run
-    m1, m2, tmp = np.zeros_like(W), np.zeros_like(W), np.empty_like(W)
-    layers = unflatten(W, shape.dims)
+    g, m1, m2, tmp = np.empty_like(W), np.zeros_like(W), np.zeros_like(W), np.empty_like(W)
+    layers, blocks = unflatten(W, shape.dims), unflatten(g, shape.dims)
     live = np.arange(n)  # the run index of each row of W
     final = np.empty_like(W)
     traces = np.empty((n, max_epochs + 1))
     lengths = np.full(n, max_epochs + 1)
     diverged = np.zeros(n, dtype=bool)
-    table = layer_products(layers)
-    traces[:, 0] = products_loss(table, bundle)
+    pre = prefix_products(layers)
+    E = residual_moment(pre[-1], bundle)
+    traces[:, 0] = products_loss(pre[-1], E, bundle)
     for epoch in range(1, max_epochs + 1):
-        g = products_gradient(table, bundle)  # a fresh array, used as scratch
+        products_gradient(layers, pre, E, blocks)  # g, then scratch of the step
         if opt.algorithm == "gd":
             g *= opt.lr * gscale
         else:
@@ -163,8 +158,9 @@ def train_runs(
             g *= opt.lr
             g /= tmp
         W -= g
-        table = layer_products(layers)
-        val = products_loss(table, bundle)
+        pre = prefix_products(layers)
+        E = residual_moment(pre[-1], bundle)
+        val = products_loss(pre[-1], E, bundle)
         traces[live, epoch] = val
         ok = val <= DIVERGE_LIMIT  # false for nan and inf as well
         if not ok.all():
@@ -172,11 +168,11 @@ def train_runs(
             lengths[stop] = epoch + 1
             diverged[stop] = True
             final[stop] = W[~ok]
-            live, W, m1, m2, tmp = live[ok], W[ok], m1[ok], m2[ok], tmp[ok]
+            live, W, g, m1, m2, tmp, E = (a[ok] for a in (live, W, g, m1, m2, tmp, E))
             if not live.size:
                 break
-            layers = unflatten(W, shape.dims)
-            table = layer_products(layers)
+            layers, blocks = unflatten(W, shape.dims), unflatten(g, shape.dims)
+            pre = prefix_products(layers)
     final[live] = W
     return unflatten(final, shape.dims), [traces[k, :lengths[k]] for k in range(n)], diverged
 

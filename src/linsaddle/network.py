@@ -22,16 +22,16 @@ a weak reference, so it is reused only for that same bundle (a frozen
 dataclass whose arrays ``build_sigma_bundle`` makes read-only) and keeps no
 bundle alive.
 
-``layer_products`` builds the table, and ``products_loss`` and
-``products_gradient`` read it together with the second moments of the
-bundle: the loss and its gradient see the samples only through Sigma_XX,
-Sigma_YX and tr Sigma_YY, never through an array with m columns.  All
-three also take a stack of n networks, each layer an (n, d_h, d_{h-1})
+``layer_products`` builds the table.  The loss and its gradient read its
+prefixes and one ``residual_moment`` E = W_H..W_1 Sigma_XX - Sigma_YX:
+``products_loss`` takes the loss from E and ``products_gradient`` walks E
+back through the layers, with no suffix.  They see the samples only through
+Sigma_XX, Sigma_YX and tr Sigma_YY, never through an array with m columns.
+All of them also take a stack of n networks, each layer an (n, d_h, d_{h-1})
 array: numpy's batched matmul makes the same BLAS call per network as for
 one network alone, so each network of a stack gets bitwise the results it
-would get by itself.  The table shares W_1 and W_H with the layers, and
-``products_gradient`` writes each layer's block straight into one flat
-parameter vector in the layout of ``flatten``.
+would get by itself.  ``products_gradient`` writes each layer's block
+straight into a caller's parameter vector in the layout of ``flatten``.
 """
 
 from __future__ import annotations
@@ -144,6 +144,16 @@ class Direction(_LayerStack):
     """A tangent perturbation, same layout as Weights."""
 
 
+def prefix_products(layers) -> list:
+    """[None, W_1, W_2 W_1, ..., W_H..W_1] from H - 1 products of the layers
+    of one network or a stack (see ``layer_products``); entry 0, the
+    identity, is left to the caller."""
+    prefixes = [None, layers[0]]
+    for M in layers[1:]:
+        prefixes.append(M @ prefixes[-1])
+    return prefixes
+
+
 def layer_products(layers):
     """(prefixes, suffixes) of a layer list, with prefixes[h] = W_h ... W_1 for
     h in [0, H] and suffixes[h] = W_H ... W_h for h in [1, H + 1]
@@ -153,9 +163,8 @@ def layer_products(layers):
     prefixes[1] is W_1 and suffixes[H] is W_H, the layer objects themselves:
     a product with an identity would give them back bit for bit."""
     H = len(layers)
-    prefixes = [np.eye(layers[0].shape[-1]), layers[0]]
-    for M in layers[1:]:
-        prefixes.append(M @ prefixes[-1])
+    prefixes = prefix_products(layers)
+    prefixes[0] = np.eye(layers[0].shape[-1])
     suffixes = [None] * (H + 2)
     suffixes[H + 1] = np.eye(layers[-1].shape[-2])
     suffixes[H] = layers[-1]
@@ -229,45 +238,42 @@ def unflatten(flat: np.ndarray, dims) -> list:
     return mats
 
 
-def products_loss(table, bundle: SigmaBundle):
-    """Square loss ||W_H..W_1 X - Y||^2 from a ``layer_products`` table and
-    the second moments, as <P Sigma_XX - 2 Sigma_YX, P> + tr Sigma_YY with
-    P = W_H..W_1: a float64 scalar for one network, an (n,) array for a
-    stack of n."""
-    P = table[0][-1]
-    G = P @ bundle.sigma_xx
-    G -= 2.0 * bundle.sigma_yx
+def residual_moment(P, bundle) -> np.ndarray:
+    """E = P Sigma_XX - Sigma_YX for the global map P = W_H..W_1, which is
+    R X^T for the residual R = P X - Y, from anything carrying the moments
+    ``sigma_xx`` and ``sigma_yx``; P may be a stack of n maps."""
+    E = P @ bundle.sigma_xx
+    E -= bundle.sigma_yx
+    return E
+
+
+def products_loss(P, E, bundle: SigmaBundle):
+    """Square loss ||P X - Y||^2 of the global map P from its
+    ``residual_moment`` E, as <E - Sigma_YX, P> + tr Sigma_YY: a float64
+    scalar for one network, an (n,) array for a stack of n."""
+    G = E - bundle.sigma_yx
     G *= P
     return G.reshape(G.shape[:-2] + (-1,)).sum(axis=-1) + np.trace(bundle.sigma_yy)
 
 
-def products_gradient(table, bundle: SigmaBundle) -> np.ndarray:
-    """Gradient of the square loss from a ``layer_products`` table, as
-    parameter vectors of shape (..., n_params) in the layout of ``flatten``.
-    The block of layer h is
-    2 (W_H...W_{h+1})^T (W_H...W_1 Sigma_XX - Sigma_YX) (W_{h-1}...W_1)^T,
-    and the identity factor of h = H (on the left) and of h = 1 (on the
-    right) is skipped."""
-    prefixes, suffixes = table
-    H = len(prefixes) - 1
-    G = prefixes[H] @ bundle.sigma_xx
-    G -= bundle.sigma_yx
-    G *= 2.0
-    dims = [P.shape[-2] for P in prefixes]
-    flat = np.empty(G.shape[:-2] + (sum(r * c for r, c in zip(dims[1:], dims)),))
-    blocks = unflatten(flat, dims)
-    np.matmul(suffixes[2].swapaxes(-1, -2), G, out=blocks[0])
-    for h in range(2, H):
-        np.matmul(suffixes[h + 1].swapaxes(-1, -2) @ G, prefixes[h - 1].swapaxes(-1, -2),
-                  out=blocks[h - 1])
-    np.matmul(G, prefixes[H - 1].swapaxes(-1, -2), out=blocks[H - 1])
-    return flat
+def products_gradient(layers, prefixes, E, blocks) -> None:
+    """Gradient of the square loss into ``blocks``, the ``unflatten`` views of
+    a parameter vector, from the layers, the prefixes W_h..W_1 (h < H) and
+    the ``residual_moment`` E: block h is 2 B_h (W_{h-1}..W_1)^T, with
+    B_H = E and B_{h-1} = W_h^T B_h, in 2H - 2 matrix products."""
+    B = 2.0 * E
+    for h in range(len(layers), 1, -1):
+        np.matmul(B, prefixes[h - 1].swapaxes(-1, -2), out=blocks[h - 1])
+        if h > 2:
+            B = layers[h - 1].swapaxes(-1, -2) @ B
+    np.matmul(layers[1].swapaxes(-1, -2), B, out=blocks[0])
 
 
 def loss(w: Weights, bundle: SigmaBundle) -> float:
     if w.shape.d_x != bundle.d_x or w.shape.d_y != bundle.d_y:
         raise InvalidShape("weights incompatible with bundle dimensions")
-    return float(products_loss(_product_table(w), bundle))
+    P = global_map(w)
+    return float(products_loss(P, residual_moment(P, bundle), bundle))
 
 
 def gradient(w: Weights, bundle: SigmaBundle) -> Direction:
@@ -275,8 +281,10 @@ def gradient(w: Weights, bundle: SigmaBundle) -> Direction:
     with empty products equal to identity."""
     if w.shape.d_x != bundle.d_x or w.shape.d_y != bundle.d_y:
         raise InvalidShape("weights incompatible with bundle dimensions")
-    flat = products_gradient(_product_table(w), bundle)
-    return Direction(unflatten(flat, w.shape.dims), w.shape)
+    prefixes = _product_table(w)[0]
+    blocks = unflatten(np.empty(w.shape.n_params), w.shape.dims)
+    products_gradient(w.layers, prefixes, residual_moment(prefixes[-1], bundle), blocks)
+    return Direction(blocks, w.shape)
 
 
 # ---------------------------------------------------------------------------

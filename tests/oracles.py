@@ -177,6 +177,26 @@ def m_column_hessian_matvec(layers, dirs, X, Y):
     return [2.0 * (dB[h] @ P[h - 1].T + B[h] @ dP[h - 1].T) for h in range(1, H + 1)]
 
 
+def moment_loss(P, sigma_xx, sigma_yx, sigma_yy):
+    """Square loss of the global map P (one or a stack) from the second
+    moments as <P Sigma_XX - 2 Sigma_YX, P> + tr Sigma_YY."""
+    G = (P @ sigma_xx - 2.0 * sigma_yx) * P
+    return G.reshape(G.shape[:-2] + (-1,)).sum(axis=-1) + np.trace(sigma_yy)
+
+
+def suffix_table_gradient(prefixes, suffixes, sigma_xx, sigma_yx):
+    """Gradient of the square loss from a full product table (prefixes[h] =
+    W_h..W_1 for h in [0, H], suffixes[h] = W_H..W_h for h in [1, H + 1]),
+    one block per layer: 2 (W_H..W_{h+1})^T (P Sigma_XX - Sigma_YX)
+    (W_{h-1}..W_1)^T, flattened row-major into one parameter vector per
+    network."""
+    H = len(prefixes) - 1
+    G = 2.0 * (prefixes[H] @ sigma_xx - sigma_yx)
+    blocks = [suffixes[h + 1].swapaxes(-1, -2) @ G @ prefixes[h - 1].swapaxes(-1, -2)
+              for h in range(1, H + 1)]
+    return np.concatenate([B.reshape(B.shape[:-2] + (-1,)) for B in blocks], axis=-1)
+
+
 def layerwise_hessian_matvec(layers, sigma_xx, sigma_yx, dirs):
     """The Hessian of the loss applied to the direction dirs, as one block
     per layer, by Pearlmutter's R-operator on d_x-column passes, one layer

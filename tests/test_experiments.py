@@ -198,6 +198,17 @@ def test_small_escape_contrast():
     )
 
 
+def test_escape_epochs_are_pinned():
+    # Rounding changes in the loss or the gradient move the traces in their
+    # last digits; the escape epochs of both variants must not move.
+    common = dict(n_runs=8, max_epochs=800, **SMALL_CFG)
+    pinned = {"tightened": [90, 99, 102, 106, 92, 103, 97, 92],
+              "non_tightened": [59, 69, 62, 77, 58, 68, 61, 62]}
+    for variant, epochs in pinned.items():
+        runs = ls.run_experiment(ls.ExperimentConfig(variant=variant, **common))
+        assert [r.escape_epoch for r in runs] == epochs
+
+
 def serial_reference(w0, bundle, data, opt, max_epochs):
     """One run, one epoch at a time, from the public Weights, gradient and
     loss: (final layers, trace, diverged)."""

@@ -10,12 +10,21 @@ from linsaddle.network import (
     partial_middle,
     partial_prefix,
     partial_suffix,
+    prefix_products,
     products_gradient,
+    products_loss,
+    residual_moment,
     unflatten,
 )
 
 from conftest import random_weights
-from oracles import best_rank_r_map, fd_gradient, naive_loss
+from oracles import (
+    best_rank_r_map,
+    fd_gradient,
+    moment_loss,
+    naive_loss,
+    suffix_table_gradient,
+)
 
 
 def test_shape_properties():
@@ -177,11 +186,44 @@ def test_products_are_bitwise_the_identity_padded_formulas(dims, batch):
     for h in range(1, H + 2):
         assert np.array_equal(suffixes[h], S[h])
 
-    G = 2.0 * (P[H] @ bundle.sigma_xx - bundle.sigma_yx)
-    oracle = [S[h + 1].swapaxes(-1, -2) @ G @ P[h - 1].swapaxes(-1, -2)
-              for h in range(1, H + 1)]
-    flat = products_gradient((prefixes, suffixes), bundle)
-    assert flat.shape == batch + (shape.n_params,)
+    # The backward recursion B_H = 2 E, B_{h-1} = W_h^T B_h, block h =
+    # B_h P_{h-1}^T, with the identity factors multiplied in: B_H = I^T (2 E)
+    # and block 1 = B_1 P_0^T.
+    B = S[H + 1].swapaxes(-1, -2) @ (2.0 * (P[H] @ bundle.sigma_xx - bundle.sigma_yx))
+    oracle = [None] * H
+    for h in range(H, 0, -1):
+        oracle[h - 1] = B @ P[h - 1].swapaxes(-1, -2)
+        B = layers[h - 1].swapaxes(-1, -2) @ B
+    flat = np.empty(batch + (shape.n_params,))
+    E = residual_moment(prefixes[H], bundle)
+    products_gradient(layers, prefixes, E, unflatten(flat, dims))
     assert np.array_equal(flat, flatten(oracle))
     for block, ref in zip(unflatten(flat, dims), oracle):
         assert np.array_equal(block, ref)
+
+
+@pytest.mark.parametrize("dims", [(5, 4, 3), (6, 5, 4, 3), (6, 5, 7, 4, 5, 3)])
+@pytest.mark.parametrize("batch", [(), (4,)])
+@pytest.mark.parametrize("a,b", [(1e-3, 1e-3), (1e-3, 1e3), (1e3, 1e-3), (1e3, 1e3)])
+def test_backward_recursion_agrees_with_the_suffix_table(dims, batch, a, b):
+    # The loss read from E = P Sigma_XX - Sigma_YX and the gradient walked back
+    # from E round differently from the suffix-table formulas, but only in the
+    # last digits, whatever the units of X and Y.  W_1 -> (b / a) W_1 keeps the
+    # network at the same place relative to the rescaled data.
+    shape = ls.NetworkShape(dims)
+    H = shape.H
+    data = ls.generate_gaussian_data(dims[0], dims[-1], 20, seed=H)
+    bundle = ls.build_sigma_bundle(ls.DataMatrices(a * data.X, b * data.Y))
+    W = np.random.default_rng(H).standard_normal(batch + (shape.n_params,))
+    layers = unflatten(W, dims)
+    layers[0] *= b / a
+    prefixes, suffixes = layer_products(layers)
+    E = residual_moment(prefixes[H], bundle)
+    moments = (bundle.sigma_xx, bundle.sigma_yx)
+    ref_loss = moment_loss(prefixes[H], *moments, bundle.sigma_yy)
+    assert np.allclose(products_loss(prefixes[H], E, bundle), ref_loss, rtol=1e-12, atol=0)
+    flat = np.empty(batch + (shape.n_params,))
+    products_gradient(layers, prefix_products(layers), E, unflatten(flat, dims))
+    ref = suffix_table_gradient(prefixes, suffixes, *moments)
+    err = np.linalg.norm(flat - ref, axis=-1)
+    assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
