@@ -13,10 +13,9 @@ and a(j), the first with outer rank above r, both move up with j.  The
 interval is non-empty when the outer rank of (b(j), j) exceeds r, and the
 first untightened pivot in (i, j) order is (a(j1), j1) for the first such
 j1.  ``PivotStaircase`` walks b(j) up from b(j - 1), so it cuts O(H) pivots,
-not H(H - 1)/2, each at a floor in its own units: the middle block at
-``classify``'s product-rounding floor, the outer block at
-100 H eps ||Sigma_XY||_2 prod max(1, ||W_h||_2) over its own layers, so that
-its rank does not depend on the units of X and Y.
+not H(H - 1)/2, each block at the ``chain_floor`` of its own factors: the
+middle block at that of its layers, the outer block at that of Sigma_XY and
+its layers, so that its rank does not depend on the units of X and Y.
 """
 
 from __future__ import annotations
@@ -35,10 +34,9 @@ from .ranktol import (  # RankTolerance and numeric_rank are re-exported
     EPS_WITNESS,
     TAU_CRIT_REL,
     RankTolerance,
-    chain_floor,
     criticality_scale,
+    floored,
     numeric_rank,
-    product_rank_tolerance,
 )
 
 __all__ = [
@@ -88,7 +86,7 @@ class PivotStaircase:
     def __init__(self, w: Weights, bundle: SigmaBundle, r: int,
                  rank_tol: RankTolerance = RankTolerance()):
         self.w, self.bundle, self.r, self.rank_tol = w, bundle, r, rank_tol
-        self.g, self.cut, self.first = [max(1.0, norm) for norm in w.layer_norms()], {}, None
+        self.cut, self.first = {}, None
         H, b = w.shape.H, 2
         for j in range(1, H):
             i = max(b, j + 1)
@@ -112,9 +110,9 @@ class PivotStaircase:
             w, r = self.w, self.r
             outer = partial_prefix(w, j - 1) @ self.bundle.sigma_xy @ partial_suffix(w, i + 1)
             middle = partial_middle(w, i, j) if middle is None else middle
-            floor = chain_floor(w.shape.H, [self.bundle.sigma_xy_norm] + self.g[:j - 1]
-                                + self.g[i:])
-            tols = (RankTolerance(absolute=floor, relative=self.rank_tol.relative), self.rank_tol)
+            H, n = w.shape.H, w.layer_norms()
+            tols = (floored(self.rank_tol, H, [self.bundle.sigma_xy_norm, *n[:j - 1], *n[i:]]),
+                    floored(self.rank_tol, H, n[j:i - 1]))
             p = analyze_pivot(i, j, r, (outer, middle), tols)
             for q in self.cut.values():
                 hi, lo = (q, p) if q.i >= p.i and q.j <= p.j else (p, q)  # hi: more middle layers
@@ -161,21 +159,17 @@ def classify(
             grad_norm=gn,
         )
 
-    # The support recovery and every later rank decision share one
-    # tolerance floored at the rounding error of the layer products.
-    rank_tol = product_rank_tolerance(w, rank_tol)
+    # Every rank cut floors rank_tol at the chain_floor of its own factors.
     sup: SupportResult = associated_support(
-        w, bundle, tau_crit=tau, _gate=(gn, scale, rank_tol)
+        w, bundle, tau_crit=tau, rank_tol=rank_tol, _gate=(gn, scale)
     )
     S = sup.support
     if sup.approximate:
         # Rank decisions must not count noise-level singular values: loosen
         # the cutoff to the measured gradient level, mirroring the support
         # recovery above.
-        rank_tol = RankTolerance(
-            absolute=rank_tol.absolute, relative=10.0 * gn / scale
-        )
-    r = numeric_rank(global_map(w), rank_tol)
+        rank_tol = RankTolerance(absolute=rank_tol.absolute, relative=10.0 * gn / scale)
+    r = numeric_rank(global_map(w), floored(rank_tol, w.shape.H, w.layer_norms()))
     if r != len(S):
         raise InternalInconsistency(
             f"global map rank {r} disagrees with support size {len(S)}"

@@ -49,7 +49,8 @@ from .ranktol import (
     RankTolerance,
     chain_floor,
     criticality_scale,
-    product_rank_tolerance,
+    floored,
+    spectral_norms,
 )
 
 
@@ -135,15 +136,14 @@ def spec_from_json(text: str, shape: NetworkShape) -> CriticalPointSpec:
 class _ZChains:
     """Zero tests, each at its ``chain_floor``, on the chains of the blocks
     Z_1..Z_H of a spec and G = Sigma_XY U_Q: pre[k] = Z_k..Z_1,
-    suf[h] = Z_H..Z_h, zg[k] = Z_k..Z_1 G (k < H), norms[h - 1] = ||Z_h||."""
+    suf[h] = Z_H..Z_h, zg[k] = Z_k..Z_1 G (k < H), ||Z_h||_2 = norms[h - 1]."""
 
     def __init__(self, z_blocks, G):
         self.blocks = [np.ascontiguousarray(Z) for Z in z_blocks]
         self.H = len(self.blocks)
         self.pre, self.suf = layer_products(self.blocks)
         self.zg = [P @ G for P in self.pre[:-1]]
-        self.norms = [math.sqrt(np.vdot(Z, Z)) for Z in self.blocks]
-        self.g_norm = math.sqrt(np.vdot(G, G))
+        *self.norms, self.g_norm = spectral_norms(self.blocks + [G])
 
     def zero(self, P, factor_norms) -> bool:
         return math.sqrt(np.vdot(P, P)) <= chain_floor(self.H, factor_norms)
@@ -281,17 +281,15 @@ def associated_support(
     """Recover the support S of a critical point from the column-space
     projector of K = W_H ... W_2 expressed in the eigenbasis U.
 
-    ``_gate`` is the hand-off of ``classify``: the gradient norm, the
-    criticality scale and the floored rank tolerance it has already formed.
-    It lets gradient norms up to 100 tau through, and such points are
-    recovered with the approximate flag set; without it the gradient norm
-    must be at most tau."""
+    ``_gate`` is the hand-off of ``classify``: the gradient norm and the
+    criticality scale it has already formed.  It lets gradient norms up to
+    100 tau through, and such points are recovered with the approximate flag
+    set; without it the gradient norm must be at most tau."""
     if _gate is None:
         gn = gradient(w, bundle).frob_norm()
         scale = criticality_scale(w, bundle)
-        eff_tol = product_rank_tolerance(w, rank_tol)
     else:
-        gn, scale, eff_tol = _gate
+        gn, scale = _gate
     tau = TAU_CRIT_REL * scale if tau_crit is None else tau_crit
     approximate = bool(gn > tau)
     if approximate and _gate is None:
@@ -303,7 +301,8 @@ def associated_support(
     # Noise of size delta in the weights leaks O(delta) spurious singular
     # values into K while inflating the gradient to O(delta * scale), so cut
     # the spectrum at the measured gradient level (with headroom) as well as
-    # at the rounding floor of the layer product.
+    # at the rounding floor of the product of layers 2..H.
+    eff_tol = floored(rank_tol, w.shape.H, w.layer_norms()[1:])
     sv_tol = max(eff_tol.threshold(K.shape, smax), 10.0 * (gn / scale) * smax)
     rk = int(np.count_nonzero(sK > sv_tol)) if sK.size else 0
     P_K = uK[:, :rk] @ uK[:, :rk].T
@@ -339,7 +338,7 @@ def critical_value(S, bundle: SigmaBundle, shape: NetworkShape | None = None) ->
         raise InvalidRank("S must be a subset of [1, d_y]")
     if shape is not None and len(S) > shape.r_max:
         raise InvalidRank(f"|S| = {len(S)} exceeds r_max = {shape.r_max}")
-    return float(np.trace(bundle.sigma_yy) - sum(bundle.lambdas[s - 1] for s in S))
+    return float(bundle.sigma_yy_trace - sum(bundle.lambdas[s - 1] for s in S))
 
 
 def enumerate_critical_values(bundle: SigmaBundle, shape: NetworkShape):

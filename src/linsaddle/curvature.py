@@ -42,7 +42,7 @@ from .errors import (
 )
 from .network import (Direction, Weights, _product_table, global_map, partial_middle,
                       partial_prefix, partial_suffix, residual_moment, unflatten)
-from .ranktol import BETA_ZERO_TOL, RankTolerance, chain_floor, numeric_rank
+from .ranktol import BETA_ZERO_TOL, RankTolerance, floored, numeric_rank
 
 MAX_TAYLOR_DEPTH = 12
 MAX_DENSE_PARAMS = 2000
@@ -424,10 +424,11 @@ def witness_untightened(
 
     with Sigma_XX = L L^T the bundle's Cholesky factor.
     (a, e) is the top singular pair of T, so a^T T e = sigma_1(T) > 0.  With
-    N an orthonormal kernel basis of W_H..W_{j+1}, b = N v for the top right
-    singular vector v of W_{i-1}..W_{j+1} N, and c is the image of b over its
-    squared norm.  At i = j + 1 the inner product is the identity and every
-    kernel direction is stretched equally, so v is instead the bottom
+    N an orthonormal kernel basis of W_H..W_{j+1} (cut at the ``chain_floor``
+    of layers j+1..H), b = N v for the top right singular vector v of
+    W_{i-1}..W_{j+1} N, and c is the image of b over its squared norm.  At
+    i = j + 1 the inner product is the identity and every kernel direction
+    is stretched equally, so v is instead the bottom
     eigenvector of N^T (P_j Sigma_XX P_j^T) N, P_j = W_j..W_1, and c = b:
     that b minimizes a_coef.  beta minimizes c2, which is then negative.
     When the top singular values (the bottom eigenvalue at i = j + 1) are
@@ -444,7 +445,7 @@ def witness_untightened(
     if not U_Q.size:
         raise NotApplicable("support already uses every output eigendirection")
     suf = partial_suffix(w, j + 1)
-    N = _kernel_basis(suf, rank_tol)
+    N = _kernel_basis(suf, floored(rank_tol, H, w.layer_norms()[j:]))
     if j > 1 and suf.shape[1] - N.shape[1] > len(S):  # rank(W_H..W_{j+1}) > r
         return witness_untightened(w, bundle, S, (j, 1), rank_tol)
 
@@ -514,15 +515,14 @@ class FtStDecomposition:
 
 def _tightened(w: Weights, bundle: SigmaBundle):
     """The ``TightenedStructure`` of a tightened canonical point, r and the
-    ``_ZChains`` of its blocks.  r is the rank of the global map cut at its
-    ``chain_floor``; the rest are zero tests on Z chains, since at canonical
-    weights rank(W_H..W_h) = r exactly when Z_H..Z_h = 0, and
+    ``_ZChains`` of its blocks.  r is the rank of the global map cut at the
+    ``chain_floor`` of all layers; the rest are zero tests on Z chains, since
+    at canonical weights rank(W_H..W_h) = r exactly when Z_H..Z_h = 0, and
     rank(W_k..W_1 Sigma_XY) = r exactly when Z_k..Z_1 G = 0."""
     shape, H = w.shape, w.shape.H
     if H < 3:
         raise InvalidShape("tightened structure requires depth H >= 3")
-    floor = chain_floor(H, [np.linalg.norm(W) for W in w.layers])
-    r = numeric_rank(global_map(w), RankTolerance(absolute=floor))
+    r = numeric_rank(global_map(w), floored(RankTolerance(), H, w.layer_norms()))
     if r >= shape.r_max:
         raise NotApplicable("tightened analysis targets rank-deficient points")
     z = _ZChains(_canonical_blocks(w, bundle, tuple(range(1, r + 1)), w.frob_norm(),

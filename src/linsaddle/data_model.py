@@ -86,6 +86,11 @@ class SigmaBundle:
         """||Sigma_XY||_2, taken on first use."""
         return float(np.linalg.norm(self.sigma_xy, 2))
 
+    @cached_property
+    def sigma_yy_trace(self) -> float:
+        """tr Sigma_YY, taken on first use."""
+        return float(np.trace(self.sigma_yy))
+
     def u_cols(self, support) -> np.ndarray:
         """Columns of U selected by a 1-based index set (sorted)."""
         idx = [s - 1 for s in sorted(support)]

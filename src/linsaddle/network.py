@@ -14,9 +14,10 @@ memory.  Middle products W_{i-1}..W_{j+1} come from ``partial_middle``;
 there are O(H^2) of them, so they are formed on demand and not kept.
 
 Besides the table, a stack keeps two more results on first use: its layers'
-spectral norms (``layer_norms``) and, on weights at a tightened point, the
-tightened structure that ``curvature.ft_st_decomposition`` derives from the
-weights and a data bundle.  None of them can go stale: the layers are
+spectral norms (``layer_norms``), which floor every rank cut on its
+products (``ranktol.chain_floor``), and, on weights at a tightened point,
+the tightened structure that ``curvature.ft_st_decomposition`` derives from
+the weights and a data bundle.  None of them can go stale: the layers are
 read-only, and the tightened structure is keyed by the bundle object through
 a weak reference, so it is reused only for that same bundle (a frozen
 dataclass whose arrays ``build_sigma_bundle`` makes read-only) and keeps no
@@ -43,6 +44,7 @@ import numpy as np
 
 from .data_model import SigmaBundle
 from .errors import InvalidShape
+from .ranktol import spectral_norms
 
 
 @dataclass(frozen=True)
@@ -122,11 +124,10 @@ class _LayerStack:
         return self.layers[h - 1]
 
     def layer_norms(self) -> tuple:
-        """The spectral norms ||W_1||_2 .. ||W_H||_2, taken on first use and
-        kept like the product table."""
+        """The spectral norms ||W_1||_2 .. ||W_H||_2 (``spectral_norms``),
+        taken on first use and kept like the product table."""
         if self._norms is None:
-            norms = tuple(float(np.linalg.norm(M, 2)) for M in self.layers)
-            object.__setattr__(self, "_norms", norms)
+            object.__setattr__(self, "_norms", tuple(spectral_norms(self.layers)))
         return self._norms
 
     def frob_norm(self) -> float:
@@ -253,7 +254,7 @@ def products_loss(P, E, bundle: SigmaBundle):
     scalar for one network, an (n,) array for a stack of n."""
     G = E - bundle.sigma_yx
     G *= P
-    return G.reshape(G.shape[:-2] + (-1,)).sum(axis=-1) + np.trace(bundle.sigma_yy)
+    return G.reshape(G.shape[:-2] + (-1,)).sum(axis=-1) + bundle.sigma_yy_trace
 
 
 def products_gradient(layers, prefixes, E, blocks) -> None:

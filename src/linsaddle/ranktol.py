@@ -1,22 +1,16 @@
 """The numerical policy: every tolerance of linsaddle, and numeric rank.
 
-Every verdict is a rank cut on partial matrix products, so the thresholds
-live here, each compared with a quantity of its own units:
+Every verdict is a rank cut or a zero test on partial matrix products, so
+the thresholds live here, each compared with a quantity of its own units:
 
-- rank cuts count singular values above ``RankTolerance.threshold``:
-  absolute + relative * sigma_max (relative defaults to max(shape) * eps).
-  ``product_rank_tolerance`` floors the absolute part at the rounding error
-  of the layer products, 100 H eps prod max(1, ||W_h||_2); ``classify``
-  cuts with it, and ``canonical_form`` makes no cut of its own beyond the
-  support recovery's.  The outer pivot block W_{j-1}..W_1 Sigma_XY
-  W_H..W_{i+1} holds Sigma_XY, so ``classify`` cuts it at a floor in its
-  own units, the ``chain_floor`` of ||Sigma_XY||_2 and max(1, ||W_h||_2)
-  over its layers;
-- a chain of Z blocks and G = Sigma_XY U_Q is zero when its Frobenius norm
-  is at most its ``chain_floor``, 100 H eps times the product of its
-  factors' Frobenius norms: so are the exact criticality of a spec and the
-  tightness, rank-collapse indices and product identities of a tightened
-  point decided, whose global map is cut at the layers' ``chain_floor``;
+- every rank cut and every zero test of a product is made at its
+  ``chain_floor``: 100 H eps times the product of the spectral norms
+  (``spectral_norms``) of the factors that this product holds, its rounding
+  error (Higham 2002, section 3.5).  A rank cut counts the singular values
+  above ``floored``'s threshold, absolute + relative * sigma_max with the
+  absolute part at least that floor (relative defaults to max(shape) * eps);
+  a chain of canonical Z blocks and G = Sigma_XY U_Q is zero when its
+  Frobenius norm is at most its floor;
 - first-order criticality: ||grad|| <= TAU_CRIT_REL * criticality_scale,
   the natural size of a gradient, 1 + ||W|| (||Sigma_XX|| + ||Sigma_YX||);
 - canonical block equations: residual <= EPS_CANON (1 + ||W|| + ||C||),
@@ -96,21 +90,27 @@ def criticality_scale(w: Weights, bundle: SigmaBundle) -> float:
     return 1.0 + w.frob_norm() * data_norm
 
 
+def spectral_norms(mats) -> list:
+    """||M||_2 of each matrix, from one batched SVD of zero-padded copies:
+    padding adds only zero singular values.  An empty matrix has norm 0."""
+    mats = list(mats)
+    rows, cols = (max((M.shape[k] for M in mats), default=0) for k in (0, 1))
+    padded = np.zeros((len(mats), rows, cols))
+    for P, M in zip(padded, mats):
+        P[:M.shape[0], :M.shape[1]] = M
+    if not padded.size:
+        return [0.0] * len(mats)
+    return np.linalg.svd(padded, compute_uv=False)[:, 0].tolist()
+
+
 def chain_floor(H: int, factor_norms) -> float:
     """Rounding floor of a product of factors of a depth-H network: 100 H eps
-    times the product of the factor norms given, in the units of the product
-    when these are the factors' own (Frobenius) norms."""
+    times the product of the factors' spectral norms."""
     return 100.0 * H * np.finfo(float).eps * math.prod(factor_norms)
 
 
-def product_rank_tolerance(
-    w: Weights, rank_tol: RankTolerance = RankTolerance()
-) -> RankTolerance:
-    """Rank tolerance with an absolute floor at the forward rounding error of
-    the layer products (times a safety factor).  Matrix products of many
-    layers carry O(eps * prod ||W_h||) noise that a purely relative
-    machine-precision cutoff would count as genuine singular values."""
-    floor = chain_floor(w.shape.H, [max(1.0, norm) for norm in w.layer_norms()])
-    return RankTolerance(
-        absolute=max(rank_tol.absolute, floor), relative=rank_tol.relative
-    )
+def floored(rank_tol: RankTolerance, H: int, factor_norms) -> RankTolerance:
+    """``rank_tol`` with its absolute part floored at the ``chain_floor`` of
+    the product that it cuts."""
+    return RankTolerance(absolute=max(rank_tol.absolute, chain_floor(H, factor_norms)),
+                         relative=rank_tol.relative)

@@ -280,25 +280,24 @@ def _count_above(M, absolute, relative):
     return int(np.count_nonzero(s > absolute + rel * s[0])) if s[0] > 0 else 0
 
 
-def all_pivots_sweep(layers, sigma_xy, r, absolute, relative=None):
+def all_pivots_sweep(layers, sigma_xy, r, relative=None):
     """Every pivot (i, j), 1 <= j < i <= H, in (i, j) order, each block formed
-    from its definition and cut on its own: the middle block
-    W_{i-1}..W_{j+1} at absolute + relative sigma_max, the outer block
-    W_{j-1}..W_1 Sigma_XY W_H..W_{i+1} at
-    100 H eps ||Sigma_XY||_2 prod max(1, ||W_h||_2) over its own layers plus
-    relative sigma_max (relative None: max(shape) eps)."""
+    from its definition and cut on its own at 100 H eps times the product of
+    its own factors' 2-norms plus relative sigma_max (relative None:
+    max(shape) eps): the middle block W_{i-1}..W_{j+1} holds its layers, the
+    outer block W_{j-1}..W_1 Sigma_XY W_H..W_{i+1} Sigma_XY and its layers."""
     H = len(layers)
-    g = [max(1.0, np.linalg.norm(W, 2)) for W in layers]
-    unit = 100 * H * np.finfo(float).eps * np.linalg.norm(sigma_xy, 2)
+    n = [np.linalg.norm(W, 2) for W in layers]
+    unit = 100 * H * np.finfo(float).eps
     out = []
     for i in range(2, H + 1):
         for j in range(1, i):
             outer = (_chain(layers[:j - 1], sigma_xy.shape[0]) @ sigma_xy
                      @ _chain(layers[i:], layers[i - 1].shape[0]))
-            floor = unit * np.prod(g[:j - 1]) * np.prod(g[i:])
-            rank1 = _count_above(outer, floor, relative)
+            outer_floor = unit * np.linalg.norm(sigma_xy, 2) * np.prod(n[:j - 1] + n[i:])
+            rank1 = _count_above(outer, outer_floor, relative)
             rank2 = _count_above(_chain(layers[j:i - 1], layers[j - 1].shape[0]),
-                                 absolute, relative)
+                                 unit * np.prod(n[j:i - 1]), relative)
             out.append(SweptPivot(i, j, rank1, rank2, min(rank1, rank2) == r))
     return out
 

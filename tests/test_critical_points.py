@@ -54,6 +54,16 @@ def test_build_rejects_uncertified(small_problem):
         build_critical_point(spec, b, shape)
 
 
+def test_build_rejects_identity_z_blocks_at_depth_24():
+    # Z_H..Z_1 is a nonzero 4 x 20 identity here.  A floor of the product of
+    # the blocks' Frobenius norms, sqrt(18) for 23 of them, called it zero.
+    b = ls.build_sigma_bundle(ls.generate_gaussian_data(20, 6, 200, seed=1))
+    shape = ls.NetworkShape((20,) * 24 + (6,))
+    z = tuple(np.eye(*z_block_shape(shape, 2, h)) for h in range(1, shape.H + 1))
+    with pytest.raises(ls.NotCritical):
+        build_critical_point(CriticalPointSpec(support=(1, 2), z_blocks=z), b, shape)
+
+
 def test_build_rejects_ill_conditioned_d(small_problem):
     _, b, shape = small_problem
     rng = np.random.default_rng(0)

@@ -289,7 +289,7 @@ def test_untightened_witnesses_match_measured_c2(deep_problem):
             shape, b.d_y, rng, support=(1, int(rng.integers(2, 3)))
         )
         w = ls.build_critical_point(spec, b, shape)
-        for p in all_pivots_sweep(list(w.layers), b.sigma_xy, len(spec.support), 0.0):
+        for p in all_pivots_sweep(list(w.layers), b.sigma_xy, len(spec.support)):
             if p.tightened:
                 continue
             try:
@@ -333,7 +333,7 @@ def test_untightened_witness_is_invariant_under_hidden_rotations(deep_problem):
         w_rot = ls.Weights(
             [Q[h] @ w.layer(h) @ Q[h - 1].T for h in range(1, shape.H + 1)], shape
         )
-        for p in all_pivots_sweep(list(w.layers), b.sigma_xy, 2, 0.0):
+        for p in all_pivots_sweep(list(w.layers), b.sigma_xy, 2):
             if p.tightened:
                 continue
             wit = ls.witness_untightened(w, b, spec.support, (p.i, p.j))
@@ -365,7 +365,7 @@ def test_adjacent_pivot_witness_does_not_depend_on_the_kernel_basis(monkeypatch,
     for _ in range(15):
         spec = random_certified_spec(shape, b.d_y, rng, support=(1, 2))
         w = ls.build_critical_point(spec, b, shape)
-        for p in all_pivots_sweep(list(w.layers), b.sigma_xy, 2, 0.0):
+        for p in all_pivots_sweep(list(w.layers), b.sigma_xy, 2):
             if p.tightened or p.i != p.j + 1:
                 continue
             rotate[0] = False
@@ -439,6 +439,18 @@ def test_ft_st_requires_canonical_position(deep_problem):
     v = random_direction(shape, rng)
     with pytest.raises(ls.NeedsCanonicalization):
         ls.ft_st_decomposition(wt, v, b, data)
+
+
+def test_ft_st_refuses_the_non_tightened_family_at_depth_24():
+    # A floor of the product of the layers' Frobenius norms, 93.6, cut away
+    # the global map's singular values 0.44 and 0.42 at this point, which
+    # then failed the canonical block equations of support ().
+    data = ls.generate_gaussian_data(20, 6, 200, seed=1)
+    b = ls.build_sigma_bundle(data)
+    shape = ls.NetworkShape((20,) * 24 + (6,))
+    w = ls.build_example_family(2, "non_tightened", b, shape, interior="identity")
+    with pytest.raises(ls.NotTightened):
+        ls.ft_st_decomposition(w, random_direction(shape, np.random.default_rng(0)), b, data)
 
 
 def test_ft_st_rejects_full_rank(deep_problem):

@@ -16,6 +16,7 @@ from linsaddle.network import (
     residual_moment,
     unflatten,
 )
+from linsaddle.ranktol import spectral_norms
 
 from conftest import random_weights
 from oracles import (
@@ -109,6 +110,20 @@ def test_norms(small_problem):
     _, _, shape = small_problem
     w = random_weights(shape, np.random.default_rng(3))
     assert w.frob_norm() == pytest.approx(np.sqrt(w.sq_norm()))
+
+
+def test_spectral_norms_match_numpy_on_mixed_and_empty_shapes():
+    rng = np.random.default_rng(5)
+    shapes = [(3, 7), (7, 3), (1, 1), (0, 4), (4, 0), (5, 5), (2, 6)]
+    mats = [rng.standard_normal(s) * 10.0 ** k for k, s in enumerate(shapes)]
+    norms = spectral_norms(mats)
+    assert len(norms) == len(mats)
+    for M, n in zip(mats, norms):
+        assert n == pytest.approx(np.linalg.norm(M, 2), rel=1e-13, abs=0.0)
+    assert spectral_norms([]) == []
+    assert spectral_norms([np.zeros((0, 3)), np.zeros((2, 0))]) == [0.0, 0.0]
+    w = random_weights(ls.NetworkShape((4, 6, 2, 5)), rng)
+    assert w.layer_norms() == pytest.approx([np.linalg.norm(M, 2) for M in w.layers], rel=1e-13)
 
 
 def test_weights_are_immutable(small_problem):
