@@ -7,15 +7,12 @@ tightened when the smaller rank equals r.  A rank-deficient critical point
 with support [1, r] is a non-strict saddle exactly when every pivot is
 tightened; in every other case a certified negative-curvature witness exists.
 
-More layers never raise a rank, so for each j the untightened pivots form
-one interval a(j) <= i <= b(j): b(j), the last i with middle rank above r,
-and a(j), the first with outer rank above r, both move up with j.  The
-interval is non-empty when the outer rank of (b(j), j) exceeds r, and the
-first untightened pivot in (i, j) order is (a(j1), j1) for the first such
-j1.  ``PivotStaircase`` walks b(j) up from b(j - 1), so it cuts O(H) pivots,
-not H(H - 1)/2, each block at the ``chain_floor`` of its own factors: the
-middle block at that of its layers, the outer block at that of Sigma_XY and
-its layers, so that its rank does not depend on the units of X and Y.
+More layers never raise a rank, so ``PivotStaircase`` finds the first
+untightened pivot with ``critical_points.staircase``, a block being live when
+its rank exceeds r.  It cuts each block at the ``chain_floor`` of its own
+factors: the middle block at that of its layers, the outer block at that of
+Sigma_XY and its layers, so that its rank does not depend on the units of X
+and Y.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .critical_points import SupportResult, associated_support, critical_value
+from .critical_points import SupportResult, associated_support, critical_value, staircase
 from .curvature import CurvatureCache, WitnessCase, witness_eigenswap, witness_untightened
 from .data_model import DataMatrices, SigmaBundle
 from .errors import InternalInconsistency, NotApplicable
@@ -86,23 +83,10 @@ class PivotStaircase:
     def __init__(self, w: Weights, bundle: SigmaBundle, r: int,
                  rank_tol: RankTolerance = RankTolerance()):
         self.w, self.bundle, self.r, self.rank_tol = w, bundle, r, rank_tol
-        self.cut, self.first = {}, None
-        H, b = w.shape.H, 2
-        for j in range(1, H):
-            i = max(b, j + 1)
-            middle = partial_middle(w, i, j)
-            self.pivot(i, j, middle)
-            while i < H:  # one layer product per step up
-                middle = w.layer(i) @ middle
-                if self.pivot(i + 1, j, middle).rank2 == r:
-                    break
-                i += 1
-            b = i
-            if self.cut[b, j].rank1 > r:
-                while i > j + 1 and self.pivot(i - 1, j).rank1 > r:
-                    i -= 1
-                self.first = self.cut[i, j]
-                return
+        self.cut = {}
+        first = staircase(w.layers, lambda i, j, mid: self.pivot(i, j, mid).rank2 > r,
+                          lambda i, j: self.pivot(i, j).rank1 > r)
+        self.first = None if first is None else self.cut[first]
 
     def pivot(self, i: int, j: int, middle: np.ndarray | None = None) -> Pivot:
         """Pivot (i, j); ``middle`` is W_{i-1}..W_{j+1} if already formed."""
@@ -213,20 +197,15 @@ def classify(
     if stairs.first is None:
         return finish(NON_STRICT_SADDLE, pivots=stairs.cut.values())
 
-    # The untightened pivots in (i, j) order from the first, cut as reached.
-    last_err = None
-    for i, j in ((i, j) for i in range(stairs.first.i, w.shape.H + 1) for j in range(1, i)):
-        if (i, j) < (stairs.first.i, stairs.first.j) or stairs.pivot(i, j).tightened:
-            continue
-        try:
-            wit = witness_untightened(w, bundle, S, (i, j), rank_tol)
-            return finish(STRICT_SADDLE, pivots=stairs.cut.values(), witness=wit,
-                          witness_c2=validated(wit))
-        except NotApplicable as err:
-            last_err = err
-    raise InternalInconsistency(
-        f"untightened point but every pivot witness failed (last: {last_err})"
-    )
+    # At the first untightened pivot T, N and W_{i-1}..W_{j+1} N are not zero,
+    # and the earlier pivot (j, 1) is tightened: no reason to refuse remains.
+    pivot = (stairs.first.i, stairs.first.j)
+    try:
+        wit = witness_untightened(w, bundle, S, pivot, rank_tol)
+    except NotApplicable as err:
+        raise InternalInconsistency(f"no witness at the untightened pivot {pivot}: {err}") from err
+    return finish(STRICT_SADDLE, pivots=stairs.cut.values(), witness=wit,
+                  witness_c2=validated(wit))
 
 
 def classification_to_json(c: Classification) -> str:

@@ -133,6 +133,35 @@ def spec_from_json(text: str, shape: NetworkShape) -> CriticalPointSpec:
     return CriticalPointSpec(support=support, z_blocks=z_blocks, d_blocks=d_blocks)
 
 
+def staircase(layers, middle_live, outer_live):
+    """The first pivot (i, j), 1 <= j < i <= H = len(layers), in (i, j)
+    order at which middle_live(i, j, L_{i-1}..L_{j+1}) and outer_live(i, j)
+    both hold, or None.  A dead chain stays dead when made longer, so in
+    column j the middle chain is live up to some b(j) and the outer chain
+    from some a(j) on, both rising with j, and the first such pivot is
+    (a(j1), j1) for the first j1 whose outer chain is live at b(j1).  Column
+    j starts at b(j - 1), whose middle chain is part of a live one, and climbs
+    one layer product per step; b rises at most H - 2 times in all, so the
+    walk makes fewer than 4H predicate calls instead of H(H - 1)."""
+    H, b = len(layers), 2
+    for j in range(1, H):
+        i = max(b, j + 1)
+        mid = np.eye(layers[j - 1].shape[0])
+        for L in layers[j:i - 1]:
+            mid = L @ mid
+        while i < H:
+            mid = layers[i - 1] @ mid  # L_i..L_{j+1}
+            if not middle_live(i + 1, j, mid):
+                break
+            i += 1
+        if outer_live(i, j):
+            while i > j + 1 and outer_live(i - 1, j):
+                i -= 1
+            return i, j
+        b = i
+    return None
+
+
 class _ZChains:
     """Zero tests, each at its ``chain_floor``, on the chains of the blocks
     Z_1..Z_H of a spec and G = Sigma_XY U_Q: pre[k] = Z_k..Z_1,
@@ -163,27 +192,9 @@ class _ZChains:
     def untightened_pivot(self):
         """The first pivot (i, j) in (i, j) order whose outer chain
         Z_{j-1}..Z_1 G Z_H..Z_{i+1} and middle chain Z_{i-1}..Z_{j+1} are both
-        nonzero, None if all are tightened.  A chain that vanishes still does
-        when made longer, so in column j the middle chain is nonzero up to
-        some b(j) and the outer chain from some a(j) on, both rising with j:
-        walking b up from b(j - 1) takes O(H) tests."""
-        H, n, b = self.H, self.norms, 2
-        for j in range(1, H):
-            i = max(b, j + 1)
-            mid = np.eye(self.blocks[j - 1].shape[0])
-            for Zk in self.blocks[j:i - 1]:
-                mid = Zk @ mid
-            while i < H:
-                mid = self.blocks[i - 1] @ mid  # Z_i..Z_{j+1}
-                if self.zero(mid, n[j:i]):
-                    break
-                i += 1
-            b = i
-            if not self.outer_zero(b, j):
-                while i > j + 1 and not self.outer_zero(i - 1, j):
-                    i -= 1
-                return i, j
-        return None
+        nonzero (``staircase``), None if all are tightened."""
+        return staircase(self.blocks, lambda i, j, mid: not self.zero(mid, self.norms[j:i - 1]),
+                         lambda i, j: not self.outer_zero(i, j))
 
 
 def build_critical_point(

@@ -452,8 +452,8 @@ def witness_untightened(
     pre, suf_i = partial_prefix(w, j - 1), partial_suffix(w, i + 1)
     T = pre @ bundle.sigma_xy @ U_Q @ (U_Q.T @ suf_i)
     u, s, vt = np.linalg.svd(T)
-    # sigma_1(T) is compared with the product of its factors' norms, so that
-    # the test does not depend on the units of X and Y.
+    # Each sigma_1 below is compared with the product of its factors' norms,
+    # so that no test depends on the units of X and Y or of one layer.
     factors = [np.linalg.norm(M, 2) for M in (pre, suf_i)]
     if s[0] <= BETA_ZERO_TOL * factors[0] * bundle.sigma_xy_norm * factors[1]:
         raise NotApplicable("pivot data block vanishes outside the support")
@@ -464,7 +464,7 @@ def witness_untightened(
         b = c = N @ np.linalg.eigh(B.T @ bundle.sigma_xx @ B)[1][:, 0]
     else:
         u_img, s_img, vt_img = np.linalg.svd(partial_middle(w, i, j) @ N, full_matrices=False)
-        if s_img[0] <= BETA_ZERO_TOL:
+        if s_img[0] <= BETA_ZERO_TOL * np.prod(w.layer_norms()[j:i - 1]):
             raise NotApplicable("kernel past the pivot is annihilated by the inner layers")
         b, c = N @ vt_img[0], u_img[:, 0] / s_img[0]
 

@@ -402,26 +402,50 @@ def test_a_non_monotone_cut_is_an_internal_inconsistency(monkeypatch, deep_probl
         ls.classify(w, b, data)
 
 
-def test_witness_falls_back_to_the_next_untightened_pivot(monkeypatch, deep_problem):
+def test_a_refused_witness_at_the_first_untightened_pivot_is_an_internal_inconsistency(
+        monkeypatch, deep_problem):
     # With Z_2 = 0 and Z_4 Z_3 = 0 (Z_3 and Z_4 nonzero, masked) the point is
-    # critical and the pivots (3, 2) and (4, 2) are untightened.  When the
-    # first has no witness, classify takes the next one in (i, j) order.
+    # critical and the pivots (3, 2) and (4, 2) are untightened.  The witness
+    # is built on the first one only: the construction has no reason to refuse
+    # an untightened pivot, so a refusal there is a bug, not a cue to try the
+    # next one.
     data, b, shape = deep_problem
     w = build_critical_point(masked_critical_spec(shape), b, shape)
     order = [(p.i, p.j) for p in all_pivots_sweep(list(w.layers), b.sigma_xy, 2)
              if not p.tightened]
     assert order == [(3, 2), (4, 2)]
-    witness = classifier.witness_untightened
+    assert ls.classify(w, b, data).witness.pivot == order[0]
+    witness, tried = classifier.witness_untightened, []
 
     def refuse_first(w, bundle, S, pivot, rank_tol):
+        tried.append(pivot)
         if pivot == order[0]:
             raise ls.NotApplicable("refused")
         return witness(w, bundle, S, pivot, rank_tol)
 
     monkeypatch.setattr(classifier, "witness_untightened", refuse_first)
-    res = ls.classify(w, b, data)
-    assert res.verdict == "strict_saddle" and res.witness.pivot == order[1]
-    assert [(p.i, p.j) for p in res.pivots if not p.tightened] == order
+    with pytest.raises(ls.InternalInconsistency, match=r"pivot \(3, 2\): refused"):
+        ls.classify(w, b, data)
+    assert tried == [order[0]]
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e-9, 1e9, 1e13])
+@pytest.mark.parametrize("h", [2, 3, 4])
+@pytest.mark.parametrize("variant", ["tightened", "non_tightened"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_verdict_is_invariant_under_rescaling_two_adjacent_layers(deep_problem, r, variant, h, c):
+    # W_h -> c W_h, W_{h-1} -> W_{h-1} / c is the D-reparameterization with
+    # D_{h-1} = I / c: the global map, the support and the verdict stay.  The
+    # witness compares the inner image of its kernel with the norms of the
+    # layers that form it, so no scale c makes it refuse a valid point.
+    data, b, shape = deep_problem
+    w = ls.build_example_family(r, variant, b, shape)
+    unit = ls.classify(w, b, data)
+    assert unit.verdict == ("non_strict_saddle" if variant == "tightened" else "strict_saddle")
+    layers = list(w.layers)
+    layers[h - 1], layers[h - 2] = c * layers[h - 1], layers[h - 2] / c
+    res = ls.classify(ls.Weights(layers, shape), b, data)
+    assert (res.verdict, res.support) == (unit.verdict, unit.support)
 
 
 def test_classify_makes_no_moment_pass(rescaling_points, monkeypatch):

@@ -8,6 +8,7 @@ from linsaddle.critical_points import (
     CriticalPointSpec,
     build_critical_point,
     canonical_form,
+    staircase,
     transform_weights,
     z_block_shape,
 )
@@ -106,6 +107,51 @@ def test_random_certified_specs_are_critical(deep_problem, seed):
     assert ls.loss(w, b) == pytest.approx(
         ls.critical_value(spec.support, b), rel=1e-8, abs=1e-8
     )
+
+
+@pytest.mark.parametrize("H", range(2, 13))
+def test_staircase_finds_the_first_live_pivot_in_linear_time(H):
+    # Random live patterns in which a dead chain stays dead when made longer:
+    # the middle chain L_{i-1}..L_{j+1} of (i, j) is dead when it holds one of
+    # a few dead sub-chains L_t..L_s, the outer chain when j >= j0 and
+    # i <= i0 for one of a few dead pivots (i0, j0).  The staircase must find
+    # the first pivot in (i, j) order with both chains live, hand the middle
+    # predicate the product it names, and make at most 4H - 6 predicate calls:
+    # b rises at most H - 2 times, each column ends its climb with one failed
+    # middle test and one outer test, and the last column walks down at most
+    # H - 2 pivots.
+    rng = np.random.default_rng(H)
+    for _ in range(40):
+        dims = rng.integers(1, 4, size=H + 1)
+        layers = [rng.standard_normal((dims[h], dims[h - 1])) for h in range(1, H + 1)]
+        dead_mid = [sorted(rng.integers(1, H + 1, size=2)) for _ in range(rng.integers(0, 4))]
+        # i0 skewed toward H, so that the walk often climbs through many columns
+        dead_out = [(int(rng.integers(i0, H + 1)), int(rng.integers(1, H)))
+                    for i0 in rng.integers(2, H + 1, size=rng.integers(0, 4))]
+        calls = []
+
+        def middle_dead(i, j):
+            return any(j + 1 <= s and t <= i - 1 for s, t in dead_mid)
+
+        def outer_dead(i, j):
+            return any(j >= j0 and i <= i0 for i0, j0 in dead_out)
+
+        def middle_live(i, j, mid):
+            calls.append((i, j))
+            want = np.eye(dims[j])
+            for L in layers[j:i - 1]:
+                want = L @ want
+            np.testing.assert_allclose(mid, want, rtol=1e-12, atol=1e-12)
+            return not middle_dead(i, j)
+
+        def outer_live(i, j):
+            calls.append((i, j))
+            return not outer_dead(i, j)
+
+        live = [(i, j) for i in range(2, H + 1) for j in range(1, i)
+                if not (middle_dead(i, j) or outer_dead(i, j))]
+        assert staircase(layers, middle_live, outer_live) == (live[0] if live else None)
+        assert len(calls) <= 4 * H - 6
 
 
 def test_associated_support_roundtrip(small_problem):
