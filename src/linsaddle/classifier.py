@@ -28,7 +28,6 @@ from .data_model import DataMatrices, SigmaBundle
 from .errors import InternalInconsistency, NotApplicable
 from .network import Weights, global_map, gradient, partial_middle, partial_prefix, partial_suffix
 from .ranktol import (  # RankTolerance and numeric_rank are re-exported
-    EPS_WITNESS,
     TAU_CRIT_REL,
     RankTolerance,
     criticality_scale,
@@ -170,12 +169,7 @@ def classify(
         )
 
     def validated(wit: WitnessCase) -> float:
-        # c2 = ||A_1 X||^2 + 2 <A_2, E> must be negative by more than the
-        # relative rounding of its own two terms, so the threshold has the
-        # units of c2 whatever the scale of X and Y.
-        quad, cross = CurvatureCache(w, bundle).c2_terms(wit.direction)
-        c2 = quad + cross
-        thr = -EPS_WITNESS * (quad + abs(cross))
+        c2, thr = CurvatureCache(w, bundle).c2_threshold(wit.direction)
         if not (c2 < thr):
             raise InternalInconsistency(
                 f"witness c2 = {c2:.3g} is not certifiably negative "

@@ -27,7 +27,7 @@ from .critical_points import (
     spec_to_json,
     z_block_shape,
 )
-from .curvature import c2_value, hessian_min_eig
+from .curvature import CurvatureCache, hessian_min_eig
 from .data_model import (
     DataMatrices,
     build_sigma_bundle,
@@ -150,6 +150,7 @@ def cmd_probe(args) -> int:
     lam, vec = hessian_min_eig(
         w, data, mode=args.mode, tol=args.tol_eig, return_vector=True
     )
+    cache = CurvatureCache(w, data)
     rng = np.random.default_rng(args.sample_seed)
     samples = []
     for _ in range(args.samples):
@@ -158,15 +159,15 @@ def cmd_probe(args) -> int:
              for h in range(1, w.shape.H + 1)],
             w.shape,
         )
-        samples.append(c2_value(w, v, data))
+        samples.append(cache.c2(v))
+    # The eigenvector is a witness only when its c2 passes classify's test:
+    # at a non-strict saddle lambda_min is 0 up to rounding, of either sign.
+    c2, thr = cache.c2_threshold(vec)
     print(json.dumps({
         "lambda_min": lam,
         "mode": args.mode,
         "c2_samples": samples,
-        "witness": None if lam >= 0 else {
-            "layers": [M.tolist() for M in vec.layers],
-            "c2": c2_value(w, vec, data),
-        },
+        "witness": {"layers": [M.tolist() for M in vec.layers], "c2": c2} if c2 < thr else None,
     }))
     return 0
 

@@ -42,13 +42,17 @@ from .errors import (
 )
 from .network import (Direction, Weights, _product_table, global_map, partial_middle,
                       partial_prefix, partial_suffix, residual_moment, unflatten)
-from .ranktol import BETA_ZERO_TOL, RankTolerance, floored, numeric_rank
+from .ranktol import BETA_ZERO_TOL, EPS_WITNESS, RankTolerance, floored, numeric_rank
 
 MAX_TAYLOR_DEPTH = 12
 MAX_DENSE_PARAMS = 2000
 # Lanczos steps, one Hessian-vector product each, before the probe raises
-# ProbeNotConverged; probes at deep example points converge in 20 to 40.
+# ProbeNotConverged; the deep_probe points of seeds 101-110 (depth 8-24,
+# width 20) stop after 21 to 33.
 PROBE_MAXITER = 300
+# Lanczos steps between solves of the tridiagonal; overshooting convergence by
+# up to _RITZ_STRIDE - 1 steps only shrinks the Ritz residual.
+_RITZ_STRIDE = 3
 PROBE_SEED = 0  # of the probe's start vector, so that probes repeat exactly
 
 
@@ -167,6 +171,18 @@ class CurvatureCache:
         quad, cross = self.c2_terms(v)
         return quad + cross
 
+    def c2_threshold(self, v: Direction) -> tuple[float, float]:
+        """c2(V) and the threshold below which it is certifiably negative:
+        -EPS_WITNESS times ||A_1 X||^2 + 2 <|A_2|, |E|>, the size of the
+        summands of c2 = ||A_1 X||^2 + 2 <A_2, E>.  That bounds their
+        rounding in the units of c2 whatever the scale of X and Y, which
+        |<A_2, E>| does not: where A_2 is orthogonal to E, as along the flat
+        directions of a non-strict saddle, it is itself a rounding."""
+        _, A1, A2 = _line_orders(self.w, v, 2)
+        quad, cross = float(np.sum((A1 @ self.sigma_xx) * A1)), A2 * self.E
+        size = quad + 2.0 * float(np.sum(np.abs(cross)))
+        return quad + 2.0 * float(np.sum(cross)), -EPS_WITNESS * size
+
     @cached_property
     def _fused(self):
         """Buffers of ``hessian_matvec``, filled from P, B and the layers on
@@ -268,36 +284,46 @@ def _lanczos_min(matvec, n: int, tol: float):
     Lanczos from a seeded start vector, with full reorthogonalization and no
     restarts, so that a zero eigenvalue is not skipped as it is by restarted
     solvers that lock onto the smallest nonzero one.  Each step makes one
-    classical Gram-Schmidt pass, and a second only when the first cancels
-    (shrinks the vector below 1/sqrt 2 of its length; Daniel, Gragg, Kaufman
-    and Stewart 1976).  The basis and the tridiagonal grow with the steps.
-    Stops when the Ritz residual |beta_k s_k| of the smallest Ritz value is
-    at most tol * max|theta|, or when beta_k <= 1e-12 * max|theta| (the
-    Krylov space is invariant); after PROBE_MAXITER steps raises
-    ProbeNotConverged.
+    projection c = Q_k v of the new vector on the whole basis: its last
+    entry is the diagonal entry alpha_k, and v - Q_k^T c is the three-term
+    step and classical Gram-Schmidt at once.  A second pass runs only when
+    the first cancels, shrinking the vector below 1/sqrt 2 of its length
+    after the three-term step, sqrt(|v|^2 - c_k^2 - c_{k-1}^2) (Daniel,
+    Gragg, Kaufman and Stewart 1976); its c_k is added to alpha_k.  The
+    basis is allocated once for min(PROBE_MAXITER, n) steps; its memory is
+    committed only as rows are written, in 2 MiB pages where numpy asks for
+    transparent huge pages (arrays of 4 MiB and more on Linux).  The
+    tridiagonal is solved every _RITZ_STRIDE steps, at the cap, and
+    whenever beta_k is at most 1e-12 times its Gershgorin bound.  Stops when the Ritz residual |beta_k s_k|
+    of the smallest Ritz value is at most tol * max|theta|, or when
+    beta_k <= 1e-12 * max|theta| (the Krylov space is invariant); after
+    PROBE_MAXITER steps raises ProbeNotConverged.
     """
+    kmax = min(PROBE_MAXITER, n)
     q = np.random.default_rng(PROBE_SEED).standard_normal(n)
-    Q = np.empty((min(16, n), n))
-    T = np.zeros((len(Q), len(Q)))
+    Q = np.empty((kmax + 1, n))
+    T = np.zeros((kmax + 1, kmax + 1))
     Q[0] = q / np.linalg.norm(q)
-    for k in range(1, min(PROBE_MAXITER, n) + 1):
+    bound = b = 0.0  # Gershgorin bound on max|theta|, last off-diagonal entry
+    for k in range(1, kmax + 1):
         v = matvec(Q[k - 1])
-        T[k - 1, k - 1] = alpha = Q[k - 1] @ v
-        v -= alpha * Q[k - 1] + (T[k - 2, k - 1] * Q[k - 2] if k > 1 else 0.0)
-        before = np.linalg.norm(v)
-        v -= Q[:k].T @ (Q[:k] @ v)
-        b = float(np.linalg.norm(v))
-        if b < before / np.sqrt(2.0):
-            v -= Q[:k].T @ (Q[:k] @ v)
-            b = float(np.linalg.norm(v))
-        theta, s = np.linalg.eigh(T[:k, :k])
-        scale = float(np.abs(theta).max())
-        if abs(b * s[-1, 0]) <= tol * scale or b <= 1e-12 * scale:
-            return float(theta[0]), Q[:k].T @ s[:, 0]
-        if k == len(Q):
-            Q = np.concatenate([Q, np.empty_like(Q)])
-            T = np.pad(T, (0, k))
-        Q[k] = v / b
+        c = Q[:k] @ v
+        cancel = 0.5 * (float(v @ v) - float(c[-2:] @ c[-2:]))  # DGKS, squared
+        v -= c @ Q[:k]
+        alpha, bb = float(c[-1]), float(v @ v)
+        if bb < cancel:
+            c = Q[:k] @ v
+            v -= c @ Q[:k]
+            alpha, bb = alpha + float(c[-1]), float(v @ v)
+        b_prev, b = b, bb ** 0.5
+        bound = max(bound, abs(alpha) + b_prev + b)
+        T[k - 1, k - 1] = alpha
+        if k % _RITZ_STRIDE == 0 or k == kmax or b <= 1e-12 * bound:
+            theta, s = np.linalg.eigh(T[:k, :k])
+            scale = float(np.abs(theta).max())
+            if abs(b * s[-1, 0]) <= tol * scale or b <= 1e-12 * scale:
+                return float(theta[0]), s[:, 0] @ Q[:k]
+        np.divide(v, b, out=Q[k])
         T[k - 1, k] = T[k, k - 1] = b
     raise ProbeNotConverged(f"Lanczos probe did not converge in {k} steps")
 
@@ -311,10 +337,13 @@ def hessian_min_eig(
     eigenvector is reshaped to a Direction and returned alongside.
 
     The probe (``_lanczos_min``) starts from a seeded vector, so it repeats
-    exactly, and finds a zero lambda_min at non-strict saddles.  It stops
-    when its Ritz residual is at most tol times the largest Ritz value's
-    magnitude, or when the Krylov space is invariant; a probe short of that
-    after PROBE_MAXITER Lanczos steps raises ProbeNotConverged."""
+    exactly, and finds a zero lambda_min at non-strict saddles.  Each
+    Lanczos step makes one Hessian-vector product and one projection on the
+    whole basis.  Every _RITZ_STRIDE steps and at the cap it checks its
+    stopping rule: a Ritz residual at most tol times the largest Ritz
+    value's magnitude, or an invariant Krylov space (which it also checks
+    at every step).  A probe short of that after PROBE_MAXITER steps raises
+    ProbeNotConverged."""
     if mode == "dense":
         M = hessian_dense(w, data)
         if not return_vector:

@@ -18,11 +18,12 @@ the thresholds live here, each compared with a quantity of its own units:
   D_COND_LIMIT; a canonical block Z_h is snapped to zero when
   ||Z_h|| <= EPS_CANON ||Wt_h||, Wt_h its transformed layer, in whose
   units it is;
-- witnesses: a measured c2 is negative by more than EPS_WITNESS times the
-  sum of the magnitudes of its two terms; a pivot data block T counts as
-  zero when sigma_1(T) <= BETA_ZERO_TOL times the product of the 2-norms of
-  its three factors, and so does the kernel's inner image; BETA_ZERO_TOL
-  is also the absolute zero of a witness's quadratic coefficient;
+- witnesses: a measured c2 = ||A_1 X||^2 + 2 <A_2, E> is negative by more
+  than EPS_WITNESS times the size of its summands, ||A_1 X||^2 +
+  2 <|A_2|, |E|>; a pivot data block T counts as zero when sigma_1(T) <=
+  BETA_ZERO_TOL times the product of the 2-norms of its three factors, and
+  so does the kernel's inner image; BETA_ZERO_TOL is also the absolute
+  zero of a witness's quadratic coefficient;
 - the standing assumption: eigenvalue gaps and lambda_min above
   EPS_GAP * lambda_1; the bundle's singular factors orthogonal to
   EPS_ORTH * d_y and reconstructing to EPS_SVD relative.

@@ -177,6 +177,24 @@ def test_probe_output(tmp_path, capsys, data_files):
     assert res["witness"] is not None and res["witness"]["c2"] < 0
 
 
+@pytest.mark.parametrize("mode", ["dense", "probe"])
+def test_probe_reports_no_witness_at_a_non_strict_saddle(tmp_path, capsys, data_files, mode):
+    # lambda_min is 0 up to rounding of either sign (dense eigh gives about
+    # -5e-14 here); its eigenvector's c2 is no certifiably negative witness.
+    x, y = data_files
+    wpath = str(tmp_path / "w.json")
+    run_cli(capsys, "construct", "--x", x, "--y", y, "--dims", "6,5,5,4",
+            "--variant", "tightened", "--r", "2", "--out", wpath)
+    code, out = run_cli(capsys, "classify", "--x", x, "--y", y, "--weights", wpath)
+    assert code == 0 and json.loads(out)["verdict"] == "non_strict_saddle"
+    code, out = run_cli(capsys, "probe", "--x", x, "--y", y, "--weights", wpath,
+                        "--mode", mode)
+    assert code == 0
+    res = json.loads(out)
+    assert abs(res["lambda_min"]) <= 1e-6
+    assert res["witness"] is None
+
+
 def test_enumerate(capsys, data_files):
     x, y = data_files
     code, out = run_cli(capsys, "enumerate", "--x", x, "--y", y,

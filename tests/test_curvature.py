@@ -180,9 +180,7 @@ def test_probe_matches_the_dense_spectrum_at_depth_8(variant):
     assert np.linalg.norm(M @ x - lam * x) <= 1e-5 * np.linalg.norm(M, 2)
 
 
-def test_probe_is_capped_and_raises_a_library_error(monkeypatch, deep_problem):
-    data, b, shape = deep_problem
-    w = ls.build_example_family(2, "tightened", b, shape)
+def _count_matvecs(monkeypatch) -> list:
     matvecs = []
     matvec = CurvatureCache.hessian_matvec
 
@@ -191,11 +189,76 @@ def test_probe_is_capped_and_raises_a_library_error(monkeypatch, deep_problem):
         return matvec(self, x)
 
     monkeypatch.setattr(CurvatureCache, "hessian_matvec", counted)
-    monkeypatch.setattr(curvature, "PROBE_MAXITER", 2)
+    return matvecs
+
+
+@pytest.mark.parametrize("cap", [2, 5, 7])
+def test_probe_is_capped_and_raises_a_library_error(monkeypatch, deep_problem, cap):
+    # The tridiagonal is solved every _RITZ_STRIDE steps and always at the
+    # cap, so caps off the stride (5, 7) stop there too.
+    data, b, shape = deep_problem
+    w = ls.build_example_family(2, "tightened", b, shape)  # converges in 18 steps
+    matvecs = _count_matvecs(monkeypatch)
+    monkeypatch.setattr(curvature, "PROBE_MAXITER", cap)
     for return_vector in (False, True):
         with pytest.raises(ls.ProbeNotConverged):
             ls.hessian_min_eig(w, data, mode="probe", return_vector=return_vector)
-    assert len(matvecs) == 2 * 2
+    assert len(matvecs) == 2 * cap
+
+
+def test_probe_converging_at_a_cap_off_the_stride_returns(monkeypatch, deep_problem):
+    # This probe's Ritz residual first meets tol at step 16, between the
+    # solves of steps 15 and 18; the solve at a cap of 17 returns it.
+    data, b, shape = deep_problem
+    w = ls.build_example_family(2, "tightened", b, shape)
+    free = ls.hessian_min_eig(w, data, mode="probe")
+    matvecs = _count_matvecs(monkeypatch)
+    monkeypatch.setattr(curvature, "PROBE_MAXITER", 17)
+    assert ls.hessian_min_eig(w, data, mode="probe") == pytest.approx(free, abs=1e-6)
+    assert len(matvecs) <= 17
+
+
+def _diagonal_operator(eigs):
+    matvecs = []
+
+    def matvec(x):
+        matvecs.append(1)
+        return eigs * x
+
+    return matvec, matvecs
+
+
+def _assert_ritz_pair(eigs, lam, x, tol):
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.norm(eigs * x - lam * x) <= 10 * tol * np.abs(eigs).max()
+
+
+def test_lanczos_finds_a_multiple_zero_eigenvalue():
+    # lambda_min = 0 with multiplicity 20 among 180 positive eigenvalues.
+    eigs = np.random.default_rng(5).permutation(np.r_[np.zeros(20), np.linspace(0.5, 10.0, 180)])
+    matvec, _ = _diagonal_operator(eigs)
+    tol = 1e-8
+    lam, x = curvature._lanczos_min(matvec, eigs.size, tol)
+    assert abs(lam) <= tol * np.abs(eigs).max()
+    _assert_ritz_pair(eigs, lam, x, tol)
+
+
+@pytest.mark.parametrize("distinct", [2, 3])
+def test_lanczos_stops_on_an_invariant_krylov_space(distinct):
+    # With `distinct` eigenvalues the Krylov space of any start vector is
+    # invariant after that many steps, and beta_k <= 1e-12 max|theta| stops
+    # the probe there, also at a step where the tridiagonal is not due for
+    # its solve (2 is not a multiple of _RITZ_STRIDE).  At tol = 0 that is
+    # the only rule that can stop it.
+    eigs = np.repeat([-3.0, 1.0, 4.0][:distinct], 4)
+    matvec, matvecs = _diagonal_operator(eigs)
+    tol = 1e-10
+    for stop in (tol, 0.0):
+        matvecs.clear()
+        lam, x = curvature._lanczos_min(matvec, eigs.size, stop)
+        assert len(matvecs) == distinct
+        assert lam == pytest.approx(-3.0, abs=10 * tol * 4.0)
+        _assert_ritz_pair(eigs, lam, x, tol)
 
 
 @pytest.fixture(scope="module")
