@@ -55,7 +55,6 @@ from .errors import (
     AmbiguousProjector,
     AssumptionViolated,
     DegenerateBasis,
-    Diverged,
     IllConditioned,
     InternalInconsistency,
     InvalidPivot,
@@ -80,7 +79,6 @@ from .experiments import (
     escape_threshold,
     perturb_near,
     run_experiment,
-    run_optimizer,
     summarize_runs,
     train_runs,
 )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import groupby
 
 import numpy as np
 
@@ -418,10 +418,8 @@ def _choose_beta(a: float, c: float) -> tuple[float, float]:
 
 
 def _kernel_basis(M: np.ndarray, rank_tol: RankTolerance) -> np.ndarray:
-    if M.size == 0:
-        return np.eye(M.shape[1])
     u, s, vt = np.linalg.svd(M)
-    thr = rank_tol.threshold(M.shape, float(s[0]) if s.size else 0.0)
+    thr = rank_tol.threshold(M.shape, float(s[0]))
     rk = int(np.count_nonzero(s > thr))
     return vt[rk:, :].T
 
@@ -462,8 +460,7 @@ def witness_untightened(
     that b minimizes a_coef.  beta minimizes c2, which is then negative.
     When the top singular values (the bottom eigenvalue at i = j + 1) are
     simple the witness does not depend on the kernel basis, and c2 never
-    does at i = j + 1.  When rank(W_H..W_{j+1}) exceeds r the pivot reduces
-    to (j, 1).
+    does at i = j + 1.
     """
     i, j = pivot
     H = w.shape.H
@@ -473,10 +470,7 @@ def witness_untightened(
     U_Q = bundle.u_complement(S)
     if not U_Q.size:
         raise NotApplicable("support already uses every output eigendirection")
-    suf = partial_suffix(w, j + 1)
-    N = _kernel_basis(suf, floored(rank_tol, H, w.layer_norms()[j:]))
-    if j > 1 and suf.shape[1] - N.shape[1] > len(S):  # rank(W_H..W_{j+1}) > r
-        return witness_untightened(w, bundle, S, (j, 1), rank_tol)
+    N = _kernel_basis(partial_suffix(w, j + 1), floored(rank_tol, H, w.layer_norms()[j:]))
 
     pre, suf_i = partial_prefix(w, j - 1), partial_suffix(w, i + 1)
     T = pre @ bundle.sigma_xy @ U_Q @ (U_Q.T @ suf_i)
@@ -522,7 +516,6 @@ def witness_untightened(
 class TightenedStructure:
     p: int  # largest h in [3, H] with Z_H..Z_h = 0
     q: int  # smallest k in [1, min(p-1, H-2)] with Z_k..Z_1 G = 0, G = Sigma_XY U_Q
-    residual: float  # largest Frobenius norm among the chains of the product identities
 
 
 @dataclass(frozen=True)
@@ -547,7 +540,20 @@ def _tightened(w: Weights, bundle: SigmaBundle):
     ``_ZChains`` of its blocks.  r is the rank of the global map cut at the
     ``chain_floor`` of all layers; the rest are zero tests on Z chains, since
     at canonical weights rank(W_H..W_h) = r exactly when Z_H..Z_h = 0, and
-    rank(W_k..W_1 Sigma_XY) = r exactly when Z_k..Z_1 G = 0."""
+    rank(W_k..W_1 Sigma_XY) = r exactly when Z_k..Z_1 G = 0.
+
+    The product identities that ``ft_st_decomposition`` uses follow from
+    tightness and the definitions of p and q, so no chain is tested twice:
+    - i < p: Z_H..Z_{i+1} contains Z_H..Z_p = 0;
+    - i >= p: Z_H..Z_{i+1} is nonzero by the maximality of p and G has full
+      column rank (the standing assumption), so the outer chain
+      G Z_H..Z_{i+1} of pivot (i, 1) is nonzero and its tightness zeroes
+      Z_{i-1}..Z_2;
+    - i <= q: Z_{i-1}..Z_1 G is nonzero by the minimality of q (G at i = 1),
+      so the tightness of pivot (H, i) zeroes Z_{H-1}..Z_{i+1};
+    - i > q: Z_{i-1}..Z_1 G contains Z_q..Z_1 G = 0.
+    In floating point the second case could fail only where the zero tests
+    of G M and of M disagree, which takes an ill-conditioned G."""
     shape, H = w.shape, w.shape.H
     if H < 3:
         raise InvalidShape("tightened structure requires depth H >= 3")
@@ -566,21 +572,7 @@ def _tightened(w: Weights, bundle: SigmaBundle):
     q = next((k for k in range(1, min(p - 1, H - 2) + 1) if z.zero(z.zg[k], n[:k] + g)), None)
     if q is None:
         raise InternalInconsistency("no rank-collapse index q found below layer H-1")
-
-    # The product identities implied by (p, q), as chains that must vanish:
-    # Z_H..Z_{i+1} (i < p), Z_{i-1}..Z_2 (i >= p), Z_{H-1}..Z_{i+1} (i <= q)
-    # and Z_{i-1}..Z_1 G (i > q).
-    Z = z.blocks
-    up = accumulate(Z[1:H - 1], lambda M, Zi: Zi @ M)  # Z_{i-1}..Z_2, i = 3..H
-    down = accumulate(Z[H - 2:0:-1], lambda M, Zi: M @ Zi)  # Z_{H-1}..Z_{i+1}, i = H-2..1
-    chains = [(z.suf[i + 1], n[i:]) for i in range(1, p)]
-    chains += [(M, n[1:i - 1]) for i, M in enumerate(up, start=3) if i >= p]
-    chains += [(M, n[i:H - 1]) for i, M in zip(range(H - 2, 0, -1), down) if i <= q]
-    chains += [(z.zg[i - 1], n[:i - 1] + g) for i in range(q + 1, H + 1)]
-    residual = max(np.linalg.norm(M) for M, _ in chains)
-    if not all(z.zero(M, factors) for M, factors in chains):
-        raise InternalInconsistency(f"tightened product identities violated by {residual:.3g}")
-    return TightenedStructure(p=p, q=q, residual=float(residual)), r, z
+    return TightenedStructure(p=p, q=q), r, z
 
 
 def ft_st_decomposition(
@@ -596,13 +588,12 @@ def ft_st_decomposition(
     tightened, depth >= 3.  The decomposition certifies the absence of
     second-order descent directions.
 
-    The tightened structure (r, the rank-collapse indices p and q, checked
-    against their product identities, and the Z chains) depends on the
-    point and the bundle only, so the first call keeps it on ``w`` and later
-    calls with the same bundle object reuse it for every direction; another
-    bundle gets a fresh analysis.  The entry holds the bundle only through a
-    weak reference.  A point that fails the analysis keeps nothing and
-    raises again on every call.
+    The tightened structure (r, the rank-collapse indices p and q, and the
+    Z chains) depends on the point and the bundle only, so the first call
+    keeps it on ``w`` and later calls with the same bundle object reuse it
+    for every direction; another bundle gets a fresh analysis.  The entry
+    holds the bundle only through a weak reference.  A point that fails the
+    analysis keeps nothing and raises again on every call.
 
     Only second moments enter.  With V_Q the right singular vectors of
     Sigma_YX Sigma_XX^{-1} X for lambda_{r+1..d_y}, X V_Q is

@@ -67,11 +67,3 @@ class ProbeNotConverged(LinSaddleError):
 
 class InternalInconsistency(LinSaddleError):
     """A certified property failed to hold numerically; indicates a tolerance misconfiguration."""
-
-
-class Diverged(LinSaddleError):
-    """The optimizer diverged.  Carries the partial loss trace."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace if trace is not None else []

@@ -9,8 +9,8 @@ the same loss value; ``escape_gate`` reports the ratio of the two medians and
 its margin to the paper's 3x contrast.
 
 All runs of a variant train together, as one stack, in ``train_runs``; each
-run's results are bitwise those of training it alone (``run_optimizer``, the
-batch of one), and run k perturbs with seed data_seed + k.
+run's results are bitwise those of training it alone (a batch of one), and
+run k perturbs with seed data_seed + k.
 
 Protocol notes: the optimizer minimizes the mean squared error (the summed
 square loss divided by m * d_y), matching common deep-learning framework
@@ -29,7 +29,7 @@ import numpy as np
 
 from .critical_points import build_example_family, critical_value
 from .data_model import DataMatrices, SigmaBundle, build_sigma_bundle, generate_gaussian_data
-from .errors import Diverged, InvalidRank, InvalidShape
+from .errors import InvalidRank, InvalidShape
 from .network import (NetworkShape, Weights, flatten, prefix_products, products_gradient,
                       products_loss, residual_moment, unflatten)
 
@@ -45,7 +45,6 @@ class OptimizerConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-7
-    mse_scaling: bool = True  # feed gradients of loss / (m * d_y) to the update
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def train_runs(
         raise InvalidShape("runs of different shapes")
     if shape.d_x != data.d_x or shape.d_y != data.d_y:
         raise InvalidShape("weights incompatible with data dimensions")
-    gscale = 1.0 / (data.m * data.d_y) if opt.mse_scaling else 1.0
+    gscale = 1.0 / (data.m * data.d_y)  # the gradient of the mean squared error
     W = np.stack([flatten(w.layers) for w in w0s])  # one row per live run
     g, m1, m2, tmp = np.empty_like(W), np.zeros_like(W), np.zeros_like(W), np.empty_like(W)
     layers, blocks = unflatten(W, shape.dims), unflatten(g, shape.dims)
@@ -175,24 +174,6 @@ def train_runs(
             pre = prefix_products(layers)
     final[live] = W
     return unflatten(final, shape.dims), [traces[k, :lengths[k]] for k in range(n)], diverged
-
-
-def run_optimizer(
-    w0: Weights,
-    bundle: SigmaBundle,
-    data: DataMatrices,
-    opt: OptimizerConfig = OptimizerConfig(),
-    max_epochs: int = 2000,
-) -> tuple[Weights, list]:
-    """``train_runs`` on w0 alone.  Returns the final weights and the
-    unnormalized loss trace (length max_epochs + 1, including the initial
-    loss).  Raises Diverged (with the partial trace attached) when the loss
-    exceeds a hard ceiling or turns non-finite."""
-    layers, (trace,), diverged = train_runs([w0], bundle, data, opt, max_epochs)
-    trace = trace.tolist()
-    if diverged[0]:
-        raise Diverged(f"loss {trace[-1]:.3g} at epoch {len(trace) - 1}", trace=trace)
-    return Weights([M[0] for M in layers], w0.shape), trace
 
 
 def escape_threshold(bundle: SigmaBundle, r: int) -> float:

@@ -109,6 +109,8 @@ def test_classify_approximate_flag(small_problem):
     res = ls.classify(nudged, b, data)
     assert res.approximate
     assert res.verdict in ("strict_saddle", "non_strict_saddle", "global_minimizer")
+    # The same point with its gradient at 300 tau is past the band.
+    assert ls.classify(nudged, b, data, tau_crit=gn / 300).verdict == "not_critical"
 
 
 def test_h2_never_non_strict(shallow_problem):
@@ -427,6 +429,45 @@ def test_a_refused_witness_at_the_first_untightened_pivot_is_an_internal_inconsi
     with pytest.raises(ls.InternalInconsistency, match=r"pivot \(3, 2\): refused"):
         ls.classify(w, b, data)
     assert tried == [order[0]]
+
+
+def test_a_witness_without_negative_curvature_is_an_internal_inconsistency(
+        monkeypatch, deep_problem):
+    # Along the zero direction c2 = 0, which is not below its threshold -0.
+    data, b, shape = deep_problem
+    w = ls.build_example_family(1, "non_tightened", b, shape)
+    witness = classifier.witness_untightened
+
+    def flat(*args):
+        wit = witness(*args)
+        return replace(wit, direction=ls.Direction([0.0 * M for M in wit.direction.layers], shape))
+
+    monkeypatch.setattr(classifier, "witness_untightened", flat)
+    with pytest.raises(ls.InternalInconsistency, match="not certifiably negative"):
+        ls.classify(w, b, data)
+
+
+def test_a_support_that_disagrees_with_the_map_rank_is_an_internal_inconsistency(
+        monkeypatch, deep_problem):
+    data, b, shape = deep_problem
+    w = ls.build_example_family(2, "tightened", b, shape)
+    support = classifier.associated_support
+
+    def one_more(*args, **kwargs):
+        sup = support(*args, **kwargs)
+        return replace(sup, support=sup.support + (4,))
+
+    monkeypatch.setattr(classifier, "associated_support", one_more)
+    with pytest.raises(ls.InternalInconsistency, match="rank 2 disagrees with support size 3"):
+        ls.classify(w, b, data)
+
+
+def test_a_pivot_rank_below_r_is_an_internal_inconsistency():
+    # At a critical point of rank r no pivot block has rank below r.
+    tols = (ls.RankTolerance(),) * 2
+    assert ls.analyze_pivot(3, 1, 1, (np.diag([1.0, 0.0]), np.eye(2)), tols).tightened
+    with pytest.raises(ls.InternalInconsistency, match=r"pivot \(3, 1\) rank 1 < r = 2"):
+        ls.analyze_pivot(3, 1, 2, (np.diag([1.0, 0.0]), np.eye(2)), tols)
 
 
 @pytest.mark.parametrize("c", [1e-13, 1e-9, 1e9, 1e13])

@@ -400,8 +400,6 @@ def test_untightened_witness_is_invariant_under_hidden_rotations(deep_problem):
             if p.tightened:
                 continue
             wit = ls.witness_untightened(w, b, spec.support, (p.i, p.j))
-            if wit.pivot != (p.i, p.j):
-                continue  # reduced to (j, 1)
             rot = ls.witness_untightened(w_rot, b, spec.support, (p.i, p.j))
             assert rot.pivot == wit.pivot
             assert rot.c2_predicted == pytest.approx(wit.c2_predicted, rel=1e-10)
@@ -436,8 +434,6 @@ def test_adjacent_pivot_witness_does_not_depend_on_the_kernel_basis(monkeypatch,
                 wit = ls.witness_untightened(w, b, spec.support, (p.i, p.j))
             except ls.NotApplicable:
                 continue
-            if wit.pivot != (p.i, p.j):
-                continue  # reduced to (j, 1)
             rotate[0] = True
             for _ in range(3):
                 rot = ls.witness_untightened(w, b, spec.support, (p.i, p.j))
@@ -465,7 +461,6 @@ def test_tightened_structure_indices(deep_problem):
     w = ls.build_example_family(2, "tightened", b, shape)
     st = curvature._tightened(w, b)[0]
     assert st.p == shape.H and st.q == 1
-    assert st.residual < 1e-10
 
 
 def test_tightened_structure_rejects_untightened(deep_problem):
@@ -589,8 +584,8 @@ def test_ft_st_does_not_keep_its_bundle_alive(deep_problem):
 def _depth_8_point():
     # Z_4 = Z_5 = 0, Z_8 Z_7 Z_6 = 0 and Z_3 Z_2 Z_1 Sigma_XY U_Q = 0 while
     # Z_8 Z_7 and Z_2 Z_1 Sigma_XY U_Q are nonzero, so p = 6 and q = 3: the
-    # identity checks cover W_{i-1}..W_2 for i = 6..8 and W_7..W_{i+1} for
-    # i = 1..3.  Adjacent widths differ, so a product taken on the wrong side
+    # certificate relies on the identities of W_{i-1}..W_2 for i = 6..8 and of
+    # W_7..W_{i+1} for i = 1..3.  Adjacent widths differ, so a product taken on the wrong side
     # fails.  Returns the data, bundle, shape, weights (r = 1) and the
     # generator that drew them, for the directions.
     data = ls.generate_gaussian_data(6, 4, 50, seed=3)
@@ -615,7 +610,6 @@ def test_ft_st_at_depth_8_with_both_identity_ranges():
         v = random_direction(shape, rng)
         dec = ls.ft_st_decomposition(w, v, b, data)
         assert (dec.structure.p, dec.structure.q) == (6, 3)
-        assert dec.structure.residual < 1e-12 * (1.0 + w.frob_norm())
         A2, A4 = m_column_ftst(w.layers, v.layers, data.X, data.Y, r, 6, 3)
         assert float(np.sum(dec.A2**2)) == pytest.approx(float(np.sum(A2**2)), rel=1e-9)
         assert np.allclose(dec.A4, A4, rtol=1e-9, atol=1e-9 * np.abs(A4).max())

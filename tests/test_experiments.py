@@ -12,7 +12,6 @@ from linsaddle.experiments import (
     escape_epoch,
     escape_gate,
     escape_threshold,
-    run_optimizer,
     summarize_runs,
     summary_to_json,
     train_runs,
@@ -61,11 +60,11 @@ def test_perturb_near_zero_layer_fallback(small_problem):
     assert all(np.linalg.norm(p.layer(h)) > 0 for h in range(1, shape.H + 1))
 
 
-def test_run_optimizer_zero_lr_constant_trace(small_problem):
+def test_train_runs_zero_lr_constant_trace(small_problem):
     data, b, shape = small_problem
     w = random_weights(shape, np.random.default_rng(2), scale=0.3)
     opt = ls.OptimizerConfig(algorithm="gd", lr=0.0)
-    _, trace = run_optimizer(w, b, data, opt, max_epochs=5)
+    _, (trace,), _ = train_runs([w], b, data, opt, max_epochs=5)
     assert len(trace) == 6
     assert all(t == trace[0] for t in trace)
 
@@ -76,33 +75,34 @@ def test_gd_stays_at_critical_point(small_problem):
     spec = random_certified_spec(shape, b.d_y, rng, support=(1, 2))
     w = ls.build_critical_point(spec, b, shape)
     opt = ls.OptimizerConfig(algorithm="gd", lr=1e-3)
-    _, trace = run_optimizer(w, b, data, opt, max_epochs=10)
+    _, (trace,), _ = train_runs([w], b, data, opt, max_epochs=10)
     assert np.allclose(trace, trace[0], rtol=1e-9)
 
 
 def test_gd_monotone_decrease(small_problem):
     data, b, shape = small_problem
     w = random_weights(shape, np.random.default_rng(4), scale=0.3)
-    lr = 1e-4 / np.linalg.norm(b.sigma_xx, 2)
-    opt = ls.OptimizerConfig(algorithm="gd", lr=lr, mse_scaling=False)
-    _, trace = run_optimizer(w, b, data, opt, max_epochs=10)
+    # The update scales the gradient by 1 / (m d_y), which lr undoes.
+    lr = 1e-4 / np.linalg.norm(b.sigma_xx, 2) * data.m * data.d_y
+    opt = ls.OptimizerConfig(algorithm="gd", lr=lr)
+    _, (trace,), _ = train_runs([w], b, data, opt, max_epochs=10)
     assert all(trace[k + 1] < trace[k] for k in range(10))
 
 
-def test_run_optimizer_rejects_unknown_algorithm(small_problem):
+def test_train_runs_rejects_unknown_algorithm(small_problem):
     data, b, shape = small_problem
     w = random_weights(shape, np.random.default_rng(5))
     with pytest.raises(ValueError):
-        run_optimizer(w, b, data, ls.OptimizerConfig(algorithm="lbfgs"))
+        train_runs([w], b, data, ls.OptimizerConfig(algorithm="lbfgs"))
 
 
-def test_run_optimizer_diverges_with_huge_lr(small_problem):
+def test_train_runs_diverges_with_huge_lr(small_problem):
     data, b, shape = small_problem
     w = random_weights(shape, np.random.default_rng(6), scale=1.0)
-    opt = ls.OptimizerConfig(algorithm="gd", lr=10.0, mse_scaling=False)
-    with pytest.raises(ls.Diverged) as exc:
-        run_optimizer(w, b, data, opt, max_epochs=50)
-    assert len(exc.value.trace) >= 2  # partial trace attached
+    opt = ls.OptimizerConfig(algorithm="gd", lr=10.0 * data.m * data.d_y)
+    _, (trace,), diverged = train_runs([w], b, data, opt, max_epochs=50)
+    assert diverged[0] and 2 <= len(trace) < 51  # the trace ends at the divergence
+    assert not trace[-1] <= DIVERGE_LIMIT
 
 
 def test_escape_threshold_and_epoch(small_problem):
@@ -212,7 +212,7 @@ def test_escape_epochs_are_pinned():
 def serial_reference(w0, bundle, data, opt, max_epochs):
     """One run, one epoch at a time, from the public Weights, gradient and
     loss: (final layers, trace, diverged)."""
-    gscale = 1.0 / (data.m * data.d_y) if opt.mse_scaling else 1.0
+    gscale = 1.0 / (data.m * data.d_y)
     W = list(w0.layers)
     cur = w0
     trace = [ls.loss(cur, bundle)]
@@ -254,9 +254,9 @@ def test_train_runs_is_bitwise_the_serial_loop(small_problem, opt):
         assert traces[k].tolist() == ref_trace  # exact, not approximate
         for h in range(shape.H):
             assert np.array_equal(layers[h][k], ref_layers[h])
-    w, trace = run_optimizer(w0s[1], b, data, opt, max_epochs=60)
-    assert trace == traces[1].tolist()
-    assert all(np.array_equal(w.layers[h], layers[h][1]) for h in range(shape.H))
+    alone, (trace,), _ = train_runs([w0s[1]], b, data, opt, max_epochs=60)
+    assert np.array_equal(trace, traces[1])
+    assert all(np.array_equal(alone[h][0], layers[h][1]) for h in range(shape.H))
 
 
 def test_diverging_run_is_frozen_alone(small_problem):
@@ -276,9 +276,6 @@ def test_diverging_run_is_frozen_alone(small_problem):
         assert np.array_equal(traces[k], alone) and div[0] == diverged[k]
     _, ref_trace, ref_div = serial_reference(w0s[1], b, data, opt, 200)
     assert ref_div and ref_trace == traces[1].tolist()
-    with pytest.raises(ls.Diverged) as exc:
-        run_optimizer(w0s[1], b, data, opt, max_epochs=200)
-    assert exc.value.trace == traces[1].tolist()
 
 
 def test_train_runs_edge_cases(small_problem):
@@ -293,7 +290,7 @@ def test_train_runs_edge_cases(small_problem):
         train_runs([w, other], b, data)
 
 
-def test_run_experiment_matches_run_optimizer_per_run():
+def test_run_experiment_matches_train_runs_per_run():
     cfg = ls.ExperimentConfig(variant="tightened", n_runs=3, max_epochs=50,
                               keep_traces=True, **SMALL_CFG)
     runs = ls.run_experiment(cfg)
@@ -302,8 +299,8 @@ def test_run_experiment_matches_run_optimizer_per_run():
     w_star = ls.build_example_family(2, "tightened", b, ls.NetworkShape(SMALL_CFG["dims"]))
     for k, run in enumerate(runs):
         w0 = ls.perturb_near(w_star, cfg.perturb_scale, cfg.data_seed + k)
-        _, trace = run_optimizer(w0, b, data, cfg.optimizer, cfg.max_epochs)
-        assert run.loss_trace == trace
+        _, (trace,), _ = train_runs([w0], b, data, cfg.optimizer, cfg.max_epochs)
+        assert run.loss_trace == trace.tolist()
 
 
 def test_escape_gate():

@@ -1,0 +1,106 @@
+"""Mutation sweep: every listed one-line mutant of src/ must fail tests/.
+
+Each mutant replaces one piece of source text that occurs exactly once in its
+file: a documented threshold, a self-check, an index range of the
+sum-of-squares certificate, and one sanity mutant that any working suite
+kills.  The script copies the whole tree into a temporary directory (a copy
+of src/ alone would test nothing: pyproject.toml puts the checkout's src/
+first on the path), runs tests/ there once unmutated and then once per
+mutant, stopping each run at its first failure, and exits nonzero if the
+unmutated run fails or any mutant survives.  Standard library only; run it
+from anywhere as
+
+    python3 tools/mutation_sweep.py
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900
+
+# (name, file under src/linsaddle, original text, mutated text)
+MUTANTS = (
+    ("chain_floor 100 H eps -> 1e4 H eps", "ranktol.py",
+     "return 100.0 * H * np.finfo(float).eps", "return 1e4 * H * np.finfo(float).eps"),
+    ("support headroom 10 -> 100 gn/scale", "critical_points.py",
+     "10.0 * (gn / scale) * smax", "100.0 * (gn / scale) * smax"),
+    ("canonical snap EPS_CANON -> 1e3 EPS_CANON", "critical_points.py",
+     "<= EPS_CANON * np.linalg.norm(Wh)", "<= 1e3 * EPS_CANON * np.linalg.norm(Wh)"),
+    ("classify band 100 tau -> 1000 tau", "classifier.py",
+     "if gn > 100.0 * tau:", "if gn > 1000.0 * tau:"),
+    ("approximate rank tolerance 10 -> 1 gn/scale", "classifier.py",
+     "relative=10.0 * gn / scale", "relative=1.0 * gn / scale"),
+    ("ambiguity band [0.25, 0.75] -> [0.35, 0.65]", "critical_points.py",
+     "(diag >= 0.25) & (diag <= 0.75)", "(diag >= 0.35) & (diag <= 0.65)"),
+    ("witness c2 validation off", "classifier.py",
+     "if not (c2 < thr):", "if False:"),
+    ("global map rank vs |S| check off", "classifier.py",
+     "if r != len(S):", "if False:"),
+    ("pivot rank < r check off", "classifier.py",
+     "if min(rank1, rank2) < r:", "if False:"),
+    ("certificate range J1 starts at p + 1", "curvature.py",
+     "J1 = range(p, H)", "J1 = range(p + 1, H)"),
+    ("certificate range J2 starts at q + 2", "curvature.py",
+     "J2 = range(q + 1, p)", "J2 = range(q + 2, p)"),
+    ("certificate range J3 ends at q - 1", "curvature.py",
+     "J3 = range(2, q + 1)", "J3 = range(2, q)"),
+    ("p search starts at H - 1", "curvature.py",
+     "for h in range(H, 2, -1) if z.zero(", "for h in range(H - 1, 2, -1) if z.zero("),
+    ("sanity: critical value adds the eigenvalues", "critical_points.py",
+     "sigma_yy_trace - sum(", "sigma_yy_trace + sum("),
+)
+
+
+def run_tests(tree: Path) -> tuple[bool, float, str]:
+    """Whether tests/ passes in the tree, the wall seconds and the last line."""
+    t0 = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+            cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return False, time.perf_counter() - t0, f"timed out after {TIMEOUT_S} s"
+    lines = proc.stdout.strip().splitlines()
+    return proc.returncode == 0, time.perf_counter() - t0, lines[-1] if lines else ""
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutation_sweep_") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_traces",
+            "*.egg-info"))
+        passed, secs, last = run_tests(tree)
+        print(f"unmutated: {'passed' if passed else 'FAILED'} in {secs:.0f} s ({last})", flush=True)
+        if not passed:
+            return 1
+        survivors = []
+        for name, file, old, new in MUTANTS:
+            path = tree / "src" / "linsaddle" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"{name}: {old!r} occurs {text.count(old)} times in {file}, not once")
+                return 1
+            path.write_text(text.replace(old, new))
+            try:
+                passed, secs, last = run_tests(tree)
+            finally:
+                path.write_text(text)
+            print(f"{name}: {'SURVIVED' if passed else 'killed'} in {secs:.0f} s ({last})",
+                  flush=True)
+            if passed:
+                survivors.append(name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
