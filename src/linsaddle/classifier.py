@@ -63,9 +63,13 @@ class Pivot:
 
 def analyze_pivot(i: int, j: int, r: int, blocks: tuple, tols: tuple) -> Pivot:
     """The ranks of pivot (i, j) from its two blocks, (outer, middle), each
-    cut with its tolerance in ``tols``.  At a critical point of rank r
+    cut with its tolerance in ``tols``.  The middle block of an adjacent
+    pivot (i = j + 1) is the empty product I_{d_j}: every singular value is
+    1, so it is ranked without an SVD.  At a critical point of rank r
     neither rank is below r, so a smaller one means a wrong point or cut."""
-    rank1, rank2 = (numeric_rank(M, tol) for M, tol in zip(blocks, tols))
+    rank1, d = numeric_rank(blocks[0], tols[0]), blocks[1].shape[0]
+    rank2 = ((d if tols[1].threshold((d, d), 1.0) < 1.0 else 0) if i == j + 1
+             else numeric_rank(blocks[1], tols[1]))
     if min(rank1, rank2) < r:
         raise InternalInconsistency(
             f"pivot ({i}, {j}) rank {min(rank1, rank2)} < r = {r} at a critical point"

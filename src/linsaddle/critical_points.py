@@ -50,6 +50,7 @@ from .ranktol import (
     chain_floor,
     criticality_scale,
     floored,
+    frob,
     spectral_norms,
 )
 
@@ -175,7 +176,7 @@ class _ZChains:
         *self.norms, self.g_norm = spectral_norms(self.blocks + [G])
 
     def zero(self, P, factor_norms) -> bool:
-        return math.sqrt(np.vdot(P, P)) <= chain_floor(self.H, factor_norms)
+        return frob(P) <= chain_floor(self.H, factor_norms)
 
     def outer_zero(self, i, j) -> bool:
         """Whether Z_{j-1}..Z_1 G Z_H..Z_{i+1} vanishes."""
@@ -307,7 +308,7 @@ def associated_support(
         raise NotCritical(f"gradient norm {gn:.3g} exceeds tolerance {tau:.3g}")
 
     K = partial_suffix(w, 2)
-    uK, sK, _ = np.linalg.svd(K)
+    uK, sK, _ = np.linalg.svd(K, full_matrices=False)
     smax = float(sK[0]) if sK.size else 0.0
     # Noise of size delta in the weights leaks O(delta) spurious singular
     # values into K while inflating the gradient to O(delta * scale), so cut
@@ -316,8 +317,8 @@ def associated_support(
     eff_tol = floored(rank_tol, w.shape.H, w.layer_norms()[1:])
     sv_tol = max(eff_tol.threshold(K.shape, smax), 10.0 * (gn / scale) * smax)
     rk = int(np.count_nonzero(sK > sv_tol)) if sK.size else 0
-    P_K = uK[:, :rk] @ uK[:, :rk].T
-    diag = np.einsum("ij,jk,ki->i", bundle.U.T, P_K, bundle.U)
+    G = bundle.U.T @ uK[:, :rk]  # diag(U^T P_K U): the squared row norms of G
+    diag = np.einsum("ij,ij->i", G, G)
 
     if np.any((diag >= 0.25) & (diag <= 0.75)):
         raise AmbiguousProjector(
@@ -329,10 +330,8 @@ def associated_support(
     # The global map must match the projected regression optimum.
     U_S = bundle.u_cols(support)
     target = U_S @ (U_S.T @ bundle.sigma_yx_sigma_xx_inv())
-    map_err = np.linalg.norm(global_map(w) - target)
-    map_tol = (100.0 * tau if approximate else tau) * (
-        1.0 + np.linalg.norm(target)
-    )
+    map_err = frob(global_map(w) - target)
+    map_tol = (100.0 * tau if approximate else tau) * (1.0 + frob(target))
     if map_err > map_tol:
         raise NotCritical(
             f"global map is {map_err:.3g} away from the support-S optimum"
@@ -407,17 +406,12 @@ def _canonical_blocks(w: Weights, bundle: SigmaBundle, support, norm_w: float, e
     W = w.layers
     z = [W[0][r:, :]] + [Wh[r:, r:] for Wh in W[1:-1]] + [U_Q.T @ W[-1][:, r:]]
     K = partial_suffix(w, 2)
-    errs = [
-        np.linalg.norm(W[0][:r, :] - U_S.T @ C),
-        np.linalg.norm(W[-1] - np.hstack([U_S, U_Q @ z[-1]])),
-        np.linalg.norm(K - np.hstack([U_S, np.zeros((K.shape[0], K.shape[1] - r))])),
-    ]
-    for Wh, Z in zip(W[1:-1], z[1:-1]):
-        B = np.zeros_like(Wh)
-        B[:r, :r] = np.eye(r)
-        B[r:, r:] = Z
-        errs.append(np.linalg.norm(Wh - B))
-    tol = EPS_CANON * (1.0 + norm_w + np.linalg.norm(C))
+    errs = [  # by blocks, leaving out those that z is read from
+        frob(W[0][:r, :] - U_S.T @ C),
+        frob(W[-1][:, :r] - U_S, W[-1][:, r:] - U_Q @ z[-1]),
+        frob(K[:, :r] - U_S, K[:, r:]),
+    ] + [frob(Wh[:r, :r] - np.eye(r), Wh[:r, r:], Wh[r:, :r]) for Wh in W[1:-1]]
+    tol = EPS_CANON * (1.0 + norm_w + frob(C))
     if max(errs) > tol:
         raise error(f"canonical residual {max(errs):.3g} exceeds tolerance {tol:.3g}")
     return z
@@ -456,7 +450,7 @@ def canonical_form(
         wt = transform_weights(w, d_list)
     z = _canonical_blocks(wt, bundle, S, w.frob_norm(), DegenerateBasis)
     z_final = tuple(
-        np.zeros_like(Z) if np.linalg.norm(Z) <= EPS_CANON * np.linalg.norm(Wh) else Z.copy()
+        np.zeros_like(Z) if frob(Z) <= EPS_CANON * frob(Wh) else Z.copy()
         for Z, Wh in zip(z, wt.layers)
     )
     return CriticalPointSpec(support=S, z_blocks=z_final, d_blocks=tuple(d_list))

@@ -54,6 +54,7 @@ PROBE_MAXITER = 300
 # up to _RITZ_STRIDE - 1 steps only shrinks the Ritz residual.
 _RITZ_STRIDE = 3
 PROBE_SEED = 0  # of the probe's start vector, so that probes repeat exactly
+_BASIS_BYTES = (1 << 22) - 1  # the Lanczos basis's first allocation
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +291,18 @@ def _lanczos_min(matvec, n: int, tol: float):
     the first cancels, shrinking the vector below 1/sqrt 2 of its length
     after the three-term step, sqrt(|v|^2 - c_k^2 - c_{k-1}^2) (Daniel,
     Gragg, Kaufman and Stewart 1976); its c_k is added to alpha_k.  The
-    basis is allocated once for min(PROBE_MAXITER, n) steps; its memory is
-    committed only as rows are written, in 2 MiB pages where numpy asks for
-    transparent huge pages (arrays of 4 MiB and more on Linux).  The
-    tridiagonal is solved every _RITZ_STRIDE steps, at the cap, and
-    whenever beta_k is at most 1e-12 times its Gershgorin bound.  Stops when the Ritz residual |beta_k s_k|
-    of the smallest Ritz value is at most tol * max|theta|, or when
-    beta_k <= 1e-12 * max|theta| (the Krylov space is invariant); after
-    PROBE_MAXITER steps raises ProbeNotConverged.
+    basis starts with the rows that fit in _BASIS_BYTES, under the 4 MiB from
+    which numpy asks for transparent huge pages (2 MiB committed at a time),
+    and doubles in one contiguous array when a probe needs more.  The
+    tridiagonal is solved every _RITZ_STRIDE steps, at the cap, and whenever
+    beta_k is at most 1e-12 times its Gershgorin bound.  Stops when the Ritz
+    residual |beta_k s_k| of the smallest Ritz value is at most tol * max|theta|,
+    or when beta_k <= 1e-12 * max|theta| (the Krylov space is invariant);
+    after PROBE_MAXITER steps raises ProbeNotConverged.
     """
     kmax = min(PROBE_MAXITER, n)
     q = np.random.default_rng(PROBE_SEED).standard_normal(n)
-    Q = np.empty((kmax + 1, n))
+    Q = np.empty((min(kmax + 1, max(2, _BASIS_BYTES // (8 * n))), n))
     T = np.zeros((kmax + 1, kmax + 1))
     Q[0] = q / np.linalg.norm(q)
     bound = b = 0.0  # Gershgorin bound on max|theta|, last off-diagonal entry
@@ -323,6 +324,8 @@ def _lanczos_min(matvec, n: int, tol: float):
             scale = float(np.abs(theta).max())
             if abs(b * s[-1, 0]) <= tol * scale or b <= 1e-12 * scale:
                 return float(theta[0]), s[:, 0] @ Q[:k]
+        if k == len(Q):
+            Q = np.concatenate([Q, np.empty((min(k, kmax + 1 - k), n))])
         np.divide(v, b, out=Q[k])
         T[k - 1, k] = T[k, k - 1] = b
     raise ProbeNotConverged(f"Lanczos probe did not converge in {k} steps")
@@ -589,9 +592,11 @@ def ft_st_decomposition(
     second-order descent directions.
 
     The tightened structure (r, the rank-collapse indices p and q, and the
-    Z chains) depends on the point and the bundle only, so the first call
-    keeps it on ``w`` and later calls with the same bundle object reuse it
-    for every direction; another bundle gets a fresh analysis.  The entry
+    Z chains) and the certificate's factors below (U_S, U_Q, P_S, delta_Q,
+    X V_Q, Pi and the eigenvalue gaps) depend on the point and the bundle
+    only, so the first call keeps them on ``w`` and later calls with the
+    same bundle object reuse them for every direction, which then pays only
+    for its own products; another bundle gets a fresh analysis.  The entry
     holds the bundle only through a weak reference.  A point that fails the
     analysis keeps nothing and raises again on every call.
 
@@ -605,31 +610,29 @@ def ft_st_decomposition(
     """
     H = w.shape.H
     memo = w._tightened
-    if memo is not None and memo[0]() is bundle:
-        st, r, z = memo[1]
-    else:
-        st, r, z = found = _tightened(w, bundle)
-        object.__setattr__(w, "_tightened", (weakref.ref(bundle), found))
+    if memo is None or memo[0]() is not bundle:
+        st, r, z = _tightened(w, bundle)
+        lam = bundle.lambdas
+        U_S, U_Q = bundle.U[:, :r], bundle.U[:, r:]
+        C = bundle.sigma_yx_sigma_xx_inv()
+        delta_q = np.sqrt(lam[r:])
+        XV_Q = bundle.sigma_xy @ U_Q / delta_q  # d_x x (d_y - r)
+        Pi = np.eye(bundle.d_x) - (XV_Q / delta_q) @ U_Q.T @ C
+        gaps = lam[:r][None, :] - lam[r:][:, None]  # (d_y - r) x r, all > 0
+        memo = weakref.ref(bundle), (st, r, z, U_S, U_Q, U_S.T @ C, delta_q, XV_Q, Pi, gaps)
+        object.__setattr__(w, "_tightened", memo)
+    st, r, z, U_S, U_Q, P_S, delta_q, XV_Q, Pi, gaps = memo[1]  # P_S = U_S^T C, r x d_x
     p, q = st.p, st.q
 
     J1 = range(p, H)
     J2 = range(q + 1, p)
     J3 = range(2, q + 1)
 
-    lam = bundle.lambdas
-    U_S, U_Q = bundle.U[:, :r], bundle.U[:, r:]
-    C = bundle.sigma_yx_sigma_xx_inv()
-    P_S = U_S.T @ C  # r x d_x
-    delta_q = np.sqrt(lam[r:])
-    XV_Q = bundle.sigma_xy @ U_Q / delta_q  # d_x x (d_y - r)
-    Pi = np.eye(bundle.d_x) - (XV_Q / delta_q) @ U_Q.T @ C
-
     # a1: swap-type quadratic with eigenvalue gaps as weights; the Z products
     # Z_H..Z_{i+1} and Z_{i-1}..Z_1 are suffixes and prefixes of the Z chains.
     T1 = U_Q.T @ v.layer(H)[:, :r]
     for i in J1:
         T1 = T1 + z.suf[i + 1] @ v.layer(i)[r:, :r]
-    gaps = lam[:r][None, :] - lam[r:][:, None]  # (d_y - r) x r, all > 0
     a1 = float(np.sum(gaps * T1 * T1))
 
     # A2: the fitting-direction aggregate M, then M L.

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssumptionViolated, InvalidShape
-from .ranktol import EPS_GAP, EPS_ORTH, EPS_SVD, numeric_rank
+from .ranktol import EPS_GAP, EPS_ORTH, EPS_SVD, numeric_ranks
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class DataMatrices:
             raise InvalidShape(
                 f"X and Y must share the sample axis: {X.shape[1]} != {Y.shape[1]}"
             )
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
             raise InvalidShape("data entries must be finite")
         X.flags.writeable = False
         Y.flags.writeable = False
@@ -147,15 +147,11 @@ def _fix_svd_signs(U: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Sign convention making the SVD deterministic: the first entry of each
     U column whose magnitude is non-negligible is made nonnegative, and the
     matching column of the other factor P is flipped along."""
-    U = U.copy()
-    P = P.copy()
-    for k in range(U.shape[1]):
-        col = U[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))[0]
-        if nz.size and col[nz[0]] < 0:
-            U[:, k] = -col
-            P[:, k] = -P[:, k]
-    return U, P
+    A = np.abs(U)
+    big = A > 1e-12 * np.maximum(1.0, A.max(axis=0, initial=0.0))
+    lead = U[big.argmax(axis=0), np.arange(U.shape[1])]  # U[0] where no entry is big
+    sign = np.where(big.any(axis=0) & (lead < 0), -1.0, 1.0)
+    return U * sign, P * sign
 
 
 def _eigensystem(sigma_xx: np.ndarray, sigma_xy: np.ndarray):
@@ -179,9 +175,8 @@ def _assess(data: DataMatrices):
 
     moments = _moments(data)
     sigma_xx, sigma_xy, _ = moments
-    rk_xx = numeric_rank(sigma_xx)
+    rk_xx, rk_xy = numeric_ranks([sigma_xx, sigma_xy])
     checks.append(("sigma_xx_full_rank", rk_xx == data.d_x, rk_xx, data.d_x))
-    rk_xy = numeric_rank(sigma_xy)
     checks.append(("sigma_xy_full_rank", rk_xy == data.d_y, rk_xy, data.d_y))
 
     eig = None

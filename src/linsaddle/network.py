@@ -16,12 +16,13 @@ there are O(H^2) of them, so they are formed on demand and not kept.
 Besides the table, a stack keeps two more results on first use: its layers'
 spectral norms (``layer_norms``), which floor every rank cut on its
 products (``ranktol.chain_floor``), and, on weights at a tightened point,
-the tightened structure that ``curvature.ft_st_decomposition`` derives from
-the weights and a data bundle.  None of them can go stale: the layers are
-read-only, and the tightened structure is keyed by the bundle object through
-a weak reference, so it is reused only for that same bundle (a frozen
-dataclass whose arrays ``build_sigma_bundle`` makes read-only) and keeps no
-bundle alive.
+the tightened structure and certificate factors that
+``curvature.ft_st_decomposition`` derives from the weights and a data
+bundle.  None of them can go stale: the layers are read-only, and the
+tightened structure is keyed by the bundle object through a weak
+reference, so it is reused only for that same bundle (a frozen dataclass
+whose arrays ``build_sigma_bundle`` makes read-only) and keeps no bundle
+alive.
 
 ``layer_products`` builds the table.  The loss and its gradient read its
 prefixes and one ``residual_moment`` E = W_H..W_1 Sigma_XX - Sigma_YX:
@@ -38,6 +39,7 @@ straight into a caller's parameter vector in the layout of ``flatten``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +106,7 @@ class _LayerStack:
                 raise InvalidShape(
                     f"layer {h}: expected {shape.layer_shape(h)}, got {M.shape}"
                 )
-            if not np.all(np.isfinite(M)):
+            if not np.isfinite(M).all():
                 raise InvalidShape(f"layer {h} has non-finite entries")
             M.flags.writeable = False
             mats.append(M)
@@ -131,10 +133,10 @@ class _LayerStack:
         return self._norms
 
     def frob_norm(self) -> float:
-        return float(np.sqrt(sum(np.sum(M * M) for M in self.layers)))
+        return math.sqrt(self.sq_norm())
 
     def sq_norm(self) -> float:
-        return float(sum(np.sum(M * M) for M in self.layers))
+        return float(sum(np.vdot(M, M) for M in self.layers))
 
 
 class Weights(_LayerStack):

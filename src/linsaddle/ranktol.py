@@ -53,6 +53,7 @@ EPS_GAP = 1e-10
 EPS_ORTH = 1e-10
 EPS_SVD = 1e-10
 BETA_ZERO_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class RankTolerance:
     def threshold(self, shape: tuple[int, int], sigma_max: float) -> float:
         rel = self.relative
         if rel is None:
-            rel = max(shape) * np.finfo(float).eps
+            rel = max(shape) * _EPS
         return self.absolute + rel * sigma_max
 
 
@@ -77,7 +78,7 @@ def numeric_rank(M: np.ndarray, tol: RankTolerance = RankTolerance()) -> int:
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("numeric_rank requires finite entries")
     s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
@@ -87,27 +88,46 @@ def numeric_rank(M: np.ndarray, tol: RankTolerance = RankTolerance()) -> int:
 
 def criticality_scale(w: Weights, bundle: SigmaBundle) -> float:
     """Natural magnitude of gradient entries at generic weights."""
-    data_norm = np.linalg.norm(bundle.sigma_xx) + np.linalg.norm(bundle.sigma_yx)
+    data_norm = frob(bundle.sigma_xx) + frob(bundle.sigma_yx)
     return 1.0 + w.frob_norm() * data_norm
 
 
-def spectral_norms(mats) -> list:
-    """||M||_2 of each matrix, from one batched SVD of zero-padded copies:
-    padding adds only zero singular values.  An empty matrix has norm 0."""
+def frob(*blocks) -> float:
+    """The Frobenius norm of a matrix given whole or as its blocks, one
+    ``np.vdot`` per block."""
+    return math.sqrt(sum(np.vdot(M, M) for M in blocks))
+
+
+def singular_values(mats) -> np.ndarray:
+    """The singular values of each matrix, one row each, from one batched SVD
+    of zero-padded copies: padding adds only zero singular values."""
     mats = list(mats)
     rows, cols = (max((M.shape[k] for M in mats), default=0) for k in (0, 1))
     padded = np.zeros((len(mats), rows, cols))
     for P, M in zip(padded, mats):
         P[:M.shape[0], :M.shape[1]] = M
-    if not padded.size:
-        return [0.0] * len(mats)
-    return np.linalg.svd(padded, compute_uv=False)[:, 0].tolist()
+    return np.linalg.svd(padded, compute_uv=False) if padded.size else np.zeros((len(mats), 0))
+
+
+def spectral_norms(mats) -> list:
+    """||M||_2 of each matrix (``singular_values``); an empty one has norm 0."""
+    s = singular_values(mats)
+    return s[:, 0].tolist() if s.size else [0.0] * len(s)
+
+
+def numeric_ranks(mats, tol: RankTolerance = RankTolerance()) -> list:
+    """``numeric_rank`` of each matrix from one batched SVD
+    (``singular_values``), each cut at the threshold of its own shape."""
+    if not all(np.isfinite(M).all() for M in mats):
+        raise ValueError("numeric_rank requires finite entries")
+    return [int(np.count_nonzero(s > tol.threshold(M.shape, float(s[0]))))
+            if s.size and s[0] > 0 else 0 for M, s in zip(mats, singular_values(mats))]
 
 
 def chain_floor(H: int, factor_norms) -> float:
     """Rounding floor of a product of factors of a depth-H network: 100 H eps
     times the product of the factors' spectral norms."""
-    return 100.0 * H * np.finfo(float).eps * math.prod(factor_norms)
+    return 100.0 * H * _EPS * math.prod(factor_norms)
 
 
 def floored(rank_tol: RankTolerance, H: int, factor_norms) -> RankTolerance:

@@ -335,3 +335,17 @@ def spec_verdict(spec, bundle, rel=1e-8):
     tightened = all(outer(i, j) or vanishes(j, Z[j:i - 1])
                     for i in range(2, H + 1) for j in range(1, i))
     return True, "non_strict_saddle" if tightened else "strict_saddle"
+
+
+def loop_svd_signs(U, P):
+    """The column-by-column sign convention: the first entry of each U column
+    above 1e-12 max(1, max |column|) in magnitude is made nonnegative, and
+    the matching column of P is flipped along."""
+    U, P = U.copy(), P.copy()
+    for k in range(U.shape[1]):
+        col = U[:, k]
+        nz = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))[0]
+        if nz.size and col[nz[0]] < 0:
+            U[:, k] = -col
+            P[:, k] = -P[:, k]
+    return U, P

@@ -470,6 +470,40 @@ def test_a_pivot_rank_below_r_is_an_internal_inconsistency():
         ls.analyze_pivot(3, 1, 2, (np.diag([1.0, 0.0]), np.eye(2)), tols)
 
 
+@pytest.mark.parametrize("tol, full", [
+    (ls.RankTolerance(), True),
+    (ls.RankTolerance(absolute=1.0), False),
+    (ls.RankTolerance(absolute=0.5, relative=0.4), True),
+    (ls.RankTolerance(absolute=0.5, relative=0.5), False),
+    (ls.RankTolerance(relative=1.0), False),
+    (ls.RankTolerance(relative=2.0), False),
+])
+def test_an_adjacent_pivot_ranks_its_identity_middle_block_like_numeric_rank(
+        tol, full, deep_problem):
+    # The middle block of pivot (j + 1, j) is the empty product I_{d_j}, which
+    # is ranked without an SVD: it must count what numeric_rank counts on the
+    # identity, d_j below a threshold of 1 and 0 from 1 on.
+    _, b, shape = deep_problem
+    outer = b.sigma_xy
+    for j in range(1, shape.H):
+        d = shape.dims[j]
+        want = ls.numeric_rank(np.eye(d), tol)
+        assert want == (d if full else 0)
+        rank1 = ls.numeric_rank(outer, tol)
+        got = ls.analyze_pivot(j + 1, j, 0, (outer, np.eye(d)), (tol, tol))
+        assert got == ls.Pivot(j + 1, j, rank1, want, min(rank1, want) == 0)
+    # The staircase cuts each adjacent pivot at its own floored tolerance.
+    # Layers of norm below 1 keep every rank monotone under an absolute cut.
+    w = random_weights(shape, np.random.default_rng(5), scale=0.01)
+    stairs = ls.PivotStaircase(w, b, 0, tol)
+    adjacent = [p for (i, j), p in stairs.cut.items() if i == j + 1]
+    assert adjacent
+    for p in adjacent:
+        eff = floored(tol, shape.H, [])
+        assert p.rank2 == ls.numeric_rank(np.eye(shape.dims[p.j]), eff) == (
+            shape.dims[p.j] if full else 0)
+
+
 @pytest.mark.parametrize("c", [1e-13, 1e-9, 1e9, 1e13])
 @pytest.mark.parametrize("h", [2, 3, 4])
 @pytest.mark.parametrize("variant", ["tightened", "non_tightened"])

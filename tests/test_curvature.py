@@ -558,6 +558,32 @@ def test_ft_st_analyses_a_point_once_per_bundle(monkeypatch, deep_problem):
     assert len(calls) == 5 and calls[-1] is b2
 
 
+def test_ft_st_keeps_the_certificate_factors_per_bundle(deep_problem):
+    # Two directions with one bundle, then a second bundle for the same
+    # weights, each against fresh Weights.  The second bundle scales Y along
+    # the unused eigenvectors: the point stays canonical and tightened, but
+    # lambda_Q changes, and with it delta_Q and the eigenvalue gaps, so
+    # factors kept from the first bundle would show in a1 and A3.
+    data, b, shape = deep_problem
+    w = ls.build_example_family(2, "tightened", b, shape)
+    data2 = ls.DataMatrices(data.X, b.U @ np.diag([1.0, 1.0, 0.9, 0.8]) @ b.U.T @ data.Y)
+    b2 = ls.build_sigma_bundle(data2)
+    rng = np.random.default_rng(46)
+    dirs = [random_direction(shape, rng) for _ in range(2)]
+    decs = {}
+    for bundle, dat in ((b, data), (b2, data2)):
+        for k, v in enumerate(dirs):
+            dec = decs[bundle is b2, k] = ls.ft_st_decomposition(w, v, bundle, dat)
+            ref = ls.ft_st_decomposition(ls.Weights(w.layers, shape), v, bundle, dat)
+            assert dec.a1 == ref.a1 and dec.structure == ref.structure
+            for name in ("A2", "A3", "A4"):
+                assert np.array_equal(getattr(dec, name), getattr(ref, name))
+    assert w._tightened[0]() is b2
+    for k in range(2):
+        assert decs[False, k].a1 != decs[True, k].a1
+        assert not np.allclose(decs[False, k].A3, decs[True, k].A3)
+
+
 def test_ft_st_keeps_nothing_for_a_point_that_fails(monkeypatch, deep_problem):
     data, b, shape = deep_problem
     w = ls.build_example_family(2, "non_tightened", b, shape)

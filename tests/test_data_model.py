@@ -6,8 +6,9 @@ import pytest
 import linsaddle as ls
 from linsaddle import data_model
 from linsaddle.data_model import read_matrix_csv, write_matrix_csv
+from linsaddle.ranktol import numeric_ranks
 
-from oracles import full_svd_bundle, reference_eigensystem
+from oracles import full_svd_bundle, loop_svd_signs, reference_eigensystem
 
 
 def test_generate_is_deterministic():
@@ -81,6 +82,43 @@ def test_sign_convention_is_deterministic(small_problem):
         col = b.U[:, k]
         nz = np.nonzero(np.abs(col) > 1e-12)[0]
         assert col[nz[0]] >= 0
+
+
+def test_sign_fix_matches_the_column_loop():
+    # Random columns, and near-degenerate ones whose leading entries are below
+    # 1e-12 (or below 1e-12 of a column norm above 1) and so do not count.
+    rng = np.random.default_rng(8)
+    U = rng.standard_normal((6, 9))
+    U[:3, 1] = [-1e-13, 4e-13, 0.7]  # kept: its first entry that counts is 0.7
+    U[:4, 2] = [5e-13, -2e-13, 0.0, -0.2]  # flipped
+    U[:, 3] *= 1e3
+    U[0, 3] = 1e-10 * np.sign(-U[1, 3])
+    U[:, 4] = -1e-13 * rng.random(6)  # no entry counts: left alone
+    U[:, 5] = 0.0
+    U[0, 6], U[0, 7] = 0.0, -0.0
+    P = rng.standard_normal((5, 9))
+    got, want = data_model._fix_svd_signs(U, P), loop_svd_signs(U, P)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    assert np.array_equal(got[0][:, 4], U[:, 4])
+    assert not np.array_equal(got[0], U)  # some column was flipped
+
+
+def test_assumption_ranks_match_numeric_rank():
+    # One batched SVD cuts Sigma_XX and Sigma_XY, each at the threshold of
+    # its own shape, on full-rank and on rank-deficient data.
+    rng = np.random.default_rng(9)
+    base = rng.standard_normal((2, 20))
+    for X, Y in [(rng.standard_normal((5, 20)), rng.standard_normal((3, 20))),
+                 (np.vstack([base, base, base[:1]]), rng.standard_normal((2, 20))),
+                 (rng.standard_normal((4, 20)), np.vstack([base[:1], 2 * base[:1]]))]:
+        data = ls.DataMatrices(X=X, Y=Y)
+        checks = {c[0]: c for c in ls.check_assumption_h(data).checks}
+        sigma_xx, sigma_xy, _ = data_model._moments(data)
+        assert checks["sigma_xx_full_rank"][2:] == (ls.numeric_rank(sigma_xx), data.d_x)
+        assert checks["sigma_xy_full_rank"][2:] == (ls.numeric_rank(sigma_xy), data.d_y)
+    with pytest.raises(ValueError, match="finite"):
+        numeric_ranks([np.eye(2), np.array([[np.inf, 0.0]])])
 
 
 def test_sigma_half_identity(small_problem):

@@ -2,13 +2,13 @@
 
 Each mutant replaces one piece of source text that occurs exactly once in its
 file: a documented threshold, a self-check, an index range of the
-sum-of-squares certificate, and one sanity mutant that any working suite
-kills.  The script copies the whole tree into a temporary directory (a copy
-of src/ alone would test nothing: pyproject.toml puts the checkout's src/
-first on the path), runs tests/ there once unmutated and then once per
-mutant, stopping each run at its first failure, and exits nonzero if the
-unmutated run fails or any mutant survives.  Standard library only; run it
-from anywhere as
+sum-of-squares certificate, the adjacent pivot's rank without an SVD, and
+one sanity mutant that any working suite kills.  The script copies the whole
+tree into a temporary directory (a copy of src/ alone would test nothing:
+pyproject.toml puts the checkout's src/ first on the path), runs tests/
+there once unmutated and then once per mutant, stopping each run at its
+first failure, and exits nonzero if the unmutated run fails or any mutant
+survives.  Standard library only; run it from anywhere as
 
     python3 tools/mutation_sweep.py
 """
@@ -28,11 +28,11 @@ TIMEOUT_S = 900
 # (name, file under src/linsaddle, original text, mutated text)
 MUTANTS = (
     ("chain_floor 100 H eps -> 1e4 H eps", "ranktol.py",
-     "return 100.0 * H * np.finfo(float).eps", "return 1e4 * H * np.finfo(float).eps"),
+     "return 100.0 * H * _EPS", "return 1e4 * H * _EPS"),
     ("support headroom 10 -> 100 gn/scale", "critical_points.py",
      "10.0 * (gn / scale) * smax", "100.0 * (gn / scale) * smax"),
     ("canonical snap EPS_CANON -> 1e3 EPS_CANON", "critical_points.py",
-     "<= EPS_CANON * np.linalg.norm(Wh)", "<= 1e3 * EPS_CANON * np.linalg.norm(Wh)"),
+     "<= EPS_CANON * frob(Wh)", "<= 1e3 * EPS_CANON * frob(Wh)"),
     ("classify band 100 tau -> 1000 tau", "classifier.py",
      "if gn > 100.0 * tau:", "if gn > 1000.0 * tau:"),
     ("approximate rank tolerance 10 -> 1 gn/scale", "classifier.py",
@@ -45,6 +45,8 @@ MUTANTS = (
      "if r != len(S):", "if False:"),
     ("pivot rank < r check off", "classifier.py",
      "if min(rank1, rank2) < r:", "if False:"),
+    ("adjacent pivot's identity block always full rank", "classifier.py",
+     "(d if tols[1].threshold((d, d), 1.0) < 1.0 else 0) if i == j + 1", "d if i == j + 1"),
     ("certificate range J1 starts at p + 1", "curvature.py",
      "J1 = range(p, H)", "J1 = range(p + 1, H)"),
     ("certificate range J2 starts at q + 2", "curvature.py",
