@@ -36,15 +36,15 @@ from .network import (NetworkShape, Weights, flatten, prefix_products, products_
 DIVERGE_LIMIT = 1e12
 ESCAPE_GATE = 3.0  # tightened / non-tightened median escape epoch, paper's contrast
 HISTOGRAM_BINS = 20  # escape-epoch bins of write_histogram_csv
+ADAM_BETA1 = 0.9  # Adam's moment decay rates and denominator offset
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-7
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     algorithm: str = "adam"  # "adam" or "gd"
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
 
 
 @dataclass(frozen=True)
@@ -143,16 +143,16 @@ def train_runs(
             # The updates of the serial loop, operation for operation:
             # m1 = b1 m1 + (1 - b1) g, m2 = b2 m2 + ((1 - b2) g) g and
             # step = (lr (m1 / b1t)) / (sqrt(m2 / b2t) + eps), left to right.
-            b1t = 1.0 - opt.beta1**epoch
-            b2t = 1.0 - opt.beta2**epoch
+            b1t = 1.0 - ADAM_BETA1**epoch
+            b2t = 1.0 - ADAM_BETA2**epoch
             g *= gscale
-            m1 *= opt.beta1
-            m1 += np.multiply(g, 1.0 - opt.beta1, out=tmp)
-            m2 *= opt.beta2
-            np.multiply(g, 1.0 - opt.beta2, out=tmp)
+            m1 *= ADAM_BETA1
+            m1 += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+            m2 *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
             m2 += np.multiply(tmp, g, out=tmp)
             np.sqrt(np.divide(m2, b2t, out=tmp), out=tmp)
-            tmp += opt.eps
+            tmp += ADAM_EPS
             np.divide(m1, b1t, out=g)
             g *= opt.lr
             g /= tmp

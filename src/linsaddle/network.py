@@ -118,7 +118,7 @@ class _LayerStack:
         object.__setattr__(self, "_norms", None)
         object.__setattr__(self, "_tightened", None)
 
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
+    def __setattr__(self, *a):  # immutability guard
         raise AttributeError("immutable")
 
     def layer(self, h: int) -> np.ndarray:

@@ -25,8 +25,9 @@ the thresholds live here, each compared with a quantity of its own units:
   so does the kernel's inner image; BETA_ZERO_TOL is also the absolute
   zero of a witness's quadratic coefficient;
 - the standing assumption: eigenvalue gaps and lambda_min above
-  EPS_GAP * lambda_1; the bundle's singular factors orthogonal to
-  EPS_ORTH * d_y and reconstructing to EPS_SVD relative.
+  EPS_GAP * lambda_1.  The bundle's SVD is not checked again: LAPACK's SVD
+  is backward stable, so its factors are orthogonal and reconstruct to
+  rounding (``data_model._eigensystem``).
 
 Only the rank tolerance (``--tol-rank``), the criticality tolerance
 (``--tol-crit``) and the probe's tolerance (``--tol-eig``) are inputs; the
@@ -50,8 +51,6 @@ EPS_CANON = 1e-8
 D_COND_LIMIT = 1e8
 EPS_WITNESS = 1e-8
 EPS_GAP = 1e-10
-EPS_ORTH = 1e-10
-EPS_SVD = 1e-10
 BETA_ZERO_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 

@@ -272,3 +272,26 @@ def test_import_loads_numpy_only():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_empty_support_builds_the_zero_point(capsys, data_files):
+    x, y = data_files
+    code, out = run_cli(capsys, "construct", "--x", x, "--y", y, "--dims", "6,5,5,4",
+                        "--support", "")
+    assert code == 0
+    assert not any(np.any(L) for L in ls.weights_from_json(out).layers)
+
+
+def test_internal_inconsistency_exits_three(tmp_path, capsys, data_files, monkeypatch):
+    from linsaddle import cli
+
+    def inconsistent(*a, **k):
+        raise ls.InternalInconsistency("pivot ranks not monotone")
+
+    monkeypatch.setattr(cli, "classify", inconsistent)
+    x, y = data_files
+    wpath = tmp_path / "w.json"
+    run_cli(capsys, "construct", "--x", x, "--y", y, "--dims", "6,5,5,4",
+            "--support", "1", "--out", str(wpath))
+    code, out = run_cli(capsys, "classify", "--x", x, "--y", y, "--weights", str(wpath))
+    assert code == 3 and out == ""

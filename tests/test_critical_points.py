@@ -169,7 +169,7 @@ def test_associated_support_roundtrip(small_problem):
 def test_associated_support_rejects_noncritical(small_problem):
     _, b, shape = small_problem
     w = random_weights(shape, np.random.default_rng(2))
-    with pytest.raises(ls.NotCritical):
+    with pytest.raises(ls.NotCritical, match="gradient norm .* exceeds tolerance"):
         ls.associated_support(w, b)
 
 
@@ -386,3 +386,72 @@ def test_spec_json_roundtrip(small_problem):
         assert np.allclose(a, c)
     for a, c in zip(back.d_blocks, spec.d_blocks):
         assert np.allclose(a, c)
+
+
+# -- every raise of the module fires ------------------------------------------
+
+@pytest.mark.parametrize("support, z_count, d_blocks, error, match", [
+    ((1, 2, 3, 4), 0, None, ls.InvalidRank, r"\|S\| = 4 exceeds r_max = 3"),
+    ((0, 1), 0, None, ls.InvalidRank, r"support indices must lie in \[1, d_y\]"),
+    ((2, 1), 0, None, ls.InvalidRank, "sorted and duplicate-free"),
+    ((1, 1), 0, None, ls.InvalidRank, "sorted and duplicate-free"),
+    ((1,), 2, None, ls.InvalidShape, "need 3 Z blocks, got 2"),
+    ((1,), 3, 1, ls.InvalidShape, "need 2 D blocks, got 1"),
+    ((1,), 3, 2, ls.InvalidShape, "D_2 must be 3 square"),
+])
+def test_spec_validation_refuses(support, z_count, d_blocks, error, match):
+    shape = ls.NetworkShape((6, 5, 3, 4))
+    z = tuple(np.zeros(z_block_shape(shape, len(support), h)) for h in range(1, z_count + 1))
+    d = None if d_blocks is None else (np.eye(5), np.eye(4))[:d_blocks]
+    with pytest.raises(error, match=match):
+        CriticalPointSpec(support=support, z_blocks=z, d_blocks=d).validate(shape, 4)
+
+
+def test_build_refuses_a_shape_of_other_data(small_problem):
+    _, b, _ = small_problem
+    shape = ls.NetworkShape((5, 5, 4))
+    spec = CriticalPointSpec(support=(), z_blocks=(np.zeros((5, 5)), np.zeros((4, 5))))
+    with pytest.raises(ls.InvalidShape, match="shape incompatible with bundle"):
+        build_critical_point(spec, b, shape)
+
+
+def test_example_family_refuses_unknown_names(small_problem):
+    _, b, shape = small_problem
+    with pytest.raises(ValueError, match="unknown variant 'loose'"):
+        ls.build_example_family(1, "loose", b, shape)
+    with pytest.raises(ValueError, match="unknown interior fill 'ones'"):
+        ls.build_example_family(1, "tightened", b, shape, interior="ones")
+
+
+def test_support_recovery_refuses_a_global_map_off_the_optimum(small_problem):
+    # Doubling W_1 of a critical point keeps K = W_3 W_2, hence the support,
+    # and doubles the global map; a gate handed over as zero gradient lets
+    # the point through to the map check.
+    _, b, shape = small_problem
+    w = ls.build_example_family(2, "tightened", b, shape)
+    doubled = ls.Weights([2.0 * w.layer(1), w.layer(2), w.layer(3)], shape)
+    with pytest.raises(ls.NotCritical, match="global map is .* away from the support-S optimum"):
+        ls.associated_support(doubled, b, _gate=(0.0, 1.0))
+
+
+def test_canonical_form_refuses_a_support_that_k_does_not_reach(small_problem, monkeypatch):
+    # At a critical point U_S^T W_H..W_2 has rank |S|, so only a support
+    # recovery that disagrees with the SVD after it reaches this refusal.
+    from linsaddle import critical_points
+    _, b, shape = small_problem
+    w = ls.Weights([np.ones((5, 6)), np.zeros((5, 5)), np.zeros((4, 5))], shape)
+    monkeypatch.setattr(critical_points, "associated_support",
+                        lambda *a, **k: critical_points.SupportResult((1,), np.zeros(4), 0.0))
+    with pytest.raises(ls.IllConditioned, match=r"U_S\^T W_H..W_2 has rank below \|S\| = 1"):
+        canonical_form(w, b)
+
+
+def test_canonical_form_refuses_an_ill_conditioned_basis(small_problem):
+    # Scaling the second signal direction of the hidden layer 1 by 1e-9
+    # keeps the point critical; the two signal columns F_1 of D_1 then
+    # differ in length by 1e9.
+    _, b, shape = small_problem
+    w = ls.build_example_family(2, "tightened", b, shape)
+    w = transform_weights(w, [np.diag([1.0, 1e-9, 1.0, 1.0, 1.0]), np.eye(5)])
+    with pytest.raises(ls.IllConditioned, match="canonical D_1 has condition number"):
+        canonical_form(w, b)

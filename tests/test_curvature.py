@@ -849,3 +849,79 @@ def test_curvature_reads_only_second_moments(deep_problem, depth16_point):
             ref = full.hessian_matvec(_flat(v.layers))
             assert np.allclose(small.hessian_matvec(_flat(v.layers)), ref,
                                rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+
+# -- every raise of the module fires; the probe's basis growth ----------------
+
+def test_probe_basis_grows_to_the_default_result(monkeypatch, deep_problem):
+    # A basis of 2 rows doubles four times, to 32 rows, within this probe's
+    # 18 steps; the growth copies the rows, so (theta, x) are bitwise those
+    # of the default basis, which needs no growth.
+    data, b, shape = deep_problem
+    w = ls.build_example_family(2, "tightened", b, shape)
+    want = ls.hessian_min_eig(w, data, mode="probe", return_vector=True)
+    monkeypatch.setattr(curvature, "_BASIS_BYTES", 2 * 8 * shape.n_params)
+    lam, x = ls.hessian_min_eig(w, data, mode="probe", return_vector=True)
+    assert lam == want[0]
+    assert all(np.array_equal(a, c) for a, c in zip(x.layers, want[1].layers))
+
+
+def test_curvature_cache_refuses_weights_of_other_data(small_problem):
+    data, _, _ = small_problem
+    w = random_weights(ls.NetworkShape((5, 5, 4)), np.random.default_rng(0))
+    with pytest.raises(ls.InvalidShape, match="weights incompatible with data"):
+        CurvatureCache(w, data)
+
+
+def test_untightened_witness_refusals(small_problem):
+    _, b, shape = small_problem
+    tight = ls.build_example_family(2, "tightened", b, shape)
+    with pytest.raises(ls.NotApplicable, match="support already uses every output"):
+        ls.witness_untightened(tight, b, (1, 2, 3, 4), (3, 1))
+    # U_Q^T W_3 = U_Q^T [U_S, 0] vanishes to rounding, and so does T.
+    with pytest.raises(ls.NotApplicable, match="pivot data block vanishes outside the support"):
+        ls.witness_untightened(tight, b, (1, 2), (2, 1))
+    # A square W_3 of full rank leaves no kernel past the pivot (3, 2).
+    rng = np.random.default_rng(1)
+    wide = ls.Weights([rng.standard_normal((5, 6)), rng.standard_normal((4, 5)),
+                       rng.standard_normal((4, 4))], ls.NetworkShape((6, 5, 4, 4)))
+    with pytest.raises(ls.NotApplicable, match="upper layers past the pivot have trivial kernel"):
+        ls.witness_untightened(wide, b, (1,), (3, 2))
+    # ker(W_3 W_2) = ker(W_2) = span(e_4, e_5): W_2 annihilates the kernel.
+    W2 = np.diag([1.0, 1.0, 1.0, 0.0, 0.0])
+    flat = ls.Weights([rng.standard_normal((5, 6)), W2, rng.standard_normal((4, 5))], shape)
+    with pytest.raises(ls.NotApplicable, match="kernel past the pivot is annihilated"):
+        ls.witness_untightened(flat, b, (1,), (3, 1))
+
+
+def test_tightened_structure_requires_depth_three(shallow_problem):
+    data, b, shape = shallow_problem
+    w = random_weights(shape, np.random.default_rng(0))
+    with pytest.raises(ls.InvalidShape, match="tightened structure requires depth H >= 3"):
+        ls.ft_st_decomposition(w, random_direction(shape, np.random.default_rng(1)), b, data)
+
+
+def test_tightened_structure_without_p_or_q_is_inconsistent(monkeypatch, deep_problem):
+    # Tightness and the definitions of p and q guarantee both indices (see
+    # _tightened); only zero tests that disagree with each other can miss
+    # them, which these chains fake: no pivot is untightened, and no chain
+    # is zero (p), or only the suffixes are (q).
+    _, b, shape = deep_problem
+    w = ls.build_example_family(2, "tightened", b, shape)
+
+    class NoneZero(curvature._ZChains):
+        def untightened_pivot(self):
+            return None
+
+        def zero(self, P, factor_norms):
+            return False
+
+    class SuffixesZero(NoneZero):
+        def zero(self, P, factor_norms):
+            return any(P is S for S in self.suf)
+
+    for chains, match in [(NoneZero, "no rank-collapse index p found above layer 2"),
+                          (SuffixesZero, "no rank-collapse index q found below layer H-1")]:
+        monkeypatch.setattr(curvature, "_ZChains", chains)
+        with pytest.raises(ls.InternalInconsistency, match=match):
+            curvature._tightened(w, b)

@@ -65,9 +65,9 @@ def test_bundle_svd_structure(small_problem):
     assert np.allclose(b.U.T @ b.U, np.eye(b.d_y), atol=1e-10)
     assert np.all(np.diff(b.lambdas) < 0)  # strictly decreasing
     assert b.lambdas[-1] > 0
-    # sigma = sigma_half sigma_half^T and its trace identity
-    assert np.allclose(b.sigma, sigma_half @ sigma_half.T, atol=1e-8)
-    assert float(np.trace(b.sigma)) == pytest.approx(float(np.sum(b.lambdas)))
+    # Sigma = U diag(lambda) U^T is sigma_half sigma_half^T
+    sigma = (b.U * b.lambdas) @ b.U.T
+    assert np.allclose(sigma, sigma_half @ sigma_half.T, atol=1e-8)
     # L is the lower-triangular Cholesky factor of Sigma_XX
     assert np.array_equal(b.L, np.tril(b.L))
     assert np.allclose(b.L @ b.L.T, b.sigma_xx, atol=1e-10 * np.abs(b.sigma_xx).max())
@@ -97,11 +97,10 @@ def test_sign_fix_matches_the_column_loop():
     U[:, 5] = 0.0
     U[0, 6], U[0, 7] = 0.0, -0.0
     P = rng.standard_normal((5, 9))
-    got, want = data_model._fix_svd_signs(U, P), loop_svd_signs(U, P)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-    assert np.array_equal(got[0][:, 4], U[:, 4])
-    assert not np.array_equal(got[0], U)  # some column was flipped
+    got, want = data_model._fix_svd_signs(U), loop_svd_signs(U, P)[0]
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(got[:, 4], U[:, 4])
+    assert not np.array_equal(got, U)  # some column was flipped
 
 
 def test_assumption_ranks_match_numeric_rank():
@@ -144,8 +143,8 @@ def test_bundle_has_no_sample_axis():
     m = 500
     b = ls.build_sigma_bundle(ls.generate_gaussian_data(6, 4, m, seed=9))
     arrays = {k: v for k, v in vars(b).items() if isinstance(v, np.ndarray)}
-    assert set(arrays) == {"sigma_xx", "sigma_xy", "sigma_yx", "sigma_yy", "sigma",
-                           "L", "U", "lambdas"}
+    assert set(arrays) == {"sigma_xx", "sigma_xy", "sigma_yx", "sigma_yy", "L", "U",
+                           "lambdas"}
     for name, arr in arrays.items():
         assert m not in arr.shape, name
         assert max(arr.shape) <= 6, name
@@ -222,6 +221,9 @@ def test_csv_rejects_bad_header(tmp_path):
     p.write_text("1.0,2.0\n3.0,4.0\n")
     with pytest.raises(ls.InvalidShape):
         read_matrix_csv(p)
+    p.write_text("# rows=3 cols=2\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(ls.InvalidShape, match=r"header says \(3, 2\), got \(2, 2\)"):
+        read_matrix_csv(p)
 
 
 def test_data_matrices_validation():
@@ -229,3 +231,12 @@ def test_data_matrices_validation():
         ls.DataMatrices(X=np.zeros((3, 5)), Y=np.zeros((2, 6)))
     with pytest.raises(ls.InvalidShape):
         ls.DataMatrices(X=np.full((3, 5), np.nan), Y=np.zeros((2, 5)))
+    with pytest.raises(ls.InvalidShape, match="X and Y must be 2-D matrices"):
+        ls.DataMatrices(X=np.zeros(5), Y=np.zeros((2, 5)))
+
+
+def test_numeric_rank_of_empty_and_non_finite_matrices():
+    assert ls.numeric_rank(np.zeros((0, 3))) == 0
+    assert ls.numeric_rank(np.zeros((3, 0))) == 0
+    with pytest.raises(ValueError, match="numeric_rank requires finite entries"):
+        ls.numeric_rank(np.array([[1.0, np.nan]]))

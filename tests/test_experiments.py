@@ -7,6 +7,9 @@ import pytest
 
 import linsaddle as ls
 from linsaddle.experiments import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     DIVERGE_LIMIT,
     EscapeRun,
     escape_epoch,
@@ -224,13 +227,13 @@ def serial_reference(w0, bundle, data, opt, max_epochs):
             for h in range(len(W)):
                 W[h] = W[h] - opt.lr * gscale * g.layers[h]
         else:
-            b1t = 1.0 - opt.beta1**epoch
-            b2t = 1.0 - opt.beta2**epoch
+            b1t = 1.0 - ADAM_BETA1**epoch
+            b2t = 1.0 - ADAM_BETA2**epoch
             for h in range(len(W)):
                 gh = gscale * g.layers[h]
-                m1[h] = opt.beta1 * m1[h] + (1.0 - opt.beta1) * gh
-                m2[h] = opt.beta2 * m2[h] + (1.0 - opt.beta2) * gh * gh
-                W[h] = W[h] - opt.lr * (m1[h] / b1t) / (np.sqrt(m2[h] / b2t) + opt.eps)
+                m1[h] = ADAM_BETA1 * m1[h] + (1.0 - ADAM_BETA1) * gh
+                m2[h] = ADAM_BETA2 * m2[h] + (1.0 - ADAM_BETA2) * gh * gh
+                W[h] = W[h] - opt.lr * (m1[h] / b1t) / (np.sqrt(m2[h] / b2t) + ADAM_EPS)
         cur = ls.Weights(W, w0.shape)
         trace.append(ls.loss(cur, bundle))
         if not np.isfinite(trace[-1]) or trace[-1] > DIVERGE_LIMIT:
@@ -288,6 +291,8 @@ def test_train_runs_edge_cases(small_problem):
     other = random_weights(ls.NetworkShape((6, 3, 5, 4)), np.random.default_rng(9))
     with pytest.raises(ls.InvalidShape):
         train_runs([w, other], b, data)
+    with pytest.raises(ls.InvalidShape, match="weights incompatible with data dimensions"):
+        train_runs([other], b, ls.generate_gaussian_data(6, 3, 30, seed=0))
 
 
 def test_run_experiment_matches_train_runs_per_run():

@@ -51,6 +51,8 @@ def test_weights_validation(small_problem):
     mats[0][0, 0] = np.inf
     with pytest.raises(ls.InvalidShape):
         ls.Weights(mats, shape)
+    with pytest.raises(ls.InvalidShape, match="expected 3 layers, got 2"):
+        ls.Weights([np.zeros(shape.layer_shape(h)) for h in (1, 2)], shape)
 
 
 def test_prefix_suffix_conventions(small_problem):
@@ -131,6 +133,8 @@ def test_weights_are_immutable(small_problem):
     w = random_weights(shape, np.random.default_rng(4))
     with pytest.raises(ValueError):
         w.layers[0][0, 0] = 5.0
+    with pytest.raises(AttributeError, match="immutable"):
+        w.layers = ()
 
 
 def test_product_table_matches_naive_loops_at_depth_16():
@@ -242,3 +246,11 @@ def test_backward_recursion_agrees_with_the_suffix_table(dims, batch, a, b):
     ref = suffix_table_gradient(prefixes, suffixes, *moments)
     err = np.linalg.norm(flat - ref, axis=-1)
     assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
+
+
+@pytest.mark.parametrize("fn", [ls.loss, ls.gradient])
+def test_loss_and_gradient_refuse_a_bundle_of_other_data(small_problem, fn):
+    _, b, _ = small_problem
+    w = random_weights(ls.NetworkShape((5, 5, 4)), np.random.default_rng(0))
+    with pytest.raises(ls.InvalidShape, match="weights incompatible with bundle dimensions"):
+        fn(w, b)

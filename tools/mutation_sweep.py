@@ -1,20 +1,27 @@
-"""Mutation sweep: every listed one-line mutant of src/ must fail tests/.
+"""Mutation sweep: every listed one-line mutant of src/ and every switched-off
+raise must fail tests/.
 
-Each mutant replaces one piece of source text that occurs exactly once in its
-file: a documented threshold, a self-check, an index range of the
+Each listed mutant replaces one piece of source text that occurs exactly once
+in its file: a documented threshold, a self-check, an index range of the
 sum-of-squares certificate, the adjacent pivot's rank without an SVD, and
-one sanity mutant that any working suite kills.  The script copies the whole
+one sanity mutant that any working suite kills.  Besides these, every
+``raise`` statement of src/ gives one mutant, addressed by file and line
+(two raises may read alike), in which ``raise X(...)`` becomes the bare call
+``X(...)``: the exception is made and dropped, and the code runs on.  So a
+check that no test fires shows up as a survivor.  The script copies the whole
 tree into a temporary directory (a copy of src/ alone would test nothing:
 pyproject.toml puts the checkout's src/ first on the path), runs tests/
 there once unmutated and then once per mutant, stopping each run at its
 first failure, and exits nonzero if the unmutated run fails or any mutant
-survives.  Standard library only; run it from anywhere as
+survives.  It ends with the mutant count and the wall time.  Standard
+library only; run it from anywhere as
 
     python3 tools/mutation_sweep.py
 """
 
 from __future__ import annotations
 
+import ast
 import shutil
 import subprocess
 import sys
@@ -23,6 +30,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "linsaddle"
 TIMEOUT_S = 900
 
 # (name, file under src/linsaddle, original text, mutated text)
@@ -60,6 +68,30 @@ MUTANTS = (
 )
 
 
+def raise_mutants():
+    """(name, file, line, statement, bare call) for every raise in src/."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise):
+                call = ast.get_source_segment(text, node.exc) if node.exc else "pass"
+                out.append((f"{path.name}:{node.lineno} raise off", path.name, node.lineno,
+                            ast.get_source_segment(text, node), call))
+    return sorted(out, key=lambda m: (m[1], m[2]))
+
+
+def mutate(text: str, line, old: str, new: str) -> str | None:
+    """text with old replaced by new: its one occurrence when line is None,
+    else the one that starts on that (1-based) line; None if there is none."""
+    if line is None:
+        return text.replace(old, new) if text.count(old) == 1 else None
+    lines = text.splitlines(keepends=True)
+    start = sum(len(s) for s in lines[:line - 1])
+    at = text.find(old, start, start + len(lines[line - 1]) + len(old))
+    return None if at < 0 else text[:at] + new + text[at + len(old):]
+
+
 def run_tests(tree: Path) -> tuple[bool, float, str]:
     """Whether tests/ passes in the tree, the wall seconds and the last line."""
     t0 = time.perf_counter()
@@ -75,6 +107,9 @@ def run_tests(tree: Path) -> tuple[bool, float, str]:
 
 
 def main() -> int:
+    t_start = time.perf_counter()
+    mutants = [(name, file, None, old, new) for name, file, old, new in MUTANTS]
+    mutants += raise_mutants()
     with tempfile.TemporaryDirectory(prefix="mutation_sweep_") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
@@ -85,13 +120,14 @@ def main() -> int:
         if not passed:
             return 1
         survivors = []
-        for name, file, old, new in MUTANTS:
+        for name, file, line, old, new in mutants:
             path = tree / "src" / "linsaddle" / file
             text = path.read_text()
-            if text.count(old) != 1:
-                print(f"{name}: {old!r} occurs {text.count(old)} times in {file}, not once")
+            mutated = mutate(text, line, old, new)
+            if mutated is None:
+                print(f"{name}: {old!r} is not found once in {file}")
                 return 1
-            path.write_text(text.replace(old, new))
+            path.write_text(mutated)
             try:
                 passed, secs, last = run_tests(tree)
             finally:
@@ -100,7 +136,9 @@ def main() -> int:
                   flush=True)
             if passed:
                 survivors.append(name)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed "
+          f"({len(MUTANTS)} listed, {len(mutants) - len(MUTANTS)} raises) "
+          f"in {time.perf_counter() - t_start:.0f} s")
     return 1 if survivors else 0
 
 
