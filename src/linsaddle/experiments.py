@@ -17,12 +17,22 @@ square loss divided by m * d_y), matching common deep-learning framework
 defaults; the per-entry gradient scale is what makes Adam's epsilon bite on
 the plateau.  Loss traces are always recorded on the unnormalized square
 loss so they are directly comparable to critical values.
+
+Adam keeps its moments unnormalized.  With g the gradient of the summed
+square loss and gscale = 1 / (m d_y), M1 = b1 M1 + g and M2 = b2 M2 + g * g
+are Adam's moments m1 and m2 of the mean squared error's gradient divided by
+(1 - b1) gscale and by (1 - b2) gscale^2.  These factors and the bias
+corrections fold into two scalars per epoch, the step size and the
+denominator offset (``_adam_step``); Kingma & Ba (2015, section 2) fold the
+bias corrections the same way.  The update is the textbook one up to
+rounding.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +97,26 @@ def perturb_near(w: Weights, scale: float, seed: int) -> Weights:
     return Weights(mats, w.shape)
 
 
+def _adam_step(g, m1, m2, tmp, epoch: int, lr: float, gscale: float) -> None:
+    """Overwrite g, the gradient of the summed square loss, with the Adam
+    step of this epoch (counted from 1) and advance the unnormalized moments
+    m1 = M1 and m2 = M2 of the module docstring in place; tmp is scratch.
+    With c = sqrt((1 - b2) / b2t), Adam's lr (m1 / b1t) / (sqrt(m2 / b2t) +
+    eps) is alpha M1 / (sqrt(M2) + eps') with alpha = lr (1 - b1) / (b1t c)
+    and eps' = eps / (gscale c), two scalars: nine elementwise passes, one
+    of them a division."""
+    b1t = 1.0 - ADAM_BETA1**epoch
+    c = math.sqrt((1.0 - ADAM_BETA2) / (1.0 - ADAM_BETA2**epoch))
+    m1 *= ADAM_BETA1
+    m1 += g
+    m2 *= ADAM_BETA2
+    m2 += np.multiply(g, g, out=tmp)
+    np.sqrt(m2, out=tmp)
+    tmp += ADAM_EPS / (gscale * c)
+    np.multiply(m1, lr * (1.0 - ADAM_BETA1) / (b1t * c), out=g)
+    g /= tmp
+
+
 def train_runs(
     w0s,
     bundle: SigmaBundle,
@@ -104,9 +134,13 @@ def train_runs(
     in which every run gets exactly the arithmetic it would get alone.  The
     weights, the gradient, their layer views, the Adam moments and one
     scratch array are made once (again only when a diverged run leaves), and
-    the updates run in place on them.  A run stops at the first
-    epoch whose (unnormalized) loss is non-finite or above DIVERGE_LIMIT:
-    that epoch ends its trace, and the run takes no further part.
+    the updates run in place on them.  The Adam moments are the unnormalized
+    M1 = m1 / ((1 - b1) gscale) and M2 = m2 / ((1 - b2) gscale^2),
+    gscale = 1 / (m d_y), of ``_adam_step``, which makes nine elementwise
+    passes over the parameter array; ``W -= step`` makes one more.  A run
+    stops at the first epoch whose (unnormalized) loss is non-finite or
+    above DIVERGE_LIMIT: that epoch ends its trace, and the run takes no
+    further part.
 
     Returns (layers, traces, diverged): the final layers as (n, d_h, d_{h-1})
     stacks (a diverged run keeps the weights of its last epoch), the loss
@@ -140,22 +174,7 @@ def train_runs(
         if opt.algorithm == "gd":
             g *= opt.lr * gscale
         else:
-            # The updates of the serial loop, operation for operation:
-            # m1 = b1 m1 + (1 - b1) g, m2 = b2 m2 + ((1 - b2) g) g and
-            # step = (lr (m1 / b1t)) / (sqrt(m2 / b2t) + eps), left to right.
-            b1t = 1.0 - ADAM_BETA1**epoch
-            b2t = 1.0 - ADAM_BETA2**epoch
-            g *= gscale
-            m1 *= ADAM_BETA1
-            m1 += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
-            m2 *= ADAM_BETA2
-            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
-            m2 += np.multiply(tmp, g, out=tmp)
-            np.sqrt(np.divide(m2, b2t, out=tmp), out=tmp)
-            tmp += ADAM_EPS
-            np.divide(m1, b1t, out=g)
-            g *= opt.lr
-            g /= tmp
+            _adam_step(g, m1, m2, tmp, epoch, opt.lr, gscale)
         W -= g
         pre = prefix_products(layers)
         E = residual_moment(pre[-1], bundle)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from linsaddle.experiments import (
     ADAM_EPS,
     DIVERGE_LIMIT,
     EscapeRun,
+    _adam_step,
     escape_epoch,
     escape_gate,
     escape_threshold,
@@ -227,13 +229,17 @@ def serial_reference(w0, bundle, data, opt, max_epochs):
             for h in range(len(W)):
                 W[h] = W[h] - opt.lr * gscale * g.layers[h]
         else:
+            # Adam in unnormalized moments, as train_runs computes it; the
+            # textbook form is the oracle of test_adam_step_is_the_textbook_update.
             b1t = 1.0 - ADAM_BETA1**epoch
-            b2t = 1.0 - ADAM_BETA2**epoch
+            c = math.sqrt((1.0 - ADAM_BETA2) / (1.0 - ADAM_BETA2**epoch))
+            alpha = opt.lr * (1.0 - ADAM_BETA1) / (b1t * c)
+            eps = ADAM_EPS / (gscale * c)
             for h in range(len(W)):
-                gh = gscale * g.layers[h]
-                m1[h] = ADAM_BETA1 * m1[h] + (1.0 - ADAM_BETA1) * gh
-                m2[h] = ADAM_BETA2 * m2[h] + (1.0 - ADAM_BETA2) * gh * gh
-                W[h] = W[h] - opt.lr * (m1[h] / b1t) / (np.sqrt(m2[h] / b2t) + ADAM_EPS)
+                gh = g.layers[h]
+                m1[h] = ADAM_BETA1 * m1[h] + gh
+                m2[h] = ADAM_BETA2 * m2[h] + gh * gh
+                W[h] = W[h] - alpha * m1[h] / (np.sqrt(m2[h]) + eps)
         cur = ls.Weights(W, w0.shape)
         trace.append(ls.loss(cur, bundle))
         if not np.isfinite(trace[-1]) or trace[-1] > DIVERGE_LIMIT:
@@ -279,6 +285,51 @@ def test_diverging_run_is_frozen_alone(small_problem):
         assert np.array_equal(traces[k], alone) and div[0] == diverged[k]
     _, ref_trace, ref_div = serial_reference(w0s[1], b, data, opt, 200)
     assert ref_div and ref_trace == traces[1].tolist()
+
+
+def test_diverging_adam_runs_leave_the_stack_alone(small_problem):
+    # Runs stop after 3, 3 and 1 epochs: the two that train on must keep
+    # their own rows of the Adam moments when the third leaves the stack.
+    data, b, shape = small_problem
+    rng = np.random.default_rng(8)
+    opt = ls.OptimizerConfig(algorithm="adam", lr=18.0)
+    w0s = [random_weights(shape, rng, scale=0.5) for _ in range(3)]
+    w0s[1] = ls.Weights([20.0 * M for M in w0s[1].layers], shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, traces, diverged = train_runs(w0s, b, data, opt, max_epochs=200)
+        assert [len(t) for t in traces] == [4, 4, 2] and diverged.all()
+        for k, w0 in enumerate(w0s):
+            _, (alone,), _ = train_runs([w0], b, data, opt, max_epochs=200)
+            assert np.array_equal(traces[k], alone)
+
+
+def test_adam_step_is_the_textbook_update():
+    # The step from unnormalized moments against Adam's own formula over
+    # 2000 gradients whose rows span scales 1e-8..1e2, so that eps dominates
+    # the denominator in some rows and not in others.  m1 cancels, so the
+    # error is bounded by the textbook step on the moments of |g|.
+    rng = np.random.default_rng(12)
+    lr, gscale = 1e-3, 1.0 / (100 * 4)
+    rows = 10.0 ** np.linspace(-8.0, 2.0, 16)[:, None]
+    M1, M2, tmp = np.zeros((16, 440)), np.zeros((16, 440)), np.empty((16, 440))
+    m1, m2, a1 = np.zeros((16, 440)), np.zeros((16, 440)), np.zeros((16, 440))
+    eps_rows = set()
+    for epoch in range(1, 2001):
+        grad = rows * 10.0 ** rng.uniform(-1.0, 1.0) * rng.standard_normal((16, 440))
+        step = grad.copy()
+        _adam_step(step, M1, M2, tmp, epoch, lr, gscale)
+        b1t = 1.0 - ADAM_BETA1**epoch
+        b2t = 1.0 - ADAM_BETA2**epoch
+        gh = gscale * grad
+        m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * gh
+        m2 = ADAM_BETA2 * m2 + (1.0 - ADAM_BETA2) * gh * gh
+        textbook = lr * (m1 / b1t) / (np.sqrt(m2 / b2t) + ADAM_EPS)
+        a1 = ADAM_BETA1 * a1 + (1.0 - ADAM_BETA1) * np.abs(gh)
+        bound = 1e-13 * (lr * (a1 / b1t) / (np.sqrt(m2 / b2t) + ADAM_EPS))
+        assert np.all(np.abs(step - textbook) <= bound), epoch
+        eps_rows.update(np.flatnonzero((np.sqrt(m2 / b2t) < ADAM_EPS).all(axis=1)))
+    assert 0 < len(eps_rows) < 16
 
 
 def test_train_runs_edge_cases(small_problem):

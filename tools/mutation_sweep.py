@@ -3,8 +3,8 @@ raise must fail tests/.
 
 Each listed mutant replaces one piece of source text that occurs exactly once
 in its file: a documented threshold, a self-check, an index range of the
-sum-of-squares certificate, the adjacent pivot's rank without an SVD, and
-one sanity mutant that any working suite kills.  Besides these, every
+sum-of-squares certificate, the adjacent pivot's rank without an SVD, two
+terms of the Adam step, and one sanity mutant that any working suite kills.  Besides these, every
 ``raise`` statement of src/ gives one mutant, addressed by file and line
 (two raises may read alike), in which ``raise X(...)`` becomes the bare call
 ``X(...)``: the exception is made and dropped, and the code runs on.  So a
@@ -13,8 +13,11 @@ tree into a temporary directory (a copy of src/ alone would test nothing:
 pyproject.toml puts the checkout's src/ first on the path), runs tests/
 there once unmutated and then once per mutant, stopping each run at its
 first failure, and exits nonzero if the unmutated run fails or any mutant
-survives.  It ends with the mutant count and the wall time.  Standard
-library only; run it from anywhere as
+survives.  A mutant of src/linsaddle/<module>.py runs tests/test_<module>.py
+first, when that file exists, and then the rest of tests/, since the
+module's own tests are the likeliest to kill it early; each such order must
+collect as many tests as tests/ alone.  It ends with the mutant count and
+the wall time.  Standard library only; run it from anywhere as
 
     python3 tools/mutation_sweep.py
 """
@@ -63,6 +66,10 @@ MUTANTS = (
      "J3 = range(2, q + 1)", "J3 = range(2, q)"),
     ("p search starts at H - 1", "curvature.py",
      "for h in range(H, 2, -1) if z.zero(", "for h in range(H - 1, 2, -1) if z.zero("),
+    ("Adam step without eps'", "experiments.py",
+     "tmp += ADAM_EPS / (gscale * c)", "tmp += 0.0"),
+    ("Adam step without the beta1 decay", "experiments.py",
+     "m1 *= ADAM_BETA1", "m1 *= 1.0"),
     ("sanity: critical value adds the eigenvalues", "critical_points.py",
      "sigma_yy_trace - sum(", "sigma_yy_trace + sum("),
 )
@@ -92,12 +99,32 @@ def mutate(text: str, line, old: str, new: str) -> str | None:
     return None if at < 0 else text[:at] + new + text[at + len(old):]
 
 
-def run_tests(tree: Path) -> tuple[bool, float, str]:
-    """Whether tests/ passes in the tree, the wall seconds and the last line."""
+def paths_for(tree: Path, file: str) -> list[str]:
+    """The pytest arguments for a mutant of src/linsaddle/<file>: its own
+    test file, when there is one, ahead of the other files of tests/."""
+    files = sorted(p.relative_to(tree).as_posix() for p in (tree / "tests").glob("test_*.py"))
+    own = f"tests/test_{Path(file).stem}.py"
+    # pytest merges a file and its directory into one walk in directory
+    # order, so the other files are named one by one.
+    return [own] + [f for f in files if f != own] if own in files else ["tests"]
+
+
+def collected(tree: Path, paths: list[str]) -> int:
+    """The number of tests pytest collects from the paths in the tree."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         *paths], cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    return int(lines[-1].split()[0]) if proc.returncode == 0 and lines else -1
+
+
+def run_tests(tree: Path, paths: list[str]) -> tuple[bool, float, str]:
+    """Whether the tests at the paths pass in the tree, the wall seconds and
+    the last line."""
     t0 = time.perf_counter()
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *paths],
             cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
@@ -115,10 +142,16 @@ def main() -> int:
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_traces",
             "*.egg-info"))
-        passed, secs, last = run_tests(tree)
+        passed, secs, last = run_tests(tree, ["tests"])
         print(f"unmutated: {'passed' if passed else 'FAILED'} in {secs:.0f} s ({last})", flush=True)
         if not passed:
             return 1
+        total = collected(tree, ["tests"])
+        for file in sorted({m[1] for m in mutants}):
+            paths = paths_for(tree, file)
+            if paths != ["tests"] and collected(tree, paths) != total:
+                print(f"{' '.join(paths)} does not collect the {total} tests of tests/")
+                return 1
         survivors = []
         for name, file, line, old, new in mutants:
             path = tree / "src" / "linsaddle" / file
@@ -129,7 +162,7 @@ def main() -> int:
                 return 1
             path.write_text(mutated)
             try:
-                passed, secs, last = run_tests(tree)
+                passed, secs, last = run_tests(tree, paths_for(tree, file))
             finally:
                 path.write_text(text)
             print(f"{name}: {'SURVIVED' if passed else 'killed'} in {secs:.0f} s ({last})",
