@@ -65,8 +65,9 @@ def analyze_pivot(i: int, j: int, r: int, blocks: tuple, tols: tuple) -> Pivot:
     """The ranks of pivot (i, j) from its two blocks, (outer, middle), each
     cut with its tolerance in ``tols``.  The middle block of an adjacent
     pivot (i = j + 1) is the empty product I_{d_j}: every singular value is
-    1, so it is ranked without an SVD.  At a critical point of rank r
-    neither rank is below r, so a smaller one means a wrong point or cut."""
+    1, so it is ranked in closed form, without an SVD or ``rank_cut``.  At
+    a critical point of rank r neither rank is below r, so a smaller one
+    means a wrong point or cut."""
     rank1, d = numeric_rank(blocks[0], tols[0]), blocks[1].shape[0]
     rank2 = ((d if tols[1].threshold((d, d), 1.0) < 1.0 else 0) if i == j + 1
              else numeric_rank(blocks[1], tols[1]))
@@ -181,13 +182,9 @@ def classify(
             )
         return c2
 
-    if r == r_max:
-        if S == leading:
-            return finish(GLOBAL_MINIMIZER)
-        wit = witness_eigenswap(w, bundle, S)
-        return finish(STRICT_SADDLE, witness=wit, witness_c2=validated(wit))
-
-    if S != leading:
+    if r == r_max and S == leading:
+        return finish(GLOBAL_MINIMIZER)
+    if r == r_max or S != leading:
         wit = witness_eigenswap(w, bundle, S)
         return finish(STRICT_SADDLE, witness=wit, witness_c2=validated(wit))
 

@@ -54,6 +54,8 @@ from .ranktol import (
     spectral_norms,
 )
 
+MAX_SUPPORTS = 2**20  # enumerate_critical_values lists no more supports: all of d_y = 20
+
 
 def z_block_shape(shape: NetworkShape, r: int, h: int) -> tuple[int, int]:
     """Shape of the free block Z_h for support size r (1-based h)."""
@@ -198,6 +200,13 @@ class _ZChains:
                          lambda i, j: not self.outer_zero(i, j))
 
 
+def _conditioned(D: np.ndarray, name: str) -> None:
+    """Refuse (IllConditioned) a block D past condition number D_COND_LIMIT."""
+    cond = np.linalg.cond(D)
+    if not np.isfinite(cond) or cond > D_COND_LIMIT:
+        raise IllConditioned(f"{name} has condition number {cond:.3g}")
+
+
 def build_critical_point(
     spec: CriticalPointSpec,
     bundle: SigmaBundle,
@@ -220,7 +229,7 @@ def build_critical_point(
             raise NotCritical(f"the spec is not critical: {bad} is not zero")
 
     H = shape.H
-    layers = [np.vstack([U_S.T @ bundle.sigma_yx_sigma_xx_inv(), spec.z_blocks[0]])]
+    layers = [np.vstack([U_S.T @ bundle.sigma_yx_sigma_xx_inv, spec.z_blocks[0]])]
     for h in range(2, H):
         B = np.zeros((shape.dims[h], shape.dims[h - 1]))
         B[:r, :r] = np.eye(r)
@@ -229,9 +238,7 @@ def build_critical_point(
     layers.append(np.hstack([U_S, U_Q @ spec.z_blocks[-1]]))
     if (d := spec.d_blocks) is not None:  # W_h = D_h B_h D_{h-1}^{-1}
         for h, D in enumerate(d, start=1):
-            cond = np.linalg.cond(D)
-            if not np.isfinite(cond) or cond > D_COND_LIMIT:
-                raise IllConditioned(f"D_{h} condition number {cond:.3g} exceeds limit")
+            _conditioned(D, f"D_{h}")
         d_invs = [np.linalg.inv(D) for D in d]
         layers = ([d[0] @ layers[0]]
                   + [d[h - 1] @ layers[h - 1] @ d_invs[h - 2] for h in range(2, H)]
@@ -313,7 +320,7 @@ def associated_support(
     # Noise of size delta in the weights leaks O(delta) spurious singular
     # values into K while inflating the gradient to O(delta * scale), so cut
     # the spectrum at the measured gradient level (with headroom) as well as
-    # at the rounding floor of the product of layers 2..H.
+    # at the rounding floor of the product of layers 2..H, past ``rank_cut``.
     eff_tol = floored(rank_tol, w.shape.H, w.layer_norms()[1:])
     sv_tol = max(eff_tol.threshold(K.shape, smax), 10.0 * (gn / scale) * smax)
     rk = int(np.count_nonzero(sK > sv_tol)) if sK.size else 0
@@ -329,7 +336,7 @@ def associated_support(
 
     # The global map must match the projected regression optimum.
     U_S = bundle.u_cols(support)
-    target = U_S @ (U_S.T @ bundle.sigma_yx_sigma_xx_inv())
+    target = U_S @ (U_S.T @ bundle.sigma_yx_sigma_xx_inv)
     map_err = frob(global_map(w) - target)
     map_tol = (100.0 * tau if approximate else tau) * (1.0 + frob(target))
     if map_err > map_tol:
@@ -341,13 +348,12 @@ def associated_support(
     )
 
 
-def critical_value(S, bundle: SigmaBundle, shape: NetworkShape | None = None) -> float:
-    """tr(Sigma_YY) - sum of lambdas over S (empty sum = 0)."""
+def critical_value(S, bundle: SigmaBundle) -> float:
+    """tr(Sigma_YY) - sum of lambdas over S (empty sum = 0): the loss at any
+    critical point of support S, of whatever shape; |S| <= r_max is not checked."""
     S = tuple(sorted(S))
     if any(not (1 <= s <= bundle.d_y) for s in S) or len(set(S)) != len(S):
         raise InvalidRank("S must be a subset of [1, d_y]")
-    if shape is not None and len(S) > shape.r_max:
-        raise InvalidRank(f"|S| = {len(S)} exceeds r_max = {shape.r_max}")
     return float(bundle.sigma_yy_trace - sum(bundle.lambdas[s - 1] for s in S))
 
 
@@ -355,12 +361,13 @@ def enumerate_critical_values(bundle: SigmaBundle, shape: NetworkShape):
     """All achievable critical values: one per subset S of size <= r_max,
     sorted by increasing value.  Supports of the form [1, r] are flagged as
     plateau candidates (the only ones admitting non-strict saddles)."""
-    if bundle.d_y > 20:
-        raise TooLarge(f"d_y = {bundle.d_y} > 20: subset enumeration refused")
+    n = sum(math.comb(bundle.d_y, r) for r in range(shape.r_max + 1))
+    if n > MAX_SUPPORTS:
+        raise TooLarge(f"{n} supports exceed the enumeration limit {MAX_SUPPORTS}")
     out = []
     for r in range(0, shape.r_max + 1):
         for S in itertools.combinations(range(1, bundle.d_y + 1), r):
-            v = critical_value(S, bundle, shape)
+            v = critical_value(S, bundle)
             hint = "plateau" if S == tuple(range(1, r + 1)) else "strict_only"
             out.append((S, v, hint))
     out.sort(key=lambda t: (t[1], t[0]))
@@ -402,7 +409,7 @@ def _canonical_blocks(w: Weights, bundle: SigmaBundle, support, norm_w: float, e
     the point came from."""
     r = len(support)
     U_S, U_Q = bundle.u_cols(support), bundle.u_complement(support)
-    C = bundle.sigma_yx_sigma_xx_inv()
+    C = bundle.sigma_yx_sigma_xx_inv
     W = w.layers
     z = [W[0][r:, :]] + [Wh[r:, r:] for Wh in W[1:-1]] + [U_Q.T @ W[-1][:, r:]]
     K = partial_suffix(w, 2)
@@ -444,9 +451,7 @@ def canonical_form(
                 raise IllConditioned(f"U_S^T W_H..W_2 has rank below |S| = {r}")
             F = vt[:r].T @ (u.T / s[:, None]) if h == 1 else w.layer(h) @ F
             D = d_list[h - 1] = np.hstack([F, _aligned_kernel(vt[r:])])
-            cond = np.linalg.cond(D)
-            if not np.isfinite(cond) or cond > D_COND_LIMIT:
-                raise IllConditioned(f"canonical D_{h} has condition number {cond:.3g}")
+            _conditioned(D, f"canonical D_{h}")
         wt = transform_weights(w, d_list)
     z = _canonical_blocks(wt, bundle, S, w.frob_norm(), DegenerateBasis)
     z_final = tuple(

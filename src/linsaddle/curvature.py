@@ -42,7 +42,7 @@ from .errors import (
 )
 from .network import (Direction, Weights, _product_table, global_map, partial_middle,
                       partial_prefix, partial_suffix, residual_moment, unflatten)
-from .ranktol import BETA_ZERO_TOL, EPS_WITNESS, RankTolerance, floored, numeric_rank
+from .ranktol import BETA_ZERO_TOL, EPS_WITNESS, RankTolerance, floored, numeric_rank, rank_cut
 
 MAX_TAYLOR_DEPTH = 12
 MAX_DENSE_PARAMS = 2000
@@ -133,7 +133,8 @@ class CurvatureCache:
     backward adjoints B_h = (W_H..W_{h+1})^T E (B_H = E): O(H) arrays of
     d_x columns, none of m.  c2(V) = <A_1 Sigma_XX, A_1> + 2 <A_2, E> from
     the order-2 truncation of the line expansion needs only E and the
-    prefixes of the weights' product table, about 4H matrix products.  The
+    prefixes of the weights' product table, about 4H matrix products; c2
+    and its certification threshold come from one body, ``c2_threshold``.  The
     Hessian acts on V by Pearlmutter's R-operator on the two passes.  Its
     first call lays P, B and the layers out in concatenated buffers
     (``_fused``, O(H d d_x) floats), so that each two-term step of a pass
@@ -162,15 +163,8 @@ class CurvatureCache:
     def B(self) -> list:
         return [partial_suffix(self.w, h + 1).T @ self.E for h in range(self.H)] + [self.E]
 
-    def c2_terms(self, v: Direction) -> tuple[float, float]:
-        """The two terms of c2(V): <A_1 Sigma_XX, A_1> = ||A_1 X||^2 and
-        2 <A_2, E>."""
-        _, A1, A2 = _line_orders(self.w, v, 2)
-        return float(np.sum((A1 @ self.sigma_xx) * A1)), 2.0 * float(np.sum(A2 * self.E))
-
     def c2(self, v: Direction) -> float:
-        quad, cross = self.c2_terms(v)
-        return quad + cross
+        return self.c2_threshold(v)[0]
 
     def c2_threshold(self, v: Direction) -> tuple[float, float]:
         """c2(V) and the threshold below which it is certifiably negative:
@@ -349,7 +343,7 @@ def hessian_min_eig(
     ProbeNotConverged."""
     if mode == "dense":
         M = hessian_dense(w, data)
-        if not return_vector:
+        if not return_vector:  # eigvalsh takes about half the time of eigh at n = 1200
             return float(np.linalg.eigvalsh(M)[0])
         vals, vecs = np.linalg.eigh(M)
         lam, vec = float(vals[0]), vecs[:, 0]
@@ -397,7 +391,7 @@ def witness_eigenswap(w: Weights, bundle: SigmaBundle, support) -> WitnessCase:
     shape = w.shape
     mats = _zero_direction(shape)
     F_1 = np.linalg.pinv(U_S.T @ partial_suffix(w, 2))
-    mats[0] = F_1 @ (V.T @ bundle.sigma_yx_sigma_xx_inv())
+    mats[0] = F_1 @ (V.T @ bundle.sigma_yx_sigma_xx_inv)
     mats[-1] = V @ (U_S.T @ w.layer(shape.H))
     c2_pred = float(bundle.lambdas[j - 1] - bundle.lambdas[i - 1])
     return WitnessCase(
@@ -421,10 +415,8 @@ def _choose_beta(a: float, c: float) -> tuple[float, float]:
 
 
 def _kernel_basis(M: np.ndarray, rank_tol: RankTolerance) -> np.ndarray:
-    u, s, vt = np.linalg.svd(M)
-    thr = rank_tol.threshold(M.shape, float(s[0]))
-    rk = int(np.count_nonzero(s > thr))
-    return vt[rk:, :].T
+    _, s, vt = np.linalg.svd(M)
+    return vt[rank_cut(s, M.shape, rank_tol):, :].T
 
 
 def _zero_direction(shape):
@@ -614,7 +606,7 @@ def ft_st_decomposition(
         st, r, z = _tightened(w, bundle)
         lam = bundle.lambdas
         U_S, U_Q = bundle.U[:, :r], bundle.U[:, r:]
-        C = bundle.sigma_yx_sigma_xx_inv()
+        C = bundle.sigma_yx_sigma_xx_inv
         delta_q = np.sqrt(lam[r:])
         XV_Q = bundle.sigma_xy @ U_Q / delta_q  # d_x x (d_y - r)
         Pi = np.eye(bundle.d_x) - (XV_Q / delta_q) @ U_Q.T @ C

@@ -104,14 +104,11 @@ class SigmaBundle:
         return self.U[:, [s - 1 for s in sel]]
 
     @cached_property
-    def _c(self) -> np.ndarray:
+    def sigma_yx_sigma_xx_inv(self) -> np.ndarray:
+        """C = Sigma_YX Sigma_XX^{-1}, solved on first use and kept read-only."""
         C = np.linalg.solve(self.sigma_xx.T, self.sigma_yx.T).T
         C.flags.writeable = False
         return C
-
-    def sigma_yx_sigma_xx_inv(self) -> np.ndarray:
-        """C = Sigma_YX Sigma_XX^{-1}, solved on first use and kept read-only."""
-        return self._c
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import linsaddle as ls
+from linsaddle import critical_points
 from linsaddle.critical_points import (
     CriticalPointSpec,
     build_critical_point,
@@ -73,7 +74,7 @@ def test_build_rejects_ill_conditioned_d(small_problem):
     bad[0] = np.diag([1.0] + [1e-12] * (shape.dims[1] - 1))
     from dataclasses import replace
 
-    with pytest.raises(ls.IllConditioned):
+    with pytest.raises(ls.IllConditioned, match="D_1 has condition number 1e\\+12"):
         build_critical_point(replace(spec, d_blocks=tuple(bad)), b, shape)
 
 
@@ -207,8 +208,6 @@ def test_critical_value_formula(small_problem):
     )
     with pytest.raises(ls.InvalidRank):
         ls.critical_value((0,), b)
-    with pytest.raises(ls.InvalidRank):
-        ls.critical_value((1, 2, 3), b, ls.NetworkShape((6, 2, 4)))
 
 
 def test_enumerate_critical_values(small_problem):
@@ -225,10 +224,24 @@ def test_enumerate_critical_values(small_problem):
     assert all(pv[k] > pv[k + 1] for k in range(len(pv) - 1))
 
 
+def test_enumerate_guard_counts_supports(monkeypatch, small_problem):
+    # The guard counts the supports of size <= r_max that it would list:
+    # 16 at d_y = r_max = 4, refused one below that count.
+    _, b, shape = small_problem
+    monkeypatch.setattr(critical_points, "MAX_SUPPORTS", 15)
+    with pytest.raises(ls.TooLarge, match="16 supports exceed the enumeration limit 15"):
+        ls.enumerate_critical_values(b, shape)
+    monkeypatch.setattr(critical_points, "MAX_SUPPORTS", 16)
+    assert len(ls.enumerate_critical_values(b, shape)) == 16
+
+
 def test_enumerate_guard():
+    # d_y = 21 lists its 22 supports at r_max = 1; at r_max = 21 its 2^21
+    # supports exceed MAX_SUPPORTS = 2^20, every support of d_y = 20.
     data = ls.generate_gaussian_data(25, 21, 40, seed=0)
     b = ls.build_sigma_bundle(data)
-    with pytest.raises(ls.TooLarge):
+    assert len(ls.enumerate_critical_values(b, ls.NetworkShape((25, 1, 21)))) == 22
+    with pytest.raises(ls.TooLarge, match=f"{2**21} supports exceed"):
         ls.enumerate_critical_values(b, ls.NetworkShape((25, 21, 21)))
 
 
@@ -437,7 +450,6 @@ def test_support_recovery_refuses_a_global_map_off_the_optimum(small_problem):
 def test_canonical_form_refuses_a_support_that_k_does_not_reach(small_problem, monkeypatch):
     # At a critical point U_S^T W_H..W_2 has rank |S|, so only a support
     # recovery that disagrees with the SVD after it reaches this refusal.
-    from linsaddle import critical_points
     _, b, shape = small_problem
     w = ls.Weights([np.ones((5, 6)), np.zeros((5, 5)), np.zeros((4, 5))], shape)
     monkeypatch.setattr(critical_points, "associated_support",

@@ -55,7 +55,7 @@ def test_canonical_form_snaps_a_block_at_eps_canon_of_its_layer(small_problem, t
     # point is canonical already, so canonical_form keeps the layers.
     _, b, shape = small_problem
     z = _zero_blocks(shape, 2)
-    top = b.u_cols((1, 2)).T @ b.sigma_yx_sigma_xx_inv()
+    top = b.u_cols((1, 2)).T @ b.sigma_yx_sigma_xx_inv
     A = np.random.default_rng(40).standard_normal(z[0].shape)
     z[0] = t * np.linalg.norm(top) / np.linalg.norm(A) * A
     w = build_critical_point(CriticalPointSpec(support=(1, 2), z_blocks=tuple(z)), b, shape)
@@ -97,7 +97,7 @@ def test_a_projector_entry_inside_the_band_is_ambiguous(small_problem, share, am
     data, b, shape = small_problem
     u = np.sqrt(share) * b.U[:, 0] + np.sqrt(1.0 - share) * b.U[:, 1]
     c, e1 = 1e4, np.eye(5)[0]
-    w = ls.Weights([np.outer(e1, u @ b.sigma_yx_sigma_xx_inv() / c), c * np.eye(5),
+    w = ls.Weights([np.outer(e1, u @ b.sigma_yx_sigma_xx_inv / c), c * np.eye(5),
                     np.outer(u, e1)], shape)
     tau = 10.0 * criticality_scale(w, b)
     if ambiguous:

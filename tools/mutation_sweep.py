@@ -13,11 +13,12 @@ tree into a temporary directory (a copy of src/ alone would test nothing:
 pyproject.toml puts the checkout's src/ first on the path), runs tests/
 there once unmutated and then once per mutant, stopping each run at its
 first failure, and exits nonzero if the unmutated run fails or any mutant
-survives.  A mutant of src/linsaddle/<module>.py runs tests/test_<module>.py
-first, when that file exists, and then the rest of tests/, since the
-module's own tests are the likeliest to kill it early; each such order must
-collect as many tests as tests/ alone.  It ends with the mutant count and
-the wall time.  Standard library only; run it from anywhere as
+survives.  Each listed mutant names the test file that pins it; a raise
+mutant of src/linsaddle/<module>.py takes tests/test_<module>.py, when that
+file exists, since the module's own tests are the likeliest to kill it
+early.  That file runs first and then the rest of tests/; each such order
+must collect as many tests as tests/ alone.  It ends with the mutant count
+and the wall time.  Standard library only; run it from anywhere as
 
     python3 tools/mutation_sweep.py
 """
@@ -36,56 +37,63 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "linsaddle"
 TIMEOUT_S = 900
 
-# (name, file under src/linsaddle, original text, mutated text)
+# (name, file under src/linsaddle, the test file that pins it, original text,
+# mutated text)
 MUTANTS = (
-    ("chain_floor 100 H eps -> 1e4 H eps", "ranktol.py",
+    ("chain_floor 100 H eps -> 1e4 H eps", "ranktol.py", "tests/test_thresholds.py",
      "return 100.0 * H * _EPS", "return 1e4 * H * _EPS"),
-    ("support headroom 10 -> 100 gn/scale", "critical_points.py",
+    ("support headroom 10 -> 100 gn/scale", "critical_points.py", "tests/test_thresholds.py",
      "10.0 * (gn / scale) * smax", "100.0 * (gn / scale) * smax"),
     ("canonical snap EPS_CANON -> 1e3 EPS_CANON", "critical_points.py",
-     "<= EPS_CANON * frob(Wh)", "<= 1e3 * EPS_CANON * frob(Wh)"),
-    ("classify band 100 tau -> 1000 tau", "classifier.py",
+     "tests/test_thresholds.py", "<= EPS_CANON * frob(Wh)", "<= 1e3 * EPS_CANON * frob(Wh)"),
+    ("classify band 100 tau -> 1000 tau", "classifier.py", "tests/test_classifier.py",
      "if gn > 100.0 * tau:", "if gn > 1000.0 * tau:"),
     ("approximate rank tolerance 10 -> 1 gn/scale", "classifier.py",
-     "relative=10.0 * gn / scale", "relative=1.0 * gn / scale"),
+     "tests/test_thresholds.py", "relative=10.0 * gn / scale", "relative=1.0 * gn / scale"),
     ("ambiguity band [0.25, 0.75] -> [0.35, 0.65]", "critical_points.py",
+     "tests/test_thresholds.py",
      "(diag >= 0.25) & (diag <= 0.75)", "(diag >= 0.35) & (diag <= 0.65)"),
-    ("witness c2 validation off", "classifier.py",
+    ("witness c2 validation off", "classifier.py", "tests/test_classifier.py",
      "if not (c2 < thr):", "if False:"),
-    ("global map rank vs |S| check off", "classifier.py",
+    ("global map rank vs |S| check off", "classifier.py", "tests/test_classifier.py",
      "if r != len(S):", "if False:"),
-    ("pivot rank < r check off", "classifier.py",
+    ("pivot rank < r check off", "classifier.py", "tests/test_classifier.py",
      "if min(rank1, rank2) < r:", "if False:"),
     ("adjacent pivot's identity block always full rank", "classifier.py",
+     "tests/test_classifier.py",
      "(d if tols[1].threshold((d, d), 1.0) < 1.0 else 0) if i == j + 1", "d if i == j + 1"),
-    ("certificate range J1 starts at p + 1", "curvature.py",
+    ("certificate range J1 starts at p + 1", "curvature.py", "tests/test_curvature.py",
      "J1 = range(p, H)", "J1 = range(p + 1, H)"),
-    ("certificate range J2 starts at q + 2", "curvature.py",
+    ("certificate range J2 starts at q + 2", "curvature.py", "tests/test_curvature.py",
      "J2 = range(q + 1, p)", "J2 = range(q + 2, p)"),
-    ("certificate range J3 ends at q - 1", "curvature.py",
+    ("certificate range J3 ends at q - 1", "curvature.py", "tests/test_curvature.py",
      "J3 = range(2, q + 1)", "J3 = range(2, q)"),
-    ("p search starts at H - 1", "curvature.py",
+    ("p search starts at H - 1", "curvature.py", "tests/test_curvature.py",
      "for h in range(H, 2, -1) if z.zero(", "for h in range(H - 1, 2, -1) if z.zero("),
-    ("Adam step without eps'", "experiments.py",
+    ("Adam step without eps'", "experiments.py", "tests/test_experiments.py",
      "tmp += ADAM_EPS / (gscale * c)", "tmp += 0.0"),
-    ("Adam step without the beta1 decay", "experiments.py",
+    ("Adam step without the beta1 decay", "experiments.py", "tests/test_experiments.py",
      "m1 *= ADAM_BETA1", "m1 *= 1.0"),
     ("sanity: critical value adds the eigenvalues", "critical_points.py",
-     "sigma_yy_trace - sum(", "sigma_yy_trace + sum("),
+     "tests/test_critical_points.py", "sigma_yy_trace - sum(", "sigma_yy_trace + sum("),
 )
 
 
 def raise_mutants():
-    """(name, file, line, statement, bare call) for every raise in src/."""
+    """(name, file, test file, line, statement, bare call) for every raise in
+    src/, the test file being the module's own, tests/test_<module>.py, or
+    None when there is none."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
+        own = f"tests/test_{path.stem}.py"
+        own = own if (ROOT / own).exists() else None
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Raise):
                 call = ast.get_source_segment(text, node.exc) if node.exc else "pass"
-                out.append((f"{path.name}:{node.lineno} raise off", path.name, node.lineno,
+                out.append((f"{path.name}:{node.lineno} raise off", path.name, own, node.lineno,
                             ast.get_source_segment(text, node), call))
-    return sorted(out, key=lambda m: (m[1], m[2]))
+    return sorted(out, key=lambda m: (m[1], m[3]))
 
 
 def mutate(text: str, line, old: str, new: str) -> str | None:
@@ -99,14 +107,15 @@ def mutate(text: str, line, old: str, new: str) -> str | None:
     return None if at < 0 else text[:at] + new + text[at + len(old):]
 
 
-def paths_for(tree: Path, file: str) -> list[str]:
-    """The pytest arguments for a mutant of src/linsaddle/<file>: its own
-    test file, when there is one, ahead of the other files of tests/."""
+def paths_for(tree: Path, first: str | None) -> list[str]:
+    """The pytest arguments that run the test file ``first`` ahead of the
+    other files of tests/, or tests/ alone when ``first`` is None."""
+    if first is None:
+        return ["tests"]
     files = sorted(p.relative_to(tree).as_posix() for p in (tree / "tests").glob("test_*.py"))
-    own = f"tests/test_{Path(file).stem}.py"
     # pytest merges a file and its directory into one walk in directory
     # order, so the other files are named one by one.
-    return [own] + [f for f in files if f != own] if own in files else ["tests"]
+    return [first] + [f for f in files if f != first]
 
 
 def collected(tree: Path, paths: list[str]) -> int:
@@ -135,7 +144,7 @@ def run_tests(tree: Path, paths: list[str]) -> tuple[bool, float, str]:
 
 def main() -> int:
     t_start = time.perf_counter()
-    mutants = [(name, file, None, old, new) for name, file, old, new in MUTANTS]
+    mutants = [(name, file, first, None, old, new) for name, file, first, old, new in MUTANTS]
     mutants += raise_mutants()
     with tempfile.TemporaryDirectory(prefix="mutation_sweep_") as tmp:
         tree = Path(tmp) / "tree"
@@ -147,13 +156,13 @@ def main() -> int:
         if not passed:
             return 1
         total = collected(tree, ["tests"])
-        for file in sorted({m[1] for m in mutants}):
-            paths = paths_for(tree, file)
-            if paths != ["tests"] and collected(tree, paths) != total:
+        for first in sorted({m[2] for m in mutants if m[2] is not None}):
+            paths = paths_for(tree, first)
+            if collected(tree, paths) != total:
                 print(f"{' '.join(paths)} does not collect the {total} tests of tests/")
                 return 1
         survivors = []
-        for name, file, line, old, new in mutants:
+        for name, file, first, line, old, new in mutants:
             path = tree / "src" / "linsaddle" / file
             text = path.read_text()
             mutated = mutate(text, line, old, new)
@@ -162,7 +171,7 @@ def main() -> int:
                 return 1
             path.write_text(mutated)
             try:
-                passed, secs, last = run_tests(tree, paths_for(tree, file))
+                passed, secs, last = run_tests(tree, paths_for(tree, first))
             finally:
                 path.write_text(text)
             print(f"{name}: {'SURVIVED' if passed else 'killed'} in {secs:.0f} s ({last})",
