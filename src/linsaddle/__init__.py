@@ -67,7 +67,6 @@ from .errors import (
     NotCritical,
     NotTightened,
     ProbeNotConverged,
-    TooDeep,
     TooLarge,
 )
 from .experiments import (

@@ -155,8 +155,9 @@ def classify(
     if sup.approximate:
         # Rank decisions must not count noise-level singular values: loosen
         # the cutoff to the measured gradient level, mirroring the support
-        # recovery above.
-        rank_tol = RankTolerance(absolute=rank_tol.absolute, relative=10.0 * gn / scale)
+        # recovery above, but never below the caller's own cutoff.
+        relative = max(rank_tol.relative or 0.0, 10.0 * gn / scale)
+        rank_tol = RankTolerance(absolute=rank_tol.absolute, relative=relative)
     r = numeric_rank(global_map(w), floored(rank_tol, w.shape.H, w.layer_norms()))
     if r != len(S):
         raise InternalInconsistency(

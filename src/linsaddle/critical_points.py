@@ -11,7 +11,8 @@ With G = Sigma_XY U_Q, such a point is critical exactly when Z_H..Z_1 = 0
 and Z_{h-1}..Z_1 G Z_H..Z_{h+1} = 0 for every h; D plays no part.
 canonical_form is the inverse: from the support S and the suffixes of the
 weights' product table it sets D_h = [F_h | E_h], F_h the signal columns
-that W_H..W_{h+1} maps onto U_S and E_h the kernel of U_S^T W_H..W_{h+1}.
+that W_H..W_{h+1} maps onto U_S and E_h the kernel of U_S^T W_H..W_{h+1},
+its columns as long as F_h's on average.
 """
 
 from __future__ import annotations
@@ -435,11 +436,13 @@ def canonical_form(
     ``associated_support`` and A_h = U_S^T W_H..W_{h+1}, of rank r = |S| at
     a critical point, D_h = [F_h | E_h] with F_1 = A_1^+ (so that
     W_H..W_2 F_1 = U_S), F_h = W_h F_{h-1} and E_h an orthonormal basis of
-    ker A_h aligned with the axes.  W_{h+1} maps F_h onto F_{h+1} and ker A_h
-    into ker A_{h+1}, which puts every layer in the block form of the module
-    docstring; ``_canonical_blocks`` verifies it.  No rank is cut beyond the
-    support recovery's.  A block Z_h is snapped to zero when its norm is at
-    most EPS_CANON times that of its transformed layer."""
+    ker A_h aligned with the axes, times ||F_h||_F / sqrt(r) so that
+    cond(D_h) does not follow the scale of the layers.  W_{h+1} maps F_h
+    onto F_{h+1} and ker A_h into ker A_{h+1}, which puts every layer in the
+    block form of the module docstring; ``_canonical_blocks`` verifies it.
+    No rank is cut beyond the support recovery's.  A block Z_h is snapped to
+    zero when its norm is at most EPS_CANON times that of its transformed
+    layer."""
     S = associated_support(w, bundle, tau_crit=tau_crit, rank_tol=rank_tol).support
     r = len(S)
     U_S = bundle.u_cols(S)
@@ -450,7 +453,7 @@ def canonical_form(
             if h == 1 and not s[-1] > 0:
                 raise IllConditioned(f"U_S^T W_H..W_2 has rank below |S| = {r}")
             F = vt[:r].T @ (u.T / s[:, None]) if h == 1 else w.layer(h) @ F
-            D = d_list[h - 1] = np.hstack([F, _aligned_kernel(vt[r:])])
+            D = d_list[h - 1] = np.hstack([F, frob(F) / math.sqrt(r) * _aligned_kernel(vt[r:])])
             _conditioned(D, f"canonical D_{h}")
         wt = transform_weights(w, d_list)
     z = _canonical_blocks(wt, bundle, S, w.frob_norm(), DegenerateBasis)

@@ -2,7 +2,7 @@
 
 The square loss restricted to a line is a polynomial of degree 2H in t; its
 quadratic coefficient c2 decides strictness of saddles.  This module provides
-the exact polynomial expansion, an O(H) evaluator and Hessian for c2,
+an O(H) evaluator and Hessian for c2, the exact expansion in its terms,
 negative-curvature witnesses for the two saddle mechanisms, and the
 nonnegative decomposition of c2 at tightened points.  The eigenvector-swap
 witness moves mass from a used to a larger unused eigenvalue.  The
@@ -37,14 +37,12 @@ from .errors import (
     NotApplicable,
     NotTightened,
     ProbeNotConverged,
-    TooDeep,
     TooLarge,
 )
 from .network import (Direction, Weights, _product_table, global_map, partial_middle,
-                      partial_prefix, partial_suffix, residual_moment, unflatten)
+                      partial_prefix, partial_suffix, products_loss, residual_moment, unflatten)
 from .ranktol import BETA_ZERO_TOL, EPS_WITNESS, RankTolerance, floored, numeric_rank, rank_cut
 
-MAX_TAYLOR_DEPTH = 12
 MAX_DENSE_PARAMS = 2000
 # Lanczos steps, one Hessian-vector product each, before the probe raises
 # ProbeNotConverged; the deep_probe points of seeds 101-110 (depth 8-24,
@@ -94,26 +92,24 @@ def _line_orders(w: Weights, v: Direction, order: int) -> list:
     return A
 
 
-def taylor_coeffs(w: Weights, v: Direction, data: DataMatrices) -> TaylorCoeffs:
-    """Exact coefficients of the degree-2H polynomial t -> L(W + t V).
-
-    With A_k the line orders, L(W + tV) = ||sum_k t^k A_k X - Y||^2, so
-    c_n sums <A_k Sigma_XX, A_l> over k + l = n, c_k loses
-    2 <Sigma_YX, A_k>, and c_0 gains tr Sigma_YY."""
-    H = w.shape.H
-    if H > MAX_TAYLOR_DEPTH:
-        raise TooDeep(f"depth {H} exceeds exact-expansion guard {MAX_TAYLOR_DEPTH}")
+def taylor_coeffs(w: Weights, v: Direction, data: DataMatrices | SigmaBundle) -> TaylorCoeffs:
+    """Exact coefficients of the degree-2H polynomial t -> L(W + t V), at any
+    depth.  With A_k the line orders and E of the ``CurvatureCache``, c_0 is
+    the loss ``products_loss(A_0, E)`` and, for n >= 1,
+    c_n = sum_{k + l = n; k, l >= 1} <A_k Sigma_XX, A_l> + 2 <A_n, E>, the
+    form of ``CurvatureCache.c2_threshold``: c_0 and c_2 are ``loss`` and
+    ``c2_value`` bit for bit."""
     if v.shape.dims != w.shape.dims:
         raise InvalidShape("direction shape does not match weights")
-    sigma_xx, sigma_xy, sigma_yy = _moments(data)
+    cache, H = CurvatureCache(w, data), w.shape.H
     A = _line_orders(w, v, H)
-    AS = [Ak @ sigma_xx for Ak in A]
     coeffs = np.zeros(2 * H + 1)
-    for k in range(H + 1):
-        coeffs[k] -= 2.0 * float(np.sum(sigma_xy.T * A[k]))
-        for l in range(H + 1):
-            coeffs[k + l] += float(np.sum(AS[k] * A[l]))
-    coeffs[0] += float(np.trace(sigma_yy))
+    coeffs[0] = products_loss(A[0], cache.E, cache)
+    for k in range(1, H + 1):
+        AS = A[k] @ cache.sigma_xx
+        for l in range(1, H + 1):
+            coeffs[k + l] += float(np.sum(AS * A[l]))
+        coeffs[k] += 2.0 * float(np.sum(A[k] * cache.E))
     return TaylorCoeffs(coeffs=coeffs)
 
 
@@ -125,7 +121,8 @@ class CurvatureCache:
     """Forward and backward passes at a fixed W for repeated c2 evaluation
     and Hessian-vector products, in the second moments of the data.
 
-    Takes Sigma_XX and Sigma_YX from a ``SigmaBundle``, or from one moment
+    Takes Sigma_XX, Sigma_YX and Sigma_YY (whose trace, taken on first use,
+    only ``taylor_coeffs`` reads) from a ``SigmaBundle``, or from one moment
     pass of ``data_model`` over the samples of ``DataMatrices``, and keeps
     E = W_H..W_1 Sigma_XX - Sigma_YX (which is R X^T for the residual
     R = W_H..W_1 X - Y) and, built on the first Hessian-vector product, the
@@ -150,10 +147,15 @@ class CurvatureCache:
             raise InvalidShape("weights incompatible with data")
         self.w = w
         self.H = w.shape.H
-        bundled = isinstance(data, SigmaBundle)
-        self.sigma_xx, sigma_xy = (data.sigma_xx, data.sigma_xy) if bundled else _moments(data)[:2]
+        self.sigma_xx, sigma_xy, self._sigma_yy = (
+            (data.sigma_xx, data.sigma_xy, data.sigma_yy) if isinstance(data, SigmaBundle)
+            else _moments(data))
         self.sigma_yx = sigma_xy.T
         self.E = residual_moment(global_map(w), self)  # reads sigma_xx, sigma_yx
+
+    @cached_property
+    def sigma_yy_trace(self) -> float:
+        return float(np.trace(self._sigma_yy))
 
     @cached_property
     def P(self) -> list:

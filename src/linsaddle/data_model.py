@@ -14,13 +14,13 @@ eigenvalues lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import AssumptionViolated, InvalidShape
-from .ranktol import EPS_GAP, numeric_ranks
+from .ranktol import EPS_GAP, RankTolerance, rank_cut, singular_values
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class DataMatrices:
 
 @dataclass(frozen=True)
 class SigmaBundle:
-    """The second moments of the data and the eigensystem of
-    Sigma = Sigma_YX Sigma_XX^{-1} Sigma_XY; every array is d_x- or
+    """The second moments of the data, ||Sigma_XY||_2 and the eigensystem
+    of Sigma = Sigma_YX Sigma_XX^{-1} Sigma_XY; every array is d_x- or
     d_y-sized, none has an axis of length m.  Sigma itself is not kept:
     U diag(lambda) U^T is it to rounding, since LAPACK's SVD is backward
     stable (``_eigensystem``)."""
@@ -74,6 +74,7 @@ class SigmaBundle:
     L: np.ndarray  # d_x x d_x lower-triangular, Sigma_XX = L L^T
     U: np.ndarray  # d_y x d_y orthogonal, eigenvectors of Sigma
     lambdas: np.ndarray  # strictly decreasing, positive, length d_y
+    sigma_xy_norm: float  # ||Sigma_XY||_2, from the SVD that ranks it in _assess
 
     @property
     def d_x(self) -> int:
@@ -82,11 +83,6 @@ class SigmaBundle:
     @property
     def d_y(self) -> int:
         return self.U.shape[0]
-
-    @cached_property
-    def sigma_xy_norm(self) -> float:
-        """||Sigma_XY||_2, taken on first use."""
-        return float(np.linalg.norm(self.sigma_xy, 2))
 
     @cached_property
     def sigma_yy_trace(self) -> float:
@@ -167,15 +163,19 @@ def _eigensystem(sigma_xx: np.ndarray, sigma_xy: np.ndarray):
 
 
 def _assess(data: DataMatrices):
-    """The moments, the assumption report and, when Sigma_XX has full rank
-    and a Cholesky factor, the eigensystem (else None), from one pass."""
+    """The moments, the assumption report, the eigensystem when Sigma_XX has
+    full rank and a Cholesky factor (else None) and ||Sigma_XY||_2, from one
+    pass and one SVD of Sigma_XX and Sigma_XY; ValueError if they overflow."""
     checks = []
     dims_ok = data.d_y <= data.d_x <= data.m
     checks.append(("dimension_order", dims_ok, (data.d_y, data.d_x, data.m), None))
 
     moments = _moments(data)
     sigma_xx, sigma_xy, _ = moments
-    rk_xx, rk_xy = numeric_ranks([sigma_xx, sigma_xy])
+    if not (np.isfinite(sigma_xx).all() and np.isfinite(sigma_xy).all()):
+        raise ValueError("the second moments Sigma_XX, Sigma_XY are not finite")
+    s = singular_values([sigma_xx, sigma_xy])
+    rk_xx, rk_xy = (rank_cut(s_M, M.shape, RankTolerance()) for s_M, M in zip(s, moments[:2]))
     checks.append(("sigma_xx_full_rank", rk_xx == data.d_x, rk_xx, data.d_x))
     checks.append(("sigma_xy_full_rank", rk_xy == data.d_y, rk_xy, data.d_y))
 
@@ -197,7 +197,8 @@ def _assess(data: DataMatrices):
         checks.append(("eigenvalue_gaps", False, None, None))
         checks.append(("sigma_invertible", False, None, None))
 
-    return AssumptionReport(holds=all(c[1] for c in checks), checks=checks), moments, eig
+    report = AssumptionReport(holds=all(c[1] for c in checks), checks=checks)
+    return report, moments, eig, float(s[1, 0])
 
 
 def check_assumption_h(data: DataMatrices) -> AssumptionReport:
@@ -214,7 +215,7 @@ def build_sigma_bundle(data: DataMatrices) -> SigmaBundle:
     (AssumptionViolated if any fails), from one pass over the samples.  Its
     arrays are read-only, like those of ``DataMatrices``, so what is derived
     from a bundle object stays valid for as long as that object lives."""
-    report, (sigma_xx, sigma_xy, sigma_yy), eig = _assess(data)
+    report, (sigma_xx, sigma_xy, sigma_yy), eig, sigma_xy_norm = _assess(data)
     if not report.holds:
         names = ", ".join(c[0] for c in report.failed())
         raise AssumptionViolated(f"assumption checks failed: {names}")
@@ -228,9 +229,11 @@ def build_sigma_bundle(data: DataMatrices) -> SigmaBundle:
         L=L,
         U=U,
         lambdas=s**2,
+        sigma_xy_norm=sigma_xy_norm,
     )
-    for f in fields(bundle):
-        getattr(bundle, f.name).flags.writeable = False
+    for M in vars(bundle).values():
+        if isinstance(M, np.ndarray):
+            M.flags.writeable = False
     return bundle
 
 

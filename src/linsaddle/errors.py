@@ -57,10 +57,6 @@ class TooLarge(LinSaddleError):
     """Problem size exceeds a guard intended for dense / exhaustive computation."""
 
 
-class TooDeep(LinSaddleError):
-    """Network depth exceeds the guard for exact polynomial expansion."""
-
-
 class ProbeNotConverged(LinSaddleError):
     """The Lanczos probe for the smallest Hessian eigenvalue did not converge."""
 

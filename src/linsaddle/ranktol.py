@@ -11,8 +11,10 @@ the thresholds live here, each compared with a quantity of its own units:
   absolute part at least that floor (relative defaults to max(shape) * eps);
   a chain of canonical Z blocks and G = Sigma_XY U_Q is zero when its
   Frobenius norm is at most its floor.  Spectra become ranks only in
-  ``rank_cut``, except for ``associated_support``'s cut at the gradient
-  level and ``analyze_pivot``'s closed form for an identity block;
+  ``rank_cut``, of one matrix's SVD (``numeric_rank``) or of a batched one
+  (``singular_values``, which the standing assumption takes of Sigma_XX and
+  Sigma_XY), except for ``associated_support``'s cut at the gradient level
+  and ``analyze_pivot``'s closed form for an identity block;
 - first-order criticality: ||grad|| <= TAU_CRIT_REL * criticality_scale,
   the natural size of a gradient, 1 + ||W|| (||Sigma_XX|| + ||Sigma_YX||);
 - canonical block equations: residual <= EPS_CANON (1 + ||W|| + ||C||),
@@ -83,8 +85,8 @@ def rank_cut(s: np.ndarray, shape: tuple[int, int], tol: RankTolerance) -> int:
 
 
 def numeric_rank(M: np.ndarray, tol: RankTolerance = RankTolerance()) -> int:
-    """``rank_cut`` of M's own unpadded SVD, which for one 6 x 4 matrix
-    costs two thirds of ``numeric_ranks``' zero-padded batch."""
+    """``rank_cut`` of M's own SVD, which for one 6 x 4 matrix costs two
+    thirds of a zero-padded ``singular_values`` batch."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
@@ -120,14 +122,6 @@ def spectral_norms(mats) -> list:
     """||M||_2 of each matrix (``singular_values``); an empty one has norm 0."""
     s = singular_values(mats)
     return s[:, 0].tolist() if s.size else [0.0] * len(s)
-
-
-def numeric_ranks(mats, tol: RankTolerance = RankTolerance()) -> list:
-    """``numeric_rank`` of each matrix from one batched SVD
-    (``singular_values``), each cut at the threshold of its own shape."""
-    if not all(np.isfinite(M).all() for M in mats):
-        raise ValueError("numeric_rank requires finite entries")
-    return [rank_cut(s, M.shape, tol) for M, s in zip(mats, singular_values(mats))]
 
 
 def chain_floor(H: int, factor_norms) -> float:

@@ -24,6 +24,30 @@ def grad_ok(w, bundle, tol=1e-9):
     return ls.gradient(w, bundle).frob_norm() <= tol * criticality_scale(w, bundle)
 
 
+# -- the refusals of support recovery and of the canonical block equations ----
+
+def test_support_recovery_refuses_an_ambiguous_projector(small_problem):
+    # K = W_3 W_2 = c u e_1^T, u = sqrt(0.3) U_1 + sqrt(0.7) U_2, puts the
+    # projector's diagonal entries 0.3 and 0.7 inside the band [0.25, 0.75].
+    _, b, shape = small_problem
+    u = np.sqrt(0.3) * b.U[:, 0] + np.sqrt(0.7) * b.U[:, 1]
+    c, e1 = 1e4, np.eye(5)[0]
+    w = ls.Weights([np.outer(e1, u @ b.sigma_yx_sigma_xx_inv / c), c * np.eye(5),
+                    np.outer(u, e1)], shape)
+    with pytest.raises(ls.AmbiguousProjector, match="in the ambiguity band"):
+        ls.associated_support(w, b, tau_crit=10.0 * criticality_scale(w, b))
+
+
+def test_canonical_blocks_refuse_weights_off_the_block_form(small_problem):
+    # A D_1 that mixes a signal axis into a kernel axis leaves W_2 off the
+    # block form [[I_r, 0], [0, Z_2]].
+    _, b, shape = small_problem
+    w = ls.build_example_family(2, "tightened", b, shape)
+    wt = transform_weights(w, [np.eye(5) + np.eye(5, k=1), np.eye(5)])
+    with pytest.raises(ls.DegenerateBasis, match="canonical residual .* exceeds tolerance"):
+        critical_points._canonical_blocks(wt, b, (1, 2), wt.frob_norm(), ls.DegenerateBasis)
+
+
 def test_build_global_minimizer(small_problem):
     data, b, shape = small_problem
     r = shape.r_max  # 4
@@ -467,3 +491,39 @@ def test_canonical_form_refuses_an_ill_conditioned_basis(small_problem):
     w = transform_weights(w, [np.diag([1.0, 1e-9, 1.0, 1.0, 1.0]), np.eye(5)])
     with pytest.raises(ls.IllConditioned, match="canonical D_1 has condition number"):
         canonical_form(w, b)
+
+
+def _unbalanced_points(seed, draws):
+    """Critical points of random (S, Z, D) specs at depths 2 to 5, each with
+    one adjacent pair of layers rescaled, W_h -> a W_h and
+    W_{h+1} -> W_{h+1} / a, which keeps every product of the layers that
+    holds both or neither, hence the point and its verdict."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        H = int(rng.integers(2, 6))
+        d_x = int(rng.integers(2, 7))
+        d_y = int(rng.integers(1, d_x + 1))
+        dims = (d_x, *(int(rng.integers(1, 7)) for _ in range(H - 1)), d_y)
+        data = ls.generate_gaussian_data(d_x, d_y, d_x + 10, seed=int(rng.integers(2**31)))
+        if not ls.check_assumption_h(data).holds:
+            continue
+        b, shape = ls.build_sigma_bundle(data), ls.NetworkShape(dims)
+        spec = random_certified_spec(shape, d_y, rng)
+        w = build_critical_point(spec, b, shape)
+        for h in range(1, H):
+            for a in (1e-10, 1e-6, 1e-2, 1e2, 1e6, 1e10):
+                layers = list(w.layers)
+                layers[h - 1], layers[h] = a * layers[h - 1], layers[h] / a
+                yield b, spec, ls.Weights(layers, shape)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_form_of_unbalanced_layers(seed):
+    # D_h = [F_h | E_h] takes E_h at the size of the signal columns F_h,
+    # which follow the scale of the layers, so that cond(D_h) does not.
+    for b, spec, w in _unbalanced_points(seed, 40):
+        rec = canonical_form(w, b)
+        assert rec.support == spec.support
+        assert spec_verdict(rec, b) == spec_verdict(spec, b)
+        gm, gm2 = ls.global_map(w), ls.global_map(build_critical_point(rec, b, w.shape))
+        assert np.linalg.norm(gm - gm2) <= 1e-8 * (1 + np.linalg.norm(gm))

@@ -8,7 +8,6 @@ import linsaddle as ls
 import linsaddle.curvature as curvature
 from linsaddle.curvature import (
     MAX_DENSE_PARAMS,
-    MAX_TAYLOR_DEPTH,
     CurvatureCache,
     _choose_beta,
 )
@@ -26,6 +25,14 @@ from oracles import (
     polyfit_c2,
     second_difference_c2,
 )
+
+
+@pytest.mark.parametrize("pivot", [(2, 3), (4, 1), (3, 0)])
+def test_untightened_witness_refuses_a_pivot_off_the_triangle(small_problem, pivot):
+    _, b, shape = small_problem
+    w = ls.build_example_family(2, "non_tightened", b, shape)
+    with pytest.raises(ls.InvalidPivot, match=rf"1 <= j < i <= H, got \({pivot[0]}, {pivot[1]}\)"):
+        ls.witness_untightened(w, b, (1, 2), pivot)
 
 
 # ---------------------------------------------------------------------------
@@ -68,16 +75,6 @@ def test_taylor_low_order_terms(small_problem):
     g = ls.gradient(w, b)
     inner = sum(float(np.sum(G * V)) for G, V in zip(g.layers, v.layers))
     assert tc.coeffs[1] == pytest.approx(inner, rel=1e-9)
-
-
-def test_taylor_depth_guard():
-    dims = (2,) * (MAX_TAYLOR_DEPTH + 2)
-    shape = ls.NetworkShape(dims)
-    data = ls.generate_gaussian_data(2, 2, 10, seed=0)
-    rng = np.random.default_rng(0)
-    w = random_weights(shape, rng)
-    with pytest.raises(ls.TooDeep):
-        ls.taylor_coeffs(w, random_direction(shape, rng), data)
 
 
 def test_taylor_shape_mismatch(small_problem):
@@ -263,7 +260,7 @@ def test_lanczos_stops_on_an_invariant_krylov_space(distinct):
 
 @pytest.fixture(scope="module")
 def depth16_point():
-    """H = 16 with widths 3, beyond the exact expansion's depth guard."""
+    """H = 16 with widths 3."""
     shape = ls.NetworkShape((4,) + (3,) * 15 + (3,))
     data = ls.generate_gaussian_data(4, 3, 20, seed=4)
     w = random_weights(shape, np.random.default_rng(50), scale=0.8)
@@ -273,13 +270,39 @@ def depth16_point():
 def test_c2_at_depth_16_matches_second_difference(depth16_point):
     data, shape, w = depth16_point
     rng = np.random.default_rng(51)
-    assert shape.H > MAX_TAYLOR_DEPTH
-    with pytest.raises(ls.TooDeep):
-        ls.taylor_coeffs(w, random_direction(shape, rng), data)
     for _ in range(4):
         v = random_direction(shape, rng)
         sd = second_difference_c2(list(w.layers), list(v.layers), data.X, data.Y)
         assert ls.c2_value(w, v, data) == pytest.approx(sd, rel=1e-4, abs=1e-4)
+
+
+@pytest.fixture(scope="module")
+def depth24_point():
+    """The non-tightened example of widths 20 at depth 24, r = 2."""
+    data = ls.generate_gaussian_data(20, 6, 60, seed=0)
+    shape = ls.NetworkShape((20,) * 24 + (6,))
+    return data, shape, ls.build_example_family(2, "non_tightened", ls.build_sigma_bundle(data),
+                                                shape, interior="identity")
+
+
+@pytest.mark.parametrize("point", ["depth16_point", "depth24_point"])
+def test_taylor_is_exact_at_depth(request, point):
+    # The expansion has no depth limit.  Its c_0 and c_2 take the forms of
+    # loss and c2_value, so they are theirs bit for bit, and the bundle holds
+    # the moments of one pass over the samples, so it gives the same bits.
+    data, shape, w = request.getfixturevalue(point)
+    b = ls.build_sigma_bundle(data)
+    rng = np.random.default_rng(59)
+    for _ in range(2):
+        v = ls.Direction([V / np.sqrt(V.shape[1]) for V in random_direction(shape, rng).layers],
+                         shape)
+        tc = ls.taylor_coeffs(w, v, data)
+        assert len(tc.coeffs) == 2 * shape.H + 1
+        assert np.array_equal(ls.taylor_coeffs(w, v, b).coeffs, tc.coeffs)
+        assert tc.coeffs[0] == ls.loss(w, b) and tc.c2 == ls.c2_value(w, v, data)
+        for t in (-0.3, -0.05, 0.1, 0.3):
+            ref = line_loss(list(w.layers), list(v.layers), data.X, data.Y, t)
+            assert tc.value(t) == pytest.approx(ref, rel=1e-9)
 
 
 def test_hessian_matvec_at_depth_16_matches_polarization(depth16_point):
@@ -738,10 +761,8 @@ def test_line_orders_read_the_prefix_table_bit_for_bit(monkeypatch, deep_problem
                                             deep_shape, interior="identity"))]
 
     def values(w, vs, data):
-        out = [ls.c2_value(w, v, data) for v in vs]
-        if w.shape.H <= MAX_TAYLOR_DEPTH:
-            out += [c for v in vs for c in ls.taylor_coeffs(w, v, data).coeffs]
-        return out
+        return ([ls.c2_value(w, v, data) for v in vs]
+                + [c for v in vs for c in ls.taylor_coeffs(w, v, data).coeffs])
 
     for data, w in cases:
         vs = [random_direction(w.shape, rng) for _ in range(3)]

@@ -5,6 +5,7 @@ import pytest
 
 import linsaddle as ls
 from linsaddle import data_model
+from linsaddle.cli import main
 from linsaddle.data_model import read_matrix_csv, write_matrix_csv
 
 from oracles import full_svd_bundle, loop_svd_signs, reference_eigensystem
@@ -23,6 +24,32 @@ def test_generate_rejects_bad_dims():
         ls.generate_gaussian_data(3, 5, 20, seed=0)  # d_y > d_x
     with pytest.raises(ls.InvalidShape):
         ls.generate_gaussian_data(5, 3, 4, seed=0)  # m < d_x
+
+
+def test_moments_that_overflow_are_refused(tmp_path, caplog):
+    # Finite entries near 1e200 make X X^T overflow: the assumption check,
+    # the bundle and the CLI refuse the data (exit 2) instead of cutting
+    # ranks of infinite moments.
+    data = ls.generate_gaussian_data(6, 4, 30, seed=0)
+    big = ls.DataMatrices(X=1e200 * data.X, Y=data.Y)
+    with np.errstate(over="ignore"):
+        for build in (ls.check_assumption_h, ls.build_sigma_bundle):
+            with pytest.raises(ValueError, match="second moments .* are not finite"):
+                build(big)
+        write_matrix_csv(tmp_path / "X.csv", big.X)
+        write_matrix_csv(tmp_path / "Y.csv", big.Y)
+        w = tmp_path / "w.json"
+        w.write_text(ls.weights_to_json(ls.Weights(
+            [np.ones((5, 6)), np.ones((5, 5)), np.ones((4, 5))], ls.NetworkShape((6, 5, 5, 4)))))
+        code = main(["classify", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv"),
+                     "--weights", str(w)])
+    assert code == 2 and "not finite" in caplog.text
+
+
+def test_bundle_keeps_the_norm_of_sigma_xy_from_the_rank_cut(small_problem):
+    _, b, _ = small_problem
+    assert isinstance(b.sigma_xy_norm, float)
+    assert b.sigma_xy_norm == pytest.approx(np.linalg.norm(b.sigma_xy, 2), rel=1e-14)
 
 
 def test_assumption_report_on_good_data(small_problem):
@@ -154,8 +181,9 @@ def test_bundle_arrays_are_read_only():
     # weights) stays valid only if the bundle cannot change in place.
     b = ls.build_sigma_bundle(ls.generate_gaussian_data(6, 4, 50, seed=9))
     for f in fields(b):
-        with pytest.raises(ValueError):
-            getattr(b, f.name)[0] = 0.0
+        if f.name != "sigma_xy_norm":  # the one float field
+            with pytest.raises(ValueError):
+                getattr(b, f.name)[0] = 0.0
 
 
 def test_regression_map_is_solved_once_per_bundle():

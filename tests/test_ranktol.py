@@ -3,7 +3,7 @@ import pytest
 
 import linsaddle as ls
 from linsaddle.curvature import _kernel_basis
-from linsaddle.ranktol import RankTolerance, floored, numeric_ranks, rank_cut
+from linsaddle.ranktol import RankTolerance, floored, rank_cut
 
 
 def test_rank_cut_counts_strictly_above_the_threshold():
@@ -25,16 +25,6 @@ def test_numeric_rank_of_empty_and_non_finite_matrices():
     assert ls.numeric_rank(np.zeros((3, 0))) == 0
     with pytest.raises(ValueError, match="numeric_rank requires finite entries"):
         ls.numeric_rank(np.array([[1.0, np.nan]]))
-
-
-def test_numeric_ranks_is_numeric_rank_of_each_matrix():
-    rng = np.random.default_rng(4)
-    mats = [rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6)), np.zeros((3, 3)),
-            rng.standard_normal((5, 3)), np.zeros((0, 2))]
-    for tol in (RankTolerance(), RankTolerance(relative=1e-3)):
-        assert numeric_ranks(mats, tol) == [ls.numeric_rank(M, tol) for M in mats] == [2, 0, 3, 0]
-    with pytest.raises(ValueError, match="numeric_rank requires finite entries"):
-        numeric_ranks([np.eye(2), np.array([[np.inf, 0.0]])])
 
 
 @pytest.mark.parametrize("shape", [(4, 6), (6, 4), (5, 5), (3, 7)])

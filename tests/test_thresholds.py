@@ -66,14 +66,13 @@ def test_canonical_form_snaps_a_block_at_eps_canon_of_its_layer(small_problem, t
         assert np.linalg.norm(Z1 - z[0]) <= 1e-6 * np.linalg.norm(z[0])
 
 
-@pytest.mark.parametrize("k, verdict", [(30.0, "strict_saddle"), (3.0, "non_strict_saddle")])
-def test_approximate_pivot_ranks_cut_at_10_times_the_gradient_level(small_problem, k, verdict):
-    # The tightened example with W_1's signal rows moved by delta E: the
-    # gradient grows with delta while the rank of every pivot block stays r.
-    # Then Z_2 = diag(eps, 0, 0) adds eps to the middle block W_2 of pivot
-    # (3, 1), whose outer block Sigma_XY has rank d_y > r; the gradient does
-    # not see Z_2 because Z_1 and Z_3 are zero.
-    data, b, shape = small_problem
+def _near_tightened_point(b, shape, k):
+    """The tightened example with W_1's signal rows moved by delta E: the
+    gradient grows with delta while the rank of every pivot block stays r.
+    Then Z_2 = diag(eps, 0, 0), eps = k times the gradient level, adds eps
+    to the middle block W_2 of pivot (3, 1), whose outer block Sigma_XY has
+    rank d_y > r; the gradient does not see Z_2 because Z_1 and Z_3 are
+    zero.  Returns the point, its gradient norm and the level."""
     w = ls.build_example_family(2, "tightened", b, shape)
     layers = [M.copy() for M in w.layers]
     layers[0][:2] += 1e-6 * np.random.default_rng(42).standard_normal((2, shape.d_x))
@@ -83,8 +82,28 @@ def test_approximate_pivot_ranks_cut_at_10_times_the_gradient_level(small_proble
     assert 1e-9 < level < 1e-5
     layers = [M.copy() for M in w.layers]
     layers[1][2, 2] = k * level
-    res = ls.classify(ls.Weights(layers, shape), b, data, tau_crit=gn / 10)
+    return ls.Weights(layers, shape), gn, level
+
+
+@pytest.mark.parametrize("k, verdict", [(30.0, "strict_saddle"), (3.0, "non_strict_saddle")])
+def test_approximate_pivot_ranks_cut_at_10_times_the_gradient_level(small_problem, k, verdict):
+    data, b, shape = small_problem
+    w, gn, _ = _near_tightened_point(b, shape, k)
+    res = ls.classify(w, b, data, tau_crit=gn / 10)
     assert res.approximate and res.verdict == verdict
+
+
+def test_approximate_pivot_ranks_keep_a_looser_caller_tolerance(small_problem):
+    # At a relative tolerance of 100 levels the eps = 30 levels of Z_2 are
+    # noise: the exact path (tau = 10 gn) says so, and the approximate path
+    # (tau = gn / 10) must too, loosening the caller's cut but never
+    # tightening it to its own 10 levels.
+    data, b, shape = small_problem
+    w, gn, level = _near_tightened_point(b, shape, 30.0)
+    tol = ls.RankTolerance(relative=100.0 * level)
+    for tau, approximate in [(10.0 * gn, False), (gn / 10, True)]:
+        res = ls.classify(w, b, data, rank_tol=tol, tau_crit=tau)
+        assert (res.approximate, res.verdict) == (approximate, "non_strict_saddle")
 
 
 @pytest.mark.parametrize("share, ambiguous", [(0.3, True), (0.2, False)])

@@ -49,7 +49,7 @@ MUTANTS = (
     ("classify band 100 tau -> 1000 tau", "classifier.py", "tests/test_classifier.py",
      "if gn > 100.0 * tau:", "if gn > 1000.0 * tau:"),
     ("approximate rank tolerance 10 -> 1 gn/scale", "classifier.py",
-     "tests/test_thresholds.py", "relative=10.0 * gn / scale", "relative=1.0 * gn / scale"),
+     "tests/test_thresholds.py", "or 0.0, 10.0 * gn / scale)", "or 0.0, 1.0 * gn / scale)"),
     ("ambiguity band [0.25, 0.75] -> [0.35, 0.65]", "critical_points.py",
      "tests/test_thresholds.py",
      "(diag >= 0.25) & (diag <= 0.75)", "(diag >= 0.35) & (diag <= 0.65)"),
