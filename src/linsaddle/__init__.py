@@ -31,7 +31,6 @@ from .critical_points import (
 from .curvature import (
     CurvatureCache,
     FtStDecomposition,
-    TaylorCoeffs,
     TightenedStructure,
     WitnessCase,
     c2_value,

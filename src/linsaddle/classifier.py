@@ -28,9 +28,9 @@ from .data_model import DataMatrices, SigmaBundle
 from .errors import InternalInconsistency, NotApplicable
 from .network import Weights, global_map, gradient, partial_middle, partial_prefix, partial_suffix
 from .ranktol import (  # RankTolerance and numeric_rank are re-exported
-    TAU_CRIT_REL,
     RankTolerance,
     criticality_scale,
+    criticality_tol,
     floored,
     numeric_rank,
 )
@@ -140,7 +140,7 @@ def classify(
     """
     gn = gradient(w, bundle).frob_norm()
     scale = criticality_scale(w, bundle)
-    tau = TAU_CRIT_REL * scale if tau_crit is None else tau_crit
+    tau = criticality_tol(tau_crit, scale)
     if gn > 100.0 * tau:
         return Classification(
             verdict=NOT_CRITICAL, support=None, r=None, critical_value=None,

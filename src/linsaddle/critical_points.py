@@ -46,10 +46,10 @@ from .network import (
 from .ranktol import (
     D_COND_LIMIT,
     EPS_CANON,
-    TAU_CRIT_REL,
     RankTolerance,
     chain_floor,
     criticality_scale,
+    criticality_tol,
     floored,
     frob,
     spectral_norms,
@@ -59,7 +59,10 @@ MAX_SUPPORTS = 2**20  # enumerate_critical_values lists no more supports: all of
 
 
 def z_block_shape(shape: NetworkShape, r: int, h: int) -> tuple[int, int]:
-    """Shape of the free block Z_h for support size r (1-based h)."""
+    """Shape of the free block Z_h for support size r (1-based h); InvalidShape
+    unless 1 <= h <= H, so a spec with too many blocks is refused here."""
+    if not 1 <= h <= shape.H:
+        raise InvalidShape(f"Z_{h}: the network has {shape.H} layers")
     if h == 1:
         return (shape.dims[1] - r, shape.d_x)
     if h == shape.H:
@@ -310,7 +313,7 @@ def associated_support(
         scale = criticality_scale(w, bundle)
     else:
         gn, scale = _gate
-    tau = TAU_CRIT_REL * scale if tau_crit is None else tau_crit
+    tau = criticality_tol(tau_crit, scale)
     approximate = bool(gn > tau)
     if approximate and _gate is None:
         raise NotCritical(f"gradient norm {gn:.3g} exceeds tolerance {tau:.3g}")

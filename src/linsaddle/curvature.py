@@ -59,21 +59,6 @@ _BASIS_BYTES = (1 << 22) - 1  # the Lanczos basis's first allocation
 # Exact polynomial expansion of the loss along a line.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TaylorCoeffs:
-    """Coefficients c_0 .. c_{2H} of t -> L(W + t V)."""
-
-    coeffs: np.ndarray
-
-    def value(self, t: float) -> float:
-        # highest degree first for polyval
-        return float(np.polyval(self.coeffs[::-1], t))
-
-    @property
-    def c2(self) -> float:
-        return float(self.coeffs[2])
-
-
 def _line_orders(w: Weights, v: Direction, order: int) -> list:
     """A_0 .. A_order: the terms of (W_H + t V_H) ... (W_1 + t V_1) grouped
     by their power of t, where A_k sums every way of substituting k layers by
@@ -92,25 +77,26 @@ def _line_orders(w: Weights, v: Direction, order: int) -> list:
     return A
 
 
-def taylor_coeffs(w: Weights, v: Direction, data: DataMatrices | SigmaBundle) -> TaylorCoeffs:
-    """Exact coefficients of the degree-2H polynomial t -> L(W + t V), at any
-    depth.  With A_k the line orders and E of the ``CurvatureCache``, c_0 is
-    the loss ``products_loss(A_0, E)`` and, for n >= 1,
-    c_n = sum_{k + l = n; k, l >= 1} <A_k Sigma_XX, A_l> + 2 <A_n, E>, the
-    form of ``CurvatureCache.c2_threshold``: c_0 and c_2 are ``loss`` and
-    ``c2_value`` bit for bit."""
+def taylor_coeffs(w: Weights, v: Direction, bundle: SigmaBundle) -> np.ndarray:
+    """Exact coefficients c_0 .. c_{2H} of the degree-2H polynomial
+    t -> L(W + t V), at any depth, lowest degree first (the order of
+    ``np.polynomial.polynomial.polyval``).  With A_k the line orders and E
+    of the ``CurvatureCache``, c_0 is the loss ``products_loss(A_0, E)`` and,
+    for n >= 1, c_n = sum_{k + l = n; k, l >= 1} <A_k Sigma_XX, A_l> +
+    2 <A_n, E>, the form of ``CurvatureCache.c2_threshold``: c_0 and c_2 are
+    ``loss`` and ``c2_value`` bit for bit."""
     if v.shape.dims != w.shape.dims:
         raise InvalidShape("direction shape does not match weights")
-    cache, H = CurvatureCache(w, data), w.shape.H
+    cache, H = CurvatureCache(w, bundle), w.shape.H
     A = _line_orders(w, v, H)
     coeffs = np.zeros(2 * H + 1)
-    coeffs[0] = products_loss(A[0], cache.E, cache)
+    coeffs[0] = products_loss(A[0], cache.E, bundle)
     for k in range(1, H + 1):
         AS = A[k] @ cache.sigma_xx
         for l in range(1, H + 1):
             coeffs[k + l] += float(np.sum(AS * A[l]))
         coeffs[k] += 2.0 * float(np.sum(A[k] * cache.E))
-    return TaylorCoeffs(coeffs=coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +107,7 @@ class CurvatureCache:
     """Forward and backward passes at a fixed W for repeated c2 evaluation
     and Hessian-vector products, in the second moments of the data.
 
-    Takes Sigma_XX, Sigma_YX and Sigma_YY (whose trace, taken on first use,
-    only ``taylor_coeffs`` reads) from a ``SigmaBundle``, or from one moment
+    Takes Sigma_XX and Sigma_YX from a ``SigmaBundle``, or from one moment
     pass of ``data_model`` over the samples of ``DataMatrices``, and keeps
     E = W_H..W_1 Sigma_XX - Sigma_YX (which is R X^T for the residual
     R = W_H..W_1 X - Y) and, built on the first Hessian-vector product, the
@@ -147,15 +132,10 @@ class CurvatureCache:
             raise InvalidShape("weights incompatible with data")
         self.w = w
         self.H = w.shape.H
-        self.sigma_xx, sigma_xy, self._sigma_yy = (
-            (data.sigma_xx, data.sigma_xy, data.sigma_yy) if isinstance(data, SigmaBundle)
-            else _moments(data))
+        self.sigma_xx, sigma_xy = (
+            (data.sigma_xx, data.sigma_xy) if isinstance(data, SigmaBundle) else _moments(data)[:2])
         self.sigma_yx = sigma_xy.T
         self.E = residual_moment(global_map(w), self)  # reads sigma_xx, sigma_yx
-
-    @cached_property
-    def sigma_yy_trace(self) -> float:
-        return float(np.trace(self._sigma_yy))
 
     @cached_property
     def P(self) -> list:
@@ -331,9 +311,11 @@ def hessian_min_eig(
     w: Weights, data: DataMatrices, mode: str = "dense", tol: float = 1e-6,
     return_vector: bool = False,
 ):
-    """Smallest eigenvalue of the Hessian at W: dense eigh for small nets,
-    matrix-free Lanczos probe otherwise.  With return_vector the matching
-    eigenvector is reshaped to a Direction and returned alongside.
+    """Smallest eigenvalue of the Hessian at W: one dense eigh for small
+    nets, whether or not the vector is asked for, so that the value does not
+    depend on return_vector; matrix-free Lanczos probe otherwise.  With
+    return_vector the matching eigenvector is reshaped to a Direction and
+    returned alongside.
 
     The probe (``_lanczos_min``) starts from a seeded vector, so it repeats
     exactly, and finds a zero lambda_min at non-strict saddles.  Each
@@ -344,18 +326,13 @@ def hessian_min_eig(
     at every step).  A probe short of that after PROBE_MAXITER steps raises
     ProbeNotConverged."""
     if mode == "dense":
-        M = hessian_dense(w, data)
-        if not return_vector:  # eigvalsh takes about half the time of eigh at n = 1200
-            return float(np.linalg.eigvalsh(M)[0])
-        vals, vecs = np.linalg.eigh(M)
+        vals, vecs = np.linalg.eigh(hessian_dense(w, data))
         lam, vec = float(vals[0]), vecs[:, 0]
     elif mode == "probe":
         lam, vec = _lanczos_min(CurvatureCache(w, data).hessian_matvec, w.shape.n_params, tol)
-        if not return_vector:
-            return lam
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return lam, Direction(unflatten(vec, w.shape.dims), w.shape)
+    return (lam, Direction(unflatten(vec, w.shape.dims), w.shape)) if return_vector else lam
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,10 @@ class DataMatrices:
 
 @dataclass(frozen=True)
 class SigmaBundle:
-    """The second moments of the data, ||Sigma_XY||_2 and the eigensystem
-    of Sigma = Sigma_YX Sigma_XX^{-1} Sigma_XY; every array is d_x- or
-    d_y-sized, none has an axis of length m.  Sigma itself is not kept:
+    """The second moments of the data, its sample count m, ||Sigma_XY||_2
+    and the eigensystem of Sigma = Sigma_YX Sigma_XX^{-1} Sigma_XY; every
+    array is d_x- or d_y-sized, none has an axis of length m.  Sigma itself
+    is not kept:
     U diag(lambda) U^T is it to rounding, since LAPACK's SVD is backward
     stable (``_eigensystem``)."""
 
@@ -75,6 +76,7 @@ class SigmaBundle:
     U: np.ndarray  # d_y x d_y orthogonal, eigenvectors of Sigma
     lambdas: np.ndarray  # strictly decreasing, positive, length d_y
     sigma_xy_norm: float  # ||Sigma_XY||_2, from the SVD that ranks it in _assess
+    m: int  # the sample count, which scales the escape experiment's gradient
 
     @property
     def d_x(self) -> int:
@@ -230,6 +232,7 @@ def build_sigma_bundle(data: DataMatrices) -> SigmaBundle:
         U=U,
         lambdas=s**2,
         sigma_xy_norm=sigma_xy_norm,
+        m=data.m,
     )
     for M in vars(bundle).values():
         if isinstance(M, np.ndarray):

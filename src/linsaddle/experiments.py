@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .critical_points import build_example_family, critical_value
-from .data_model import DataMatrices, SigmaBundle, build_sigma_bundle, generate_gaussian_data
+from .data_model import SigmaBundle, build_sigma_bundle, generate_gaussian_data
 from .errors import InvalidRank, InvalidShape
 from .network import (NetworkShape, Weights, flatten, prefix_products, products_gradient,
                       products_loss, residual_moment, unflatten)
@@ -120,12 +120,13 @@ def _adam_step(g, m1, m2, tmp, epoch: int, lr: float, gscale: float) -> None:
 def train_runs(
     w0s,
     bundle: SigmaBundle,
-    data: DataMatrices,
     opt: OptimizerConfig = OptimizerConfig(),
     max_epochs: int = 2000,
 ):
-    """Full-batch training of the networks w0s (one shape) side by side; one
-    epoch = one parameter update of every run still training.
+    """Full-batch training of the networks w0s (one shape) side by side on
+    the data of ``bundle``, which is read only through its moments and its
+    sample count m; one epoch = one parameter update of every run still
+    training.
 
     The runs' parameter vectors are the rows of one array, whose layer views
     are (n, d_h, d_{h-1}) stacks; each epoch is one batched pass (gradient,
@@ -155,9 +156,9 @@ def train_runs(
     shape = w0s[0].shape
     if any(w.shape != shape for w in w0s):
         raise InvalidShape("runs of different shapes")
-    if shape.d_x != data.d_x or shape.d_y != data.d_y:
+    if shape.d_x != bundle.d_x or shape.d_y != bundle.d_y:
         raise InvalidShape("weights incompatible with data dimensions")
-    gscale = 1.0 / (data.m * data.d_y)  # the gradient of the mean squared error
+    gscale = 1.0 / (bundle.m * bundle.d_y)  # the gradient of the mean squared error
     W = np.stack([flatten(w.layers) for w in w0s])  # one row per live run
     g, m1, m2, tmp = np.empty_like(W), np.zeros_like(W), np.zeros_like(W), np.empty_like(W)
     layers, blocks = unflatten(W, shape.dims), unflatten(g, shape.dims)
@@ -215,8 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     data_seed and run k perturbs with seed data_seed + k, so results do not
     depend on scheduling or ordering."""
     shape = NetworkShape(cfg.dims)
-    data = generate_gaussian_data(shape.d_x, shape.d_y, cfg.m, cfg.data_seed)
-    bundle = build_sigma_bundle(data)
+    bundle = build_sigma_bundle(generate_gaussian_data(shape.d_x, shape.d_y, cfg.m, cfg.data_seed))
     w_star = build_example_family(cfg.r, cfg.variant, bundle, shape, interior="identity")
     threshold = escape_threshold(bundle, cfg.r)
 
@@ -224,7 +224,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
         perturb_near(w_star, cfg.perturb_scale, cfg.data_seed + k)
         for k in range(cfg.n_runs)
     ]
-    _, traces, diverged = train_runs(w0s, bundle, data, cfg.optimizer, cfg.max_epochs)
+    _, traces, diverged = train_runs(w0s, bundle, cfg.optimizer, cfg.max_epochs)
     return [
         EscapeRun(
             run_index=k,

@@ -35,7 +35,8 @@ the thresholds live here, each compared with a quantity of its own units:
 
 Only the rank tolerance (``--tol-rank``), the criticality tolerance
 (``--tol-crit``) and the probe's tolerance (``--tol-eig``) are inputs; the
-constants are fixed.
+constants are fixed.  A negative or non-finite input is refused with
+ValueError (``RankTolerance``, ``criticality_tol``).
 """
 
 from __future__ import annotations
@@ -63,11 +64,18 @@ _EPS = float(np.finfo(float).eps)
 class RankTolerance:
     """Singular values are counted if > absolute + relative * sigma_max.
 
-    relative=None means the numpy-style default max(rows, cols) * eps.
+    relative=None means the numpy-style default max(rows, cols) * eps.  Both
+    parts must be finite and nonnegative (ValueError).
     """
 
     absolute: float = 0.0
     relative: float | None = None
+
+    def __post_init__(self):
+        if not (0.0 <= self.absolute < math.inf
+                and (self.relative is None or 0.0 <= self.relative < math.inf)):
+            raise ValueError(f"rank tolerance parts must be finite and nonnegative, "
+                             f"got absolute={self.absolute}, relative={self.relative}")
 
     def threshold(self, shape: tuple[int, int], sigma_max: float) -> float:
         rel = self.relative
@@ -99,6 +107,17 @@ def criticality_scale(w: Weights, bundle: SigmaBundle) -> float:
     """Natural magnitude of gradient entries at generic weights."""
     data_norm = frob(bundle.sigma_xx) + frob(bundle.sigma_yx)
     return 1.0 + w.frob_norm() * data_norm
+
+
+def criticality_tol(tau_crit: float | None, scale: float) -> float:
+    """The gradient-norm tolerance of first-order criticality: the caller's
+    tau_crit, which must be finite and nonnegative (ValueError), or by
+    default TAU_CRIT_REL times the ``criticality_scale``."""
+    if tau_crit is None:
+        return TAU_CRIT_REL * scale
+    if not 0.0 <= tau_crit < math.inf:
+        raise ValueError(f"criticality tolerance must be finite and nonnegative, got {tau_crit}")
+    return tau_crit
 
 
 def frob(*blocks) -> float:

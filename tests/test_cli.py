@@ -164,6 +164,51 @@ def test_construct_refuses_a_spec_that_is_not_critical(tmp_path, capsys, masked_
     assert code == 2
 
 
+def test_construct_refuses_a_spec_with_more_z_blocks_than_layers(tmp_path, capsys, data_files):
+    x, y = data_files
+    wpath = str(tmp_path / "w.json")
+    run_cli(capsys, "construct", "--x", x, "--y", y, "--dims", "6,5,5,4",
+            "--variant", "tightened", "--r", "2", "--out", wpath)
+    code, out = run_cli(capsys, "canonicalize", "--x", x, "--y", y, "--weights", wpath)
+    assert code == 0
+    obj = json.loads(out)
+    obj["z_blocks"].append(obj["z_blocks"][-1])
+    spath = tmp_path / "spec.json"
+    spath.write_text(json.dumps(obj))
+    code, _ = run_cli(capsys, "construct", "--x", x, "--y", y,
+                      "--dims", "6,5,5,4", "--spec", str(spath))
+    assert code == 2
+
+
+@pytest.mark.parametrize("variant, perturb, flag, value", [
+    ("tightened", False, "--tol-rank", "-1"),
+    ("non_tightened", False, "--tol-rank", "-1"),
+    ("tightened", False, "--tol-rank", "nan"),
+    ("tightened", True, "--tol-crit", "nan"),
+    ("tightened", True, "--tol-crit", "inf"),
+    ("tightened", True, "--tol-crit", "-1e-3"),
+])
+def test_classify_refuses_an_invalid_tolerance(tmp_path, capsys, caplog, data_files,
+                                               variant, perturb, flag, value):
+    # Critical example points, and the tightened one with W_1[0, 0] += 0.3,
+    # which is not critical: a negative rank cut or a comparison with NaN
+    # would give exit 3, a verdict or a NotCritical that names no tolerance.
+    x, y = data_files
+    wpath = tmp_path / "w.json"
+    run_cli(capsys, "construct", "--x", x, "--y", y, "--dims", "6,5,5,4",
+            "--variant", variant, "--r", "2", "--out", str(wpath))
+    if perturb:
+        w = ls.weights_from_json(wpath.read_text())
+        layers = [M.copy() for M in w.layers]
+        layers[0][0, 0] += 0.3
+        wpath.write_text(ls.weights_to_json(ls.Weights(layers, w.shape)))
+        code, out = run_cli(capsys, "classify", "--x", x, "--y", y, "--weights", str(wpath))
+        assert code == 0 and json.loads(out)["verdict"] == "not_critical"
+    code, _ = run_cli(capsys, "classify", "--x", x, "--y", y, "--weights", str(wpath),
+                      f"{flag}={value}")
+    assert code == 2 and "must be finite and nonnegative" in caplog.text
+
+
 def test_probe_output(tmp_path, capsys, data_files):
     x, y = data_files
     wpath = str(tmp_path / "w.json")

@@ -444,6 +444,21 @@ def test_spec_validation_refuses(support, z_count, d_blocks, error, match):
         CriticalPointSpec(support=support, z_blocks=z, d_blocks=d).validate(shape, 4)
 
 
+@pytest.mark.parametrize("h", [0, 4])
+def test_z_block_shape_refuses_a_layer_outside_the_network(h):
+    shape = ls.NetworkShape((6, 5, 3, 4))
+    with pytest.raises(ls.InvalidShape, match=f"Z_{h}: the network has 3 layers"):
+        z_block_shape(shape, 1, h)
+
+
+def test_spec_from_json_refuses_more_z_blocks_than_layers():
+    shape = ls.NetworkShape((6, 5, 3, 4))
+    z = [np.zeros(z_block_shape(shape, 1, h)).tolist() for h in (1, 2, 3, 3)]
+    text = json.dumps({"support": [1], "z_blocks": z, "d_blocks": None})
+    with pytest.raises(ls.InvalidShape, match="Z_4: the network has 3 layers"):
+        critical_points.spec_from_json(text, shape)
+
+
 def test_build_refuses_a_shape_of_other_data(small_problem):
     _, b, _ = small_problem
     shape = ls.NetworkShape((5, 5, 4))

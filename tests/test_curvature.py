@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 import linsaddle as ls
 import linsaddle.curvature as curvature
@@ -46,11 +47,11 @@ def test_taylor_matches_line_loss(small_problem, seed):
     rng = np.random.default_rng(seed)
     w = random_weights(shape, rng, scale=0.6)
     v = random_direction(shape, rng)
-    tc = ls.taylor_coeffs(w, v, data)
-    assert len(tc.coeffs) == 2 * shape.H + 1
+    c = ls.taylor_coeffs(w, v, b)
+    assert len(c) == 2 * shape.H + 1
     for t in [-1.3, -0.2, 0.0, 0.05, 0.7, 2.0]:
         ref = line_loss(list(w.layers), list(v.layers), data.X, data.Y, t)
-        assert tc.value(t) == pytest.approx(ref, rel=1e-10, abs=1e-10)
+        assert polyval(t, c) == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
 def test_taylor_coefficients_match_interpolation(small_problem):
@@ -58,10 +59,10 @@ def test_taylor_coefficients_match_interpolation(small_problem):
     rng = np.random.default_rng(5)
     w = random_weights(shape, rng, scale=0.5)
     v = random_direction(shape, rng)
-    tc = ls.taylor_coeffs(w, v, data)
+    c = ls.taylor_coeffs(w, v, b)
     ref = polyfit_c2(list(w.layers), list(v.layers), data.X, data.Y, 2 * shape.H)
     scale = np.abs(ref).max()
-    assert np.allclose(tc.coeffs, ref, atol=1e-8 * scale)
+    assert np.allclose(c, ref, atol=1e-8 * scale)
 
 
 def test_taylor_low_order_terms(small_problem):
@@ -70,20 +71,20 @@ def test_taylor_low_order_terms(small_problem):
     rng = np.random.default_rng(6)
     w = random_weights(shape, rng, scale=0.5)
     v = random_direction(shape, rng)
-    tc = ls.taylor_coeffs(w, v, data)
-    assert tc.coeffs[0] == pytest.approx(ls.loss(w, b), rel=1e-12)
+    c = ls.taylor_coeffs(w, v, b)
+    assert c[0] == pytest.approx(ls.loss(w, b), rel=1e-12)
     g = ls.gradient(w, b)
     inner = sum(float(np.sum(G * V)) for G, V in zip(g.layers, v.layers))
-    assert tc.coeffs[1] == pytest.approx(inner, rel=1e-9)
+    assert c[1] == pytest.approx(inner, rel=1e-9)
 
 
 def test_taylor_shape_mismatch(small_problem):
-    data, _, shape = small_problem
+    _, b, shape = small_problem
     rng = np.random.default_rng(1)
     w = random_weights(shape, rng)
     other = ls.NetworkShape((6, 3, 3, 4))
     with pytest.raises(ls.InvalidShape):
-        ls.taylor_coeffs(w, random_direction(other, rng), data)
+        ls.taylor_coeffs(w, random_direction(other, rng), b)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def test_c2_against_oracles(deep_problem, seed):
     w = random_weights(shape, rng, scale=0.5)
     v = random_direction(shape, rng)
     c2 = ls.c2_value(w, v, data)
-    assert c2 == pytest.approx(ls.taylor_coeffs(w, v, data).c2, rel=1e-10)
+    assert c2 == pytest.approx(ls.taylor_coeffs(w, v, b)[2], rel=1e-10)
     sd = second_difference_c2(list(w.layers), list(v.layers), data.X, data.Y)
     assert c2 == pytest.approx(sd, rel=1e-4, abs=1e-4)
 
@@ -175,6 +176,16 @@ def test_probe_matches_the_dense_spectrum_at_depth_8(variant):
     x = _flat(vec.layers)
     assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.norm(M @ x - lam * x) <= 1e-5 * np.linalg.norm(M, 2)
+
+
+@pytest.mark.parametrize("dims", [(6, 5, 5, 4), (7, 6, 5, 6, 4)])
+@pytest.mark.parametrize("variant", ["tightened", "non_tightened"])
+def test_dense_lambda_min_does_not_depend_on_return_vector(dims, variant):
+    # One eigensolver: eigvalsh and eigh differ in the last bits.
+    data = ls.generate_gaussian_data(dims[0], dims[-1], 30, seed=0)
+    shape = ls.NetworkShape(dims)
+    w = ls.build_example_family(2, variant, ls.build_sigma_bundle(data), shape)
+    assert ls.hessian_min_eig(w, data) == ls.hessian_min_eig(w, data, return_vector=True)[0]
 
 
 def _count_matvecs(monkeypatch) -> list:
@@ -288,21 +299,19 @@ def depth24_point():
 @pytest.mark.parametrize("point", ["depth16_point", "depth24_point"])
 def test_taylor_is_exact_at_depth(request, point):
     # The expansion has no depth limit.  Its c_0 and c_2 take the forms of
-    # loss and c2_value, so they are theirs bit for bit, and the bundle holds
-    # the moments of one pass over the samples, so it gives the same bits.
+    # loss and c2_value, so they are theirs bit for bit.
     data, shape, w = request.getfixturevalue(point)
     b = ls.build_sigma_bundle(data)
     rng = np.random.default_rng(59)
     for _ in range(2):
         v = ls.Direction([V / np.sqrt(V.shape[1]) for V in random_direction(shape, rng).layers],
                          shape)
-        tc = ls.taylor_coeffs(w, v, data)
-        assert len(tc.coeffs) == 2 * shape.H + 1
-        assert np.array_equal(ls.taylor_coeffs(w, v, b).coeffs, tc.coeffs)
-        assert tc.coeffs[0] == ls.loss(w, b) and tc.c2 == ls.c2_value(w, v, data)
+        c = ls.taylor_coeffs(w, v, b)
+        assert len(c) == 2 * shape.H + 1
+        assert c[0] == ls.loss(w, b) and c[2] == ls.c2_value(w, v, data)
         for t in (-0.3, -0.05, 0.1, 0.3):
             ref = line_loss(list(w.layers), list(v.layers), data.X, data.Y, t)
-            assert tc.value(t) == pytest.approx(ref, rel=1e-9)
+            assert polyval(t, c) == pytest.approx(ref, rel=1e-9)
 
 
 def test_hessian_matvec_at_depth_16_matches_polarization(depth16_point):
@@ -349,12 +358,12 @@ def test_eigenswap_witness_exact_polynomial(small_problem):
     # swap index 2 in, index 3 out
     assert wit.diagnostics["swap_in"] == 2 and wit.diagnostics["swap_out"] == 3
     assert wit.c2_predicted == pytest.approx(b.lambdas[2] - b.lambdas[1], rel=1e-12)
-    tc = ls.taylor_coeffs(w, wit.direction, data)
+    c = ls.taylor_coeffs(w, wit.direction, b)
     # the line is exactly L + (lambda_j - lambda_i) t^2 + lambda_i t^4
-    assert tc.coeffs[2] == pytest.approx(wit.c2_predicted, rel=1e-8)
-    assert tc.coeffs[4] == pytest.approx(b.lambdas[1], rel=1e-8)
-    others = np.delete(tc.coeffs, [0, 2, 4])
-    assert np.abs(others).max() < 1e-8 * (1 + np.abs(tc.coeffs).max())
+    assert c[2] == pytest.approx(wit.c2_predicted, rel=1e-8)
+    assert c[4] == pytest.approx(b.lambdas[1], rel=1e-8)
+    others = np.delete(c, [0, 2, 4])
+    assert np.abs(others).max() < 1e-8 * (1 + np.abs(c).max())
 
 
 def test_eigenswap_not_applicable_on_leading_support(small_problem):
@@ -760,16 +769,17 @@ def test_line_orders_read_the_prefix_table_bit_for_bit(monkeypatch, deep_problem
              (deep, ls.build_example_family(2, "non_tightened", ls.build_sigma_bundle(deep),
                                             deep_shape, interior="identity"))]
 
-    def values(w, vs, data):
+    def values(w, vs, data, b):
         return ([ls.c2_value(w, v, data) for v in vs]
-                + [c for v in vs for c in ls.taylor_coeffs(w, v, data).coeffs])
+                + [c for v in vs for c in ls.taylor_coeffs(w, v, b)])
 
     for data, w in cases:
+        b = ls.build_sigma_bundle(data)
         vs = [random_direction(w.shape, rng) for _ in range(3)]
-        new = values(w, vs, data)
+        new = values(w, vs, data, b)
         with monkeypatch.context() as patch:
             patch.setattr(curvature, "_line_orders", _old_line_orders)
-            assert values(w, vs, data) == new
+            assert values(w, vs, data, b) == new
 
 
 def _hessian_cases():

@@ -163,16 +163,18 @@ def test_sigma_half_identity(small_problem):
 
 def test_bundle_has_no_sample_axis():
     # Every bundle array is d_x- or d_y-sized, and the bundle no longer
-    # exposes the sample count or the m-sized SVD factors.
+    # exposes the m-sized SVD factors; it keeps the sample count as an int.
     m = 500
-    b = ls.build_sigma_bundle(ls.generate_gaussian_data(6, 4, m, seed=9))
+    data = ls.generate_gaussian_data(6, 4, m, seed=9)
+    b = ls.build_sigma_bundle(data)
+    assert b.m == data.m
     arrays = {k: v for k, v in vars(b).items() if isinstance(v, np.ndarray)}
     assert set(arrays) == {"sigma_xx", "sigma_xy", "sigma_yx", "sigma_yy", "L", "U",
                            "lambdas"}
     for name, arr in arrays.items():
         assert m not in arr.shape, name
         assert max(arr.shape) <= 6, name
-    for gone in ("m", "V", "delta", "sigma_half", "v_q_cols", "v_sprime_cols"):
+    for gone in ("V", "delta", "sigma_half", "v_q_cols", "v_sprime_cols"):
         assert not hasattr(b, gone)
 
 
@@ -181,7 +183,7 @@ def test_bundle_arrays_are_read_only():
     # weights) stays valid only if the bundle cannot change in place.
     b = ls.build_sigma_bundle(ls.generate_gaussian_data(6, 4, 50, seed=9))
     for f in fields(b):
-        if f.name != "sigma_xy_norm":  # the one float field
+        if f.name not in ("sigma_xy_norm", "m"):  # the two scalar fields
             with pytest.raises(ValueError):
                 getattr(b, f.name)[0] = 0.0
 

@@ -66,21 +66,21 @@ def test_perturb_near_zero_layer_fallback(small_problem):
 
 
 def test_train_runs_zero_lr_constant_trace(small_problem):
-    data, b, shape = small_problem
+    _, b, shape = small_problem
     w = random_weights(shape, np.random.default_rng(2), scale=0.3)
     opt = ls.OptimizerConfig(algorithm="gd", lr=0.0)
-    _, (trace,), _ = train_runs([w], b, data, opt, max_epochs=5)
+    _, (trace,), _ = train_runs([w], b, opt, max_epochs=5)
     assert len(trace) == 6
     assert all(t == trace[0] for t in trace)
 
 
 def test_gd_stays_at_critical_point(small_problem):
-    data, b, shape = small_problem
+    _, b, shape = small_problem
     rng = np.random.default_rng(3)
     spec = random_certified_spec(shape, b.d_y, rng, support=(1, 2))
     w = ls.build_critical_point(spec, b, shape)
     opt = ls.OptimizerConfig(algorithm="gd", lr=1e-3)
-    _, (trace,), _ = train_runs([w], b, data, opt, max_epochs=10)
+    _, (trace,), _ = train_runs([w], b, opt, max_epochs=10)
     assert np.allclose(trace, trace[0], rtol=1e-9)
 
 
@@ -90,22 +90,22 @@ def test_gd_monotone_decrease(small_problem):
     # The update scales the gradient by 1 / (m d_y), which lr undoes.
     lr = 1e-4 / np.linalg.norm(b.sigma_xx, 2) * data.m * data.d_y
     opt = ls.OptimizerConfig(algorithm="gd", lr=lr)
-    _, (trace,), _ = train_runs([w], b, data, opt, max_epochs=10)
+    _, (trace,), _ = train_runs([w], b, opt, max_epochs=10)
     assert all(trace[k + 1] < trace[k] for k in range(10))
 
 
 def test_train_runs_rejects_unknown_algorithm(small_problem):
-    data, b, shape = small_problem
+    _, b, shape = small_problem
     w = random_weights(shape, np.random.default_rng(5))
     with pytest.raises(ValueError):
-        train_runs([w], b, data, ls.OptimizerConfig(algorithm="lbfgs"))
+        train_runs([w], b, ls.OptimizerConfig(algorithm="lbfgs"))
 
 
 def test_train_runs_diverges_with_huge_lr(small_problem):
     data, b, shape = small_problem
     w = random_weights(shape, np.random.default_rng(6), scale=1.0)
     opt = ls.OptimizerConfig(algorithm="gd", lr=10.0 * data.m * data.d_y)
-    _, (trace,), diverged = train_runs([w], b, data, opt, max_epochs=50)
+    _, (trace,), diverged = train_runs([w], b, opt, max_epochs=50)
     assert diverged[0] and 2 <= len(trace) < 51  # the trace ends at the divergence
     assert not trace[-1] <= DIVERGE_LIMIT
 
@@ -214,10 +214,10 @@ def test_escape_epochs_are_pinned():
         assert [r.escape_epoch for r in runs] == epochs
 
 
-def serial_reference(w0, bundle, data, opt, max_epochs):
+def serial_reference(w0, bundle, opt, max_epochs):
     """One run, one epoch at a time, from the public Weights, gradient and
     loss: (final layers, trace, diverged)."""
-    gscale = 1.0 / (data.m * data.d_y)
+    gscale = 1.0 / (bundle.m * bundle.d_y)
     W = list(w0.layers)
     cur = w0
     trace = [ls.loss(cur, bundle)]
@@ -252,24 +252,24 @@ def serial_reference(w0, bundle, data, opt, max_epochs):
     ls.OptimizerConfig(algorithm="gd", lr=0.5),
 ])
 def test_train_runs_is_bitwise_the_serial_loop(small_problem, opt):
-    data, b, shape = small_problem
+    _, b, shape = small_problem
     rng = np.random.default_rng(7)
     w0s = [random_weights(shape, rng, scale=0.5) for _ in range(4)]
-    layers, traces, diverged = train_runs(w0s, b, data, opt, max_epochs=60)
+    layers, traces, diverged = train_runs(w0s, b, opt, max_epochs=60)
     assert not diverged.any()
     for k, w0 in enumerate(w0s):
-        ref_layers, ref_trace, ref_div = serial_reference(w0, b, data, opt, 60)
+        ref_layers, ref_trace, ref_div = serial_reference(w0, b, opt, 60)
         assert not ref_div
         assert traces[k].tolist() == ref_trace  # exact, not approximate
         for h in range(shape.H):
             assert np.array_equal(layers[h][k], ref_layers[h])
-    alone, (trace,), _ = train_runs([w0s[1]], b, data, opt, max_epochs=60)
+    alone, (trace,), _ = train_runs([w0s[1]], b, opt, max_epochs=60)
     assert np.array_equal(trace, traces[1])
     assert all(np.array_equal(alone[h][0], layers[h][1]) for h in range(shape.H))
 
 
 def test_diverging_run_is_frozen_alone(small_problem):
-    data, b, shape = small_problem
+    _, b, shape = small_problem
     rng = np.random.default_rng(8)
     opt = ls.OptimizerConfig(algorithm="gd", lr=0.05)
     w0s = [random_weights(shape, rng, scale=0.5) for _ in range(3)]
@@ -277,30 +277,30 @@ def test_diverging_run_is_frozen_alone(small_problem):
     with warnings.catch_warnings():
         # A frozen run that kept training would overflow within these epochs.
         warnings.simplefilter("error")
-        _, traces, diverged = train_runs(w0s, b, data, opt, max_epochs=200)
+        _, traces, diverged = train_runs(w0s, b, opt, max_epochs=200)
     assert diverged.tolist() == [False, True, False]
     assert len(traces[1]) < 201 and not traces[1][-1] <= DIVERGE_LIMIT
     for k, w0 in enumerate(w0s):
-        _, (alone,), div = train_runs([w0], b, data, opt, max_epochs=200)
+        _, (alone,), div = train_runs([w0], b, opt, max_epochs=200)
         assert np.array_equal(traces[k], alone) and div[0] == diverged[k]
-    _, ref_trace, ref_div = serial_reference(w0s[1], b, data, opt, 200)
+    _, ref_trace, ref_div = serial_reference(w0s[1], b, opt, 200)
     assert ref_div and ref_trace == traces[1].tolist()
 
 
 def test_diverging_adam_runs_leave_the_stack_alone(small_problem):
     # Runs stop after 3, 3 and 1 epochs: the two that train on must keep
     # their own rows of the Adam moments when the third leaves the stack.
-    data, b, shape = small_problem
+    _, b, shape = small_problem
     rng = np.random.default_rng(8)
     opt = ls.OptimizerConfig(algorithm="adam", lr=18.0)
     w0s = [random_weights(shape, rng, scale=0.5) for _ in range(3)]
     w0s[1] = ls.Weights([20.0 * M for M in w0s[1].layers], shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, traces, diverged = train_runs(w0s, b, data, opt, max_epochs=200)
+        _, traces, diverged = train_runs(w0s, b, opt, max_epochs=200)
         assert [len(t) for t in traces] == [4, 4, 2] and diverged.all()
         for k, w0 in enumerate(w0s):
-            _, (alone,), _ = train_runs([w0], b, data, opt, max_epochs=200)
+            _, (alone,), _ = train_runs([w0], b, opt, max_epochs=200)
             assert np.array_equal(traces[k], alone)
 
 
@@ -333,29 +333,35 @@ def test_adam_step_is_the_textbook_update():
 
 
 def test_train_runs_edge_cases(small_problem):
-    data, b, shape = small_problem
+    _, b, shape = small_problem
     w = random_weights(shape, np.random.default_rng(9))
-    layers, traces, diverged = train_runs([], b, data)
+    layers, traces, diverged = train_runs([], b)
     assert layers == [] and traces == [] and diverged.size == 0
-    _, (trace,), diverged = train_runs([w], b, data, max_epochs=0)
+    _, (trace,), diverged = train_runs([w], b, max_epochs=0)
     assert trace.tolist() == [ls.loss(w, b)] and not diverged[0]
     other = random_weights(ls.NetworkShape((6, 3, 5, 4)), np.random.default_rng(9))
     with pytest.raises(ls.InvalidShape):
-        train_runs([w, other], b, data)
+        train_runs([w, other], b)
+
+
+@pytest.mark.parametrize("d_x, d_y", [(7, 4), (6, 3)])
+def test_train_runs_refuses_a_bundle_of_other_dimensions(small_problem, d_x, d_y):
+    _, b, shape = small_problem
+    w = random_weights(shape, np.random.default_rng(9))
+    other = ls.build_sigma_bundle(ls.generate_gaussian_data(d_x, d_y, 30, seed=0))
     with pytest.raises(ls.InvalidShape, match="weights incompatible with data dimensions"):
-        train_runs([other], b, ls.generate_gaussian_data(6, 3, 30, seed=0))
+        train_runs([w], other)
 
 
 def test_run_experiment_matches_train_runs_per_run():
     cfg = ls.ExperimentConfig(variant="tightened", n_runs=3, max_epochs=50,
                               keep_traces=True, **SMALL_CFG)
     runs = ls.run_experiment(cfg)
-    data = ls.generate_gaussian_data(6, 4, 30, 0)
-    b = ls.build_sigma_bundle(data)
+    b = ls.build_sigma_bundle(ls.generate_gaussian_data(6, 4, 30, 0))
     w_star = ls.build_example_family(2, "tightened", b, ls.NetworkShape(SMALL_CFG["dims"]))
     for k, run in enumerate(runs):
         w0 = ls.perturb_near(w_star, cfg.perturb_scale, cfg.data_seed + k)
-        _, (trace,), _ = train_runs([w0], b, data, cfg.optimizer, cfg.max_epochs)
+        _, (trace,), _ = train_runs([w0], b, cfg.optimizer, cfg.max_epochs)
         assert run.loss_trace == trace.tolist()
 
 

@@ -1,6 +1,7 @@
 """Property-based checks over randomly drawn shapes and supports."""
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from hypothesis import given, settings, strategies as st
 
 import linsaddle as ls
@@ -49,7 +50,7 @@ def test_support_roundtrip_property(dims, seed):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), t=st.floats(-2.0, 2.0))
 def test_taylor_value_property(seed, t):
-    data, bundle, shape = _problem((5, 4, 4, 3), 15, 0)
+    _, bundle, shape = _problem((5, 4, 4, 3), 15, 0)
     rng = np.random.default_rng(seed)
     w = ls.Weights(
         [0.5 * rng.standard_normal(shape.layer_shape(h))
@@ -61,9 +62,9 @@ def test_taylor_value_property(seed, t):
          for h in range(1, shape.H + 1)],
         shape,
     )
-    tc = ls.taylor_coeffs(w, v, data)
+    c = ls.taylor_coeffs(w, v, bundle)
     shifted = ls.Weights(
         [M + t * V for M, V in zip(w.layers, v.layers)], shape
     )
     ref = ls.loss(shifted, bundle)
-    assert abs(tc.value(t) - ref) <= 1e-9 * (1.0 + abs(ref))
+    assert abs(polyval(t, c) - ref) <= 1e-9 * (1.0 + abs(ref))

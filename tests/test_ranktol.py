@@ -3,7 +3,7 @@ import pytest
 
 import linsaddle as ls
 from linsaddle.curvature import _kernel_basis
-from linsaddle.ranktol import RankTolerance, floored, rank_cut
+from linsaddle.ranktol import TAU_CRIT_REL, RankTolerance, criticality_tol, floored, rank_cut
 
 
 def test_rank_cut_counts_strictly_above_the_threshold():
@@ -12,6 +12,24 @@ def test_rank_cut_counts_strictly_above_the_threshold():
     assert rank_cut(s, (3, 3), RankTolerance(relative=0.25)) == 1
     assert rank_cut(s, (3, 3), RankTolerance(absolute=0.5, relative=0.0)) == 1
     assert rank_cut(s, (3, 3), RankTolerance(absolute=0.4, relative=0.0)) == 2
+
+
+@pytest.mark.parametrize("value", [-1e-12, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("part", ["absolute", "relative"])
+def test_rank_tolerance_refuses_a_negative_or_non_finite_part(part, value):
+    with pytest.raises(ValueError, match="rank tolerance parts must be finite and nonnegative"):
+        RankTolerance(**{part: value})
+
+
+def test_criticality_tol_is_the_caller_s_or_relative_to_the_scale():
+    assert criticality_tol(None, 3.0) == TAU_CRIT_REL * 3.0
+    assert criticality_tol(0.0, 3.0) == 0.0 and criticality_tol(0.25, 3.0) == 0.25
+
+
+@pytest.mark.parametrize("tau_crit", [-1e-12, float("nan"), float("inf")])
+def test_criticality_tol_refuses_a_negative_or_non_finite_value(tau_crit):
+    with pytest.raises(ValueError, match="criticality tolerance must be finite and nonnegative"):
+        criticality_tol(tau_crit, 1.0)
 
 
 def test_rank_cut_of_zero_and_empty_spectra():
