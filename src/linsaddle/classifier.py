@@ -136,7 +136,10 @@ def classify(
     Strict-saddle verdicts always carry a validated witness direction whose
     measured c2 is certified negative.  Gradient norms up to 100x the
     criticality tolerance are classified with the approximate flag set;
-    beyond that the verdict is not_critical.  ``data`` is not read.
+    beyond that the verdict is not_critical.  ``data`` is not read.  A
+    support recovery that is not approximate stays on ``w`` as its support
+    record (``associated_support``), so that a ``canonical_form`` of the
+    same weights, bundle object, ``rank_tol`` and tau reuses it.
     """
     gn = gradient(w, bundle).frob_norm()
     scale = criticality_scale(w, bundle)

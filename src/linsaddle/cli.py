@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mode", choices=["dense", "probe"], default="dense")
     q.add_argument("--tol-eig", type=float, default=1e-6,
                    help="probe mode: stop the Lanczos probe when its Ritz residual "
-                        "is at most this times the largest Ritz value's magnitude")
+                        "is at most this times the largest Ritz value's magnitude; "
+                        "must be finite and nonnegative")
     q.add_argument("--samples", type=int, default=5,
                    help="random directions to sample c2 along")
     q.add_argument("--sample-seed", type=int, default=0)

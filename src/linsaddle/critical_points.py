@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,13 +308,28 @@ def associated_support(
     ``_gate`` is the hand-off of ``classify``: the gradient norm and the
     criticality scale it has already formed.  It lets gradient norms up to
     100 tau through, and such points are recovered with the approximate flag
-    set; without it the gradient norm must be at most tau."""
-    if _gate is None:
+    set; without it the gradient norm must be at most tau.
+
+    A recovery that is not approximate is kept on ``w`` as its support
+    record: the gradient norm, the scale, ``rank_tol``, tau and the result,
+    keyed by the bundle object through a weak reference.  A later call with
+    the same bundle object takes the gradient norm and the scale from it,
+    and returns its result when ``rank_tol`` and tau are equal too, so that
+    ``canonical_form`` after ``classify`` makes no second gradient and no
+    second SVD of K.  An approximate recovery is never kept, so a call
+    without the gate still refuses such a point."""
+    record = w._support
+    record = record[1] if record is not None and record[0]() is bundle else None
+    if _gate is not None:
+        gn, scale = _gate
+    elif record is not None:
+        gn, scale = record[:2]
+    else:
         gn = gradient(w, bundle).frob_norm()
         scale = criticality_scale(w, bundle)
-    else:
-        gn, scale = _gate
     tau = criticality_tol(tau_crit, scale)
+    if record is not None and record[:4] == (gn, scale, rank_tol, tau):
+        return record[4]
     approximate = bool(gn > tau)
     if approximate and _gate is None:
         raise NotCritical(f"gradient norm {gn:.3g} exceeds tolerance {tau:.3g}")
@@ -347,9 +363,14 @@ def associated_support(
         raise NotCritical(
             f"global map is {map_err:.3g} away from the support-S optimum"
         )
-    return SupportResult(
+    result = SupportResult(
         support=support, projector_diag=diag, residual=residual, approximate=approximate
     )
+    if not approximate:
+        diag.flags.writeable = False
+        object.__setattr__(w, "_support",
+                           (weakref.ref(bundle), (gn, scale, rank_tol, tau, result)))
+    return result
 
 
 def critical_value(S, bundle: SigmaBundle) -> float:
@@ -436,7 +457,9 @@ def canonical_form(
 ) -> CriticalPointSpec:
     """Recover a (S, Z, D) spec of a critical point, the inverse of
     ``build_critical_point``.  With the support S from
-    ``associated_support`` and A_h = U_S^T W_H..W_{h+1}, of rank r = |S| at
+    ``associated_support``, which reads the support record that ``classify``
+    left on ``w`` for the same bundle object, ``rank_tol`` and tau, and
+    A_h = U_S^T W_H..W_{h+1}, of rank r = |S| at
     a critical point, D_h = [F_h | E_h] with F_1 = A_1^+ (so that
     W_H..W_2 F_1 = U_S), F_h = W_h F_{h-1} and E_h an orthonormal basis of
     ker A_h aligned with the axes, times ||F_h||_F / sqrt(r) so that

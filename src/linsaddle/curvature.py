@@ -20,6 +20,7 @@ so it makes one matrix product per layer step on buffers laid out once.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,7 +42,8 @@ from .errors import (
 )
 from .network import (Direction, Weights, _product_table, global_map, partial_middle,
                       partial_prefix, partial_suffix, products_loss, residual_moment, unflatten)
-from .ranktol import BETA_ZERO_TOL, EPS_WITNESS, RankTolerance, floored, numeric_rank, rank_cut
+from .ranktol import (BETA_ZERO_TOL, EPS_WITNESS, RankTolerance, floored, numeric_rank, rank_cut,
+                      singular_values)
 
 MAX_DENSE_PARAMS = 2000
 # Lanczos steps, one Hessian-vector product each, before the probe raises
@@ -324,7 +326,11 @@ def hessian_min_eig(
     stopping rule: a Ritz residual at most tol times the largest Ritz
     value's magnitude, or an invariant Krylov space (which it also checks
     at every step).  A probe short of that after PROBE_MAXITER steps raises
-    ProbeNotConverged."""
+    ProbeNotConverged.  In either mode a negative or non-finite tol is
+    refused with ValueError: inf would accept the first Ritz value, and NaN
+    or a negative tol could never stop the probe."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"probe tolerance must be finite and nonnegative, got {tol}")
     if mode == "dense":
         vals, vecs = np.linalg.eigh(hessian_dense(w, data))
         lam, vec = float(vals[0]), vecs[:, 0]
@@ -450,8 +456,9 @@ def witness_untightened(
     T = pre @ bundle.sigma_xy @ U_Q @ (U_Q.T @ suf_i)
     u, s, vt = np.linalg.svd(T)
     # Each sigma_1 below is compared with the product of its factors' norms,
-    # so that no test depends on the units of X and Y or of one layer.
-    factors = [np.linalg.norm(M, 2) for M in (pre, suf_i)]
+    # so that no test depends on the units of X and Y or of one layer; those
+    # of pre and suf_i come from one batched SVD.
+    factors = singular_values((pre, suf_i))[:, 0]
     if s[0] <= BETA_ZERO_TOL * factors[0] * bundle.sigma_xy_norm * factors[1]:
         raise NotApplicable("pivot data block vanishes outside the support")
     if not N.size:

@@ -13,16 +13,19 @@ shared by every later caller.  Building it costs 2H matrix products and O(H)
 memory.  Middle products W_{i-1}..W_{j+1} come from ``partial_middle``;
 there are O(H^2) of them, so they are formed on demand and not kept.
 
-Besides the table, a stack keeps two more results on first use: its layers'
-spectral norms (``layer_norms``), which floor every rank cut on its
-products (``ranktol.chain_floor``), and, on weights at a tightened point,
-the tightened structure and certificate factors that
+Besides the table, a stack keeps three more results on first use: its
+layers' spectral norms (``layer_norms``), which floor every rank cut on its
+products (``ranktol.chain_floor``); on weights at a critical point, the
+support recovery of ``critical_points.associated_support``, so that
+``canonical_form`` after ``classify`` makes no second gradient and no
+second SVD of W_H..W_2; and, on weights at a tightened point, the
+tightened structure and certificate factors that
 ``curvature.ft_st_decomposition`` derives from the weights and a data
 bundle.  None of them can go stale: the layers are read-only, and the
-tightened structure is keyed by the bundle object through a weak
-reference, so it is reused only for that same bundle (a frozen dataclass
-whose arrays ``build_sigma_bundle`` makes read-only) and keeps no bundle
-alive.
+support record and the tightened structure are keyed by the bundle object
+through a weak reference, so each is reused only for that same bundle (a
+frozen dataclass whose arrays ``build_sigma_bundle`` makes read-only) and
+keeps no bundle alive.
 
 ``layer_products`` builds the table.  The loss and its gradient read its
 prefixes and one ``residual_moment`` E = W_H..W_1 Sigma_XX - Sigma_YX:
@@ -90,13 +93,15 @@ class _LayerStack:
     """Immutable ordered list of layer matrices compatible with a shape.
 
     Besides the read-only layers it keeps what is derived from them alone
-    on first use, the product table and the layer norms, and the tightened
-    structure of ``curvature.ft_st_decomposition`` as (weak reference to the
-    bundle, structure).  The layers never change, so none of these can go
-    stale; the structure also depends on the bundle and is read only while
-    the caller passes that same bundle object."""
+    on first use, the product table and the layer norms, and two results
+    that also depend on a data bundle, each as (weak reference to the
+    bundle, result): the support record of
+    ``critical_points.associated_support`` and the tightened structure of
+    ``curvature.ft_st_decomposition``.  The layers never change, so none of
+    these can go stale; the last two are read only while the caller passes
+    that same bundle object."""
 
-    __slots__ = ("layers", "shape", "_products", "_norms", "_tightened")
+    __slots__ = ("layers", "shape", "_products", "_norms", "_support", "_tightened")
 
     def __init__(self, layers, shape: NetworkShape):
         mats = []
@@ -116,6 +121,7 @@ class _LayerStack:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_products", None)
         object.__setattr__(self, "_norms", None)
+        object.__setattr__(self, "_support", None)
         object.__setattr__(self, "_tightened", None)
 
     def __setattr__(self, *a):  # immutability guard

@@ -36,7 +36,8 @@ the thresholds live here, each compared with a quantity of its own units:
 Only the rank tolerance (``--tol-rank``), the criticality tolerance
 (``--tol-crit``) and the probe's tolerance (``--tol-eig``) are inputs; the
 constants are fixed.  A negative or non-finite input is refused with
-ValueError (``RankTolerance``, ``criticality_tol``).
+ValueError (``RankTolerance``, ``criticality_tol``,
+``curvature.hessian_min_eig``).
 """
 
 from __future__ import annotations

@@ -240,6 +240,21 @@ def test_probe_reports_no_witness_at_a_non_strict_saddle(tmp_path, capsys, data_
     assert res["witness"] is None
 
 
+@pytest.mark.parametrize("mode", ["dense", "probe"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_probe_refuses_an_invalid_tolerance(tmp_path, capsys, caplog, data_files, mode, value):
+    # At this strict saddle --tol-eig=inf gave lambda_min 0.329 with exit 0,
+    # where the dense Hessian gives -21.9.
+    x, y = data_files
+    wpath = str(tmp_path / "w.json")
+    run_cli(capsys, "construct", "--x", x, "--y", y, "--dims", "6,5,5,4",
+            "--variant", "non_tightened", "--r", "2", "--out", wpath)
+    code, out = run_cli(capsys, "probe", "--x", x, "--y", y, "--weights", wpath,
+                        "--mode", mode, f"--tol-eig={value}")
+    assert code == 2 and out == ""
+    assert "probe tolerance must be finite and nonnegative" in caplog.text
+
+
 def test_enumerate(capsys, data_files):
     x, y = data_files
     code, out = run_cli(capsys, "enumerate", "--x", x, "--y", y,

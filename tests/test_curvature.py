@@ -143,6 +143,17 @@ def test_hessian_min_eig_probe_agrees(deep_problem):
         ls.hessian_min_eig(w, data, mode="exactly")
 
 
+@pytest.mark.parametrize("mode", ["dense", "probe"])
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+def test_hessian_min_eig_refuses_a_negative_or_non_finite_tolerance(small_problem, mode, tol):
+    # inf would accept the first Ritz value; NaN and -1 could never stop the
+    # probe, which would run PROBE_MAXITER steps and raise ProbeNotConverged.
+    data, b, shape = small_problem
+    w = ls.build_example_family(2, "non_tightened", b, shape)
+    with pytest.raises(ValueError, match="probe tolerance must be finite and nonnegative"):
+        ls.hessian_min_eig(w, data, mode=mode, tol=tol)
+
+
 def test_probe_finds_the_zero_eigenvalue_at_a_tightened_point():
     # At a non-strict saddle lambda_min = 0 sits inside a large null space;
     # a restarted solver locks onto the smallest nonzero eigenvalue instead.

@@ -4,7 +4,8 @@ raise must fail tests/.
 Each listed mutant replaces one piece of source text that occurs exactly once
 in its file: a documented threshold, a self-check, an index range of the
 sum-of-squares certificate, the adjacent pivot's rank without an SVD, two
-terms of the Adam step, and one sanity mutant that any working suite kills.  Besides these, every
+terms of the Adam step, the support record's bundle-identity test, and one
+sanity mutant that any working suite kills.  Besides these, every
 ``raise`` statement of src/ gives one mutant, addressed by file and line
 (two raises may read alike), in which ``raise X(...)`` becomes the bare call
 ``X(...)``: the exception is made and dropped, and the code runs on.  So a
@@ -74,6 +75,9 @@ MUTANTS = (
      "tmp += ADAM_EPS / (gscale * c)", "tmp += 0.0"),
     ("Adam step without the beta1 decay", "experiments.py", "tests/test_experiments.py",
      "m1 *= ADAM_BETA1", "m1 *= 1.0"),
+    ("support record read for any bundle", "critical_points.py",
+     "tests/test_support_record.py",
+     "record is not None and record[0]() is bundle else None", "record is not None else None"),
     ("sanity: critical value adds the eigenvalues", "critical_points.py",
      "tests/test_critical_points.py", "sigma_yy_trace - sum(", "sigma_yy_trace + sum("),
 )
