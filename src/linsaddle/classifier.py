@@ -22,14 +22,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .critical_points import SupportResult, associated_support, critical_value, staircase
+from .critical_points import _gradient_level, _recovered_support, critical_value, staircase
 from .curvature import CurvatureCache, WitnessCase, witness_eigenswap, witness_untightened
 from .data_model import DataMatrices, SigmaBundle
 from .errors import InternalInconsistency, NotApplicable
 from .network import Weights, global_map, gradient, partial_middle, partial_prefix, partial_suffix
-from .ranktol import (  # RankTolerance and numeric_rank are re-exported
+from .ranktol import (  # RankTolerance, numeric_rank and gradient are re-exported
     RankTolerance,
-    criticality_scale,
     criticality_tol,
     floored,
     numeric_rank,
@@ -136,13 +135,12 @@ def classify(
     Strict-saddle verdicts always carry a validated witness direction whose
     measured c2 is certified negative.  Gradient norms up to 100x the
     criticality tolerance are classified with the approximate flag set;
-    beyond that the verdict is not_critical.  ``data`` is not read.  A
-    support recovery that is not approximate stays on ``w`` as its support
-    record (``associated_support``), so that a ``canonical_form`` of the
-    same weights, bundle object, ``rank_tol`` and tau reuses it.
+    beyond that the verdict is not_critical.  ``data`` is not read.  The
+    gradient level and a support recovery that is not approximate stay in
+    the analysis record of ``w`` for the bundle object, so that a
+    ``canonical_form`` of the same bundle object, ``rank_tol`` and tau reuses them.
     """
-    gn = gradient(w, bundle).frob_norm()
-    scale = criticality_scale(w, bundle)
+    gn, scale = _gradient_level(w, bundle)
     tau = criticality_tol(tau_crit, scale)
     if gn > 100.0 * tau:
         return Classification(
@@ -151,9 +149,7 @@ def classify(
         )
 
     # Every rank cut floors rank_tol at the chain_floor of its own factors.
-    sup: SupportResult = associated_support(
-        w, bundle, tau_crit=tau, rank_tol=rank_tol, _gate=(gn, scale)
-    )
+    sup = _recovered_support(w, bundle, rank_tol, tau)
     S = sup.support
     if sup.approximate:
         # Rank decisions must not count noise-level singular values: loosen
@@ -178,11 +174,13 @@ def classify(
         )
 
     def validated(wit: WitnessCase) -> float:
+        # Along the eigenswap witness c2 is exactly lambda_j - lambda_i (``ranktol``).
         c2, thr = CurvatureCache(w, bundle).c2_threshold(wit.direction)
-        if not (c2 < thr):
+        exact = wit.c2_predicted if wit.case == "eigenswap" else None
+        if not (c2 < thr if exact is None else c2 < 0.0 and abs(c2 - exact) <= -thr):
             raise InternalInconsistency(
                 f"witness c2 = {c2:.3g} is not certifiably negative "
-                f"(threshold {thr:.3g})"
+                f"(threshold {thr:.3g}, predicted {wit.c2_predicted:.3g})"
             )
         return c2
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ from .errors import (
 from .network import (
     NetworkShape,
     Weights,
+    _analysis,
     global_map,
     gradient,
     layer_products,
@@ -222,33 +222,34 @@ def build_critical_point(
     meets the exact criticality condition of the module docstring, each
     product cut at its ``chain_floor``; require_certified=False skips that
     check.  Omitted D blocks are identities, and the layers are then the
-    block matrices themselves."""
+    block matrices themselves, with the analysis record for ``bundle``
+    seeded with S, copies of the blocks Z and their ``_ZChains`` if checked."""
     if shape.d_x != bundle.d_x or shape.d_y != bundle.d_y:
         raise InvalidShape("shape incompatible with bundle")
     spec.validate(shape, bundle.d_y)
-    r = spec.r
-    U_S = bundle.u_cols(spec.support)
-    U_Q = bundle.u_complement(spec.support)
-    if require_certified:
-        if bad := _ZChains(spec.z_blocks, bundle.sigma_xy @ U_Q).nonzero_product():
-            raise NotCritical(f"the spec is not critical: {bad} is not zero")
+    r, z = spec.r, [np.array(Z, dtype=float) for Z in spec.z_blocks]
+    U_S, U_Q = bundle.u_cols(spec.support), bundle.u_complement(spec.support)
+    chains = _ZChains(z, bundle.sigma_xy @ U_Q) if require_certified else None
+    if chains is not None and (bad := chains.nonzero_product()):
+        raise NotCritical(f"the spec is not critical: {bad} is not zero")
 
     H = shape.H
-    layers = [np.vstack([U_S.T @ bundle.sigma_yx_sigma_xx_inv, spec.z_blocks[0]])]
+    layers = [np.vstack([U_S.T @ bundle.sigma_yx_sigma_xx_inv, z[0]])]
     for h in range(2, H):
         B = np.zeros((shape.dims[h], shape.dims[h - 1]))
         B[:r, :r] = np.eye(r)
-        B[r:, r:] = spec.z_blocks[h - 1]
+        B[r:, r:] = z[h - 1]
         layers.append(B)
-    layers.append(np.hstack([U_S, U_Q @ spec.z_blocks[-1]]))
-    if (d := spec.d_blocks) is not None:  # W_h = D_h B_h D_{h-1}^{-1}
-        for h, D in enumerate(d, start=1):
-            _conditioned(D, f"D_{h}")
-        d_invs = [np.linalg.inv(D) for D in d]
-        layers = ([d[0] @ layers[0]]
-                  + [d[h - 1] @ layers[h - 1] @ d_invs[h - 2] for h in range(2, H)]
-                  + [layers[-1] @ d_invs[-1]])
-    return Weights(layers, shape)
+    layers.append(np.hstack([U_S, U_Q @ z[-1]]))
+    if (d := spec.d_blocks) is None:
+        _analysis(w := Weights(layers, shape), bundle).seed = spec.support, z, chains
+        return w
+    for h, D in enumerate(d, start=1):  # W_h = D_h B_h D_{h-1}^{-1}
+        _conditioned(D, f"D_{h}")
+    d_invs = [np.linalg.inv(D) for D in d]
+    return Weights([d[0] @ layers[0]]
+                   + [d[h - 1] @ layers[h - 1] @ d_invs[h - 2] for h in range(2, H)]
+                   + [layers[-1] @ d_invs[-1]], shape)
 
 
 def build_example_family(
@@ -295,44 +296,39 @@ def build_example_family(
     return build_critical_point(spec, bundle, shape)
 
 
+def _gradient_level(w: Weights, bundle: SigmaBundle) -> tuple:
+    """(||gradient||_F, ``criticality_scale``), a stage of w's analysis record."""
+    record = _analysis(w, bundle)
+    if record.gate is None:
+        record.gate = gradient(w, bundle).frob_norm(), criticality_scale(w, bundle)
+    return record.gate
+
+
 def associated_support(
     w: Weights,
     bundle: SigmaBundle,
     tau_crit: float | None = None,
     rank_tol: RankTolerance = RankTolerance(),
-    _gate: tuple | None = None,
 ) -> SupportResult:
-    """Recover the support S of a critical point from the column-space
-    projector of K = W_H ... W_2 expressed in the eigenbasis U.
-
-    ``_gate`` is the hand-off of ``classify``: the gradient norm and the
-    criticality scale it has already formed.  It lets gradient norms up to
-    100 tau through, and such points are recovered with the approximate flag
-    set; without it the gradient norm must be at most tau.
-
-    A recovery that is not approximate is kept on ``w`` as its support
-    record: the gradient norm, the scale, ``rank_tol``, tau and the result,
-    keyed by the bundle object through a weak reference.  A later call with
-    the same bundle object takes the gradient norm and the scale from it,
-    and returns its result when ``rank_tol`` and tau are equal too, so that
-    ``canonical_form`` after ``classify`` makes no second gradient and no
-    second SVD of K.  An approximate recovery is never kept, so a call
-    without the gate still refuses such a point."""
-    record = w._support
-    record = record[1] if record is not None and record[0]() is bundle else None
-    if _gate is not None:
-        gn, scale = _gate
-    elif record is not None:
-        gn, scale = record[:2]
-    else:
-        gn = gradient(w, bundle).frob_norm()
-        scale = criticality_scale(w, bundle)
+    """Recover the support S of a critical point (gradient norm at most tau)
+    from the column-space projector of K = W_H ... W_2 in the eigenbasis U.
+    The gradient level and the recovery stay in ``w``'s analysis record for
+    the bundle object: a later call with equal ``rank_tol`` and tau reuses them."""
+    gn, scale = _gradient_level(w, bundle)
     tau = criticality_tol(tau_crit, scale)
-    if record is not None and record[:4] == (gn, scale, rank_tol, tau):
-        return record[4]
-    approximate = bool(gn > tau)
-    if approximate and _gate is None:
+    if gn > tau:
         raise NotCritical(f"gradient norm {gn:.3g} exceeds tolerance {tau:.3g}")
+    return _recovered_support(w, bundle, rank_tol, tau)
+
+
+def _recovered_support(w: Weights, bundle: SigmaBundle, rank_tol: RankTolerance, tau: float):
+    """``associated_support`` past its gate: ``classify`` lets gradient norms
+    up to 100 tau in, recovered with the approximate flag and never kept."""
+    record = _analysis(w, bundle)
+    if record.support is not None and record.support[:2] == (rank_tol, tau):
+        return record.support[2]
+    gn, scale = _gradient_level(w, bundle)
+    approximate = bool(gn > tau)
 
     K = partial_suffix(w, 2)
     uK, sK, _ = np.linalg.svd(K, full_matrices=False)
@@ -368,8 +364,7 @@ def associated_support(
     )
     if not approximate:
         diag.flags.writeable = False
-        object.__setattr__(w, "_support",
-                           (weakref.ref(bundle), (gn, scale, rank_tol, tau, result)))
+        record.support = rank_tol, tau, result
     return result
 
 
@@ -457,10 +452,10 @@ def canonical_form(
 ) -> CriticalPointSpec:
     """Recover a (S, Z, D) spec of a critical point, the inverse of
     ``build_critical_point``.  With the support S from
-    ``associated_support``, which reads the support record that ``classify``
-    left on ``w`` for the same bundle object, ``rank_tol`` and tau, and
-    A_h = U_S^T W_H..W_{h+1}, of rank r = |S| at
-    a critical point, D_h = [F_h | E_h] with F_1 = A_1^+ (so that
+    ``associated_support``, which reads the recovery that ``classify`` left
+    in the analysis record of ``w`` for the same bundle object, ``rank_tol``
+    and tau, and A_h = U_S^T W_H..W_{h+1}, of rank r = |S| at a critical
+    point, D_h = [F_h | E_h] with F_1 = A_1^+ (so that
     W_H..W_2 F_1 = U_S), F_h = W_h F_{h-1} and E_h an orthonormal basis of
     ker A_h aligned with the axes, times ||F_h||_F / sqrt(r) so that
     cond(D_h) does not follow the scale of the layers.  W_{h+1} maps F_h

@@ -21,7 +21,6 @@ so it makes one matrix product per layer step on buffers laid out once.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
@@ -40,7 +39,7 @@ from .errors import (
     ProbeNotConverged,
     TooLarge,
 )
-from .network import (Direction, Weights, _product_table, global_map, partial_middle,
+from .network import (Direction, Weights, _analysis, _product_table, global_map, partial_middle,
                       partial_prefix, partial_suffix, products_loss, residual_moment, unflatten)
 from .ranktol import (BETA_ZERO_TOL, EPS_WITNESS, RankTolerance, floored, numeric_rank, rank_cut,
                       singular_values)
@@ -518,10 +517,12 @@ class FtStDecomposition:
 
 def _tightened(w: Weights, bundle: SigmaBundle):
     """The ``TightenedStructure`` of a tightened canonical point, r and the
-    ``_ZChains`` of its blocks.  r is the rank of the global map cut at the
-    ``chain_floor`` of all layers; the rest are zero tests on Z chains, since
-    at canonical weights rank(W_H..W_h) = r exactly when Z_H..Z_h = 0, and
-    rank(W_k..W_1 Sigma_XY) = r exactly when Z_k..Z_1 G = 0.
+    ``_ZChains`` of its blocks: the seed of ``build_critical_point`` with
+    S = [1, r] (tested unless certified), else r, the rank of the global map
+    cut at the ``chain_floor`` of all layers, and blocks read off the layers.
+    The rest are zero tests on Z chains, since at canonical weights
+    rank(W_H..W_h) = r exactly when Z_H..Z_h = 0, and rank(W_k..W_1
+    Sigma_XY) = r exactly when Z_k..Z_1 G = 0.
 
     The product identities that ``ft_st_decomposition`` uses follow from
     tightness and the definitions of p and q, so no chain is tested twice:
@@ -538,11 +539,19 @@ def _tightened(w: Weights, bundle: SigmaBundle):
     shape, H = w.shape, w.shape.H
     if H < 3:
         raise InvalidShape("tightened structure requires depth H >= 3")
-    r = numeric_rank(global_map(w), floored(RankTolerance(), H, w.layer_norms()))
+    seed = _analysis(w, bundle).seed  # another support than [1, r] is read off and refused
+    seed = seed if seed and seed[0] == tuple(range(1, len(seed[0]) + 1)) else None
+    r = len(seed[0]) if seed else numeric_rank(global_map(w),
+                                               floored(RankTolerance(), H, w.layer_norms()))
     if r >= shape.r_max:
         raise NotApplicable("tightened analysis targets rank-deficient points")
-    z = _ZChains(_canonical_blocks(w, bundle, tuple(range(1, r + 1)), w.frob_norm(),
-                                   NeedsCanonicalization), bundle.sigma_xy @ bundle.U[:, r:])
+    if seed is None:
+        z = _ZChains(_canonical_blocks(w, bundle, tuple(range(1, r + 1)), w.frob_norm(),
+                                       NeedsCanonicalization), bundle.sigma_xy @ bundle.U[:, r:])
+    elif (z := seed[2]) is None:
+        z = _ZChains(seed[1], bundle.sigma_xy @ bundle.U[:, r:])
+        if bad := z.nonzero_product():
+            raise NeedsCanonicalization(f"the seeded spec is not critical: {bad} is not zero")
     if (pivot := z.untightened_pivot()) is not None:
         raise NotTightened(f"pivot {pivot} is not tightened")
 
@@ -570,13 +579,12 @@ def ft_st_decomposition(
     second-order descent directions.
 
     The tightened structure (r, the rank-collapse indices p and q, and the
-    Z chains) and the certificate's factors below (U_S, U_Q, P_S, delta_Q,
-    X V_Q, Pi and the eigenvalue gaps) depend on the point and the bundle
-    only, so the first call keeps them on ``w`` and later calls with the
-    same bundle object reuse them for every direction, which then pays only
-    for its own products; another bundle gets a fresh analysis.  The entry
-    holds the bundle only through a weak reference.  A point that fails the
-    analysis keeps nothing and raises again on every call.
+    Z chains, seeded by ``build_critical_point`` where it can, ``_tightened``)
+    and the certificate's factors below (U_S, U_Q, P_S, delta_Q, X V_Q, Pi
+    and the eigenvalue gaps) depend on the point and the bundle only: the
+    first call keeps them in the analysis record of ``w`` for the bundle
+    object, and every later direction pays only for its own products.  A
+    point that fails the analysis keeps nothing and raises on every call.
 
     Only second moments enter.  With V_Q the right singular vectors of
     Sigma_YX Sigma_XX^{-1} X for lambda_{r+1..d_y}, X V_Q is
@@ -587,8 +595,8 @@ def ft_st_decomposition(
     Sigma_XX = L L^T) has the same squared norm.  ``data`` is not read.
     """
     H = w.shape.H
-    memo = w._tightened
-    if memo is None or memo[0]() is not bundle:
+    record = _analysis(w, bundle)
+    if record.tightened is None:
         st, r, z = _tightened(w, bundle)
         lam = bundle.lambdas
         U_S, U_Q = bundle.U[:, :r], bundle.U[:, r:]
@@ -597,9 +605,8 @@ def ft_st_decomposition(
         XV_Q = bundle.sigma_xy @ U_Q / delta_q  # d_x x (d_y - r)
         Pi = np.eye(bundle.d_x) - (XV_Q / delta_q) @ U_Q.T @ C
         gaps = lam[:r][None, :] - lam[r:][:, None]  # (d_y - r) x r, all > 0
-        memo = weakref.ref(bundle), (st, r, z, U_S, U_Q, U_S.T @ C, delta_q, XV_Q, Pi, gaps)
-        object.__setattr__(w, "_tightened", memo)
-    st, r, z, U_S, U_Q, P_S, delta_q, XV_Q, Pi, gaps = memo[1]  # P_S = U_S^T C, r x d_x
+        record.tightened = st, r, z, U_S, U_Q, U_S.T @ C, delta_q, XV_Q, Pi, gaps
+    st, r, z, U_S, U_Q, P_S, delta_q, XV_Q, Pi, gaps = record.tightened  # P_S = U_S^T C, r x d_x
     p, q = st.p, st.q
 
     J1 = range(p, H)

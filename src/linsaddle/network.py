@@ -13,19 +13,15 @@ shared by every later caller.  Building it costs 2H matrix products and O(H)
 memory.  Middle products W_{i-1}..W_{j+1} come from ``partial_middle``;
 there are O(H^2) of them, so they are formed on demand and not kept.
 
-Besides the table, a stack keeps three more results on first use: its
-layers' spectral norms (``layer_norms``), which floor every rank cut on its
-products (``ranktol.chain_floor``); on weights at a critical point, the
-support recovery of ``critical_points.associated_support``, so that
-``canonical_form`` after ``classify`` makes no second gradient and no
-second SVD of W_H..W_2; and, on weights at a tightened point, the
-tightened structure and certificate factors that
-``curvature.ft_st_decomposition`` derives from the weights and a data
-bundle.  None of them can go stale: the layers are read-only, and the
-support record and the tightened structure are keyed by the bundle object
-through a weak reference, so each is reused only for that same bundle (a
-frozen dataclass whose arrays ``build_sigma_bundle`` makes read-only) and
-keeps no bundle alive.
+Besides the table, a stack keeps its layers' spectral norms (``layer_norms``),
+which floor every rank cut on its products (``ranktol.chain_floor``), and
+the ``_Analysis`` of one bundle object, which ``_analysis``, the one function
+that writes a bundle-keyed entry onto weights, gets or makes.  The modules
+that compute its stages fill each once, on first use: the gradient level,
+the support recovery, the (S, Z) and Z chains that ``build_critical_point``
+seeds, and the tightened structure.  Nothing goes stale: the layers and the
+bundle's arrays are read-only, and the record holds its bundle through a
+weak reference and is read only for that same object.
 
 ``layer_products`` builds the table.  The loss and its gradient read its
 prefixes and one ``residual_moment`` E = W_H..W_1 Sigma_XX - Sigma_YX:
@@ -43,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,16 +89,10 @@ class NetworkShape:
 class _LayerStack:
     """Immutable ordered list of layer matrices compatible with a shape.
 
-    Besides the read-only layers it keeps what is derived from them alone
-    on first use, the product table and the layer norms, and two results
-    that also depend on a data bundle, each as (weak reference to the
-    bundle, result): the support record of
-    ``critical_points.associated_support`` and the tightened structure of
-    ``curvature.ft_st_decomposition``.  The layers never change, so none of
-    these can go stale; the last two are read only while the caller passes
-    that same bundle object."""
+    Besides the read-only layers it keeps, on first use, the product table,
+    the layer norms and the ``_Analysis`` of one bundle object (``_analysis``)."""
 
-    __slots__ = ("layers", "shape", "_products", "_norms", "_support", "_tightened")
+    __slots__ = ("layers", "shape", "_products", "_norms", "_record")
 
     def __init__(self, layers, shape: NetworkShape):
         mats = []
@@ -121,8 +112,7 @@ class _LayerStack:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_products", None)
         object.__setattr__(self, "_norms", None)
-        object.__setattr__(self, "_support", None)
-        object.__setattr__(self, "_tightened", None)
+        object.__setattr__(self, "_record", None)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("immutable")
@@ -192,6 +182,28 @@ def _product_table(w: _LayerStack):
         table = (tuple(prefixes), tuple(suffixes))
         object.__setattr__(w, "_products", table)
     return table
+
+
+class _Analysis:
+    """What one stack and the bundle object ``bundle`` (a weak reference) give,
+    each stage None until first use: ``gate`` (gradient norm, scale),
+    ``support`` (rank_tol, tau, a ``SupportResult`` that is not approximate),
+    ``seed`` (S, Z_1..Z_H, ``_ZChains`` if certified) and ``tightened``."""
+
+    __slots__ = ("bundle", "gate", "support", "seed", "tightened")
+
+    def __init__(self, bundle):
+        self.bundle = weakref.ref(bundle)
+        self.gate = self.support = self.seed = self.tightened = None
+
+
+def _analysis(w: _LayerStack, bundle) -> _Analysis:
+    """The analysis record of w for this bundle object, made empty if w has none."""
+    record = w._record
+    if record is None or record.bundle() is not bundle:
+        record = _Analysis(bundle)
+        object.__setattr__(w, "_record", record)
+    return record
 
 
 def _check_index(h: int, lo: int, hi: int) -> None:

@@ -81,6 +81,37 @@ def random_certified_spec(shape, d_y, rng, support=None):
     )
 
 
+def certify_corpus(seed):
+    """The points of the benchmark's certify corpus for `seed`, in order,
+    replaying the draws of perfbench/workloads.py's ``certify_setup``:
+    X -> aX, Y -> bY, and W_1 -> (b/a) W_1 in the weights and in each of the
+    three certificate directions.  Yields (data, weights, support,
+    directions) without end."""
+    rng = np.random.default_rng(seed)
+    count = 0
+    while True:
+        H = (2, 3, 5)[count % 3]
+        d_x = int(rng.integers(2, 13))
+        d_y = int(rng.integers(1, d_x + 1))
+        dims = tuple([d_x] + [int(rng.integers(1, 13)) for _ in range(H - 1)] + [d_y])
+        m = d_x + int(rng.integers(3, 20))
+        data = ls.generate_gaussian_data(d_x, d_y, m, seed=int(rng.integers(2**31)))
+        if not ls.check_assumption_h(data).holds:
+            continue
+        shape = ls.NetworkShape(dims)
+        spec = random_certified_spec(shape, d_y, rng)
+        a, b = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        dirs = [random_direction(shape, rng) for _ in range(3)]
+        w = ls.build_critical_point(spec, ls.build_sigma_bundle(data), shape)
+
+        def covariant(layers):
+            return [layers[0] * (b / a)] + list(layers[1:])
+
+        yield (ls.DataMatrices(data.X * a, data.Y * b), ls.Weights(covariant(w.layers), shape),
+               spec.support, [ls.Direction(covariant(v.layers), shape) for v in dirs])
+        count += 1
+
+
 def masked_critical_spec(shape):
     """The critical spec with S = (1, 2) on widths (7, 6, 5, 6, 4) whose Z
     blocks are Gaussian except that Z_2 = 0 and Z_4 Z_3 = 0 with Z_3 and Z_4

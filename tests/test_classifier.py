@@ -255,14 +255,16 @@ def test_verdict_and_curvature_are_invariant_under_sample_permutation(rescaling_
 
 
 def test_classify_forms_the_gradient_and_the_rank_floor_once(rescaling_points, monkeypatch):
-    # classify hands its gradient norm to the support recovery rather than
-    # letting it form it again, and takes the layers' spectral norms, which
-    # floor every rank cut it makes, in one batched call.
-    calls = {}
+    # classify forms its gradient norm once, in the analysis record that the
+    # support recovery reads, and takes the layers' spectral norms, which
+    # floor every rank cut it makes, in one batched call: only the calls of
+    # spectral_norms on the layers of the weights count.
+    calls, layers = {}, []
 
     def counting(name, fn):
         def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            if name == "gradient" or args[0] is layers[0]:
+                calls[name] = calls.get(name, 0) + 1
             return fn(*args, **kwargs)
         return counted
 
@@ -274,7 +276,9 @@ def test_classify_forms_the_gradient_and_the_rank_floor_once(rescaling_points, m
                     monkeypatch.setattr(mod, fn.__name__, counting(fn.__name__, fn))
     for name, (data, shape, w, unit) in rescaling_points.items():
         calls.clear()
-        res = ls.classify(ls.Weights(w.layers, shape), ls.build_sigma_bundle(data), data)
+        fresh = ls.Weights(w.layers, shape)
+        layers[:] = [fresh.layers]
+        res = ls.classify(fresh, ls.build_sigma_bundle(data), data)
         assert res.verdict == unit.verdict
         assert calls == {"gradient": 1, "spectral_norms": 1}, name
 
@@ -451,13 +455,13 @@ def test_a_support_that_disagrees_with_the_map_rank_is_an_internal_inconsistency
         monkeypatch, deep_problem):
     data, b, shape = deep_problem
     w = ls.build_example_family(2, "tightened", b, shape)
-    support = classifier.associated_support
+    support = classifier._recovered_support
 
     def one_more(*args, **kwargs):
         sup = support(*args, **kwargs)
         return replace(sup, support=sup.support + (4,))
 
-    monkeypatch.setattr(classifier, "associated_support", one_more)
+    monkeypatch.setattr(classifier, "_recovered_support", one_more)
     with pytest.raises(ls.InternalInconsistency, match="rank 2 disagrees with support size 3"):
         ls.classify(w, b, data)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -13,10 +14,10 @@ from linsaddle.critical_points import (
     transform_weights,
     z_block_shape,
 )
-from linsaddle.network import partial_suffix
+from linsaddle.network import _analysis, partial_suffix
 from linsaddle.ranktol import criticality_scale
 
-from conftest import random_certified_spec, random_direction, random_weights
+from conftest import certify_corpus, random_certified_spec, random_weights
 from oracles import spec_verdict
 
 
@@ -363,30 +364,9 @@ def test_canonical_form_h2(shallow_problem):
 
 
 def _certify_corpus_point(seed, index):
-    """Point `index` of the benchmark's certify corpus for `seed`, replaying
-    the draws of perfbench/workloads.py's ``certify_setup``: X -> aX,
-    Y -> bY and W_1 -> (b/a) W_1.  Returns (data, weights, support)."""
-    rng = np.random.default_rng(seed)
-    count = 0
-    while True:
-        H = (2, 3, 5)[count % 3]
-        d_x = int(rng.integers(2, 13))
-        d_y = int(rng.integers(1, d_x + 1))
-        dims = tuple([d_x] + [int(rng.integers(1, 13)) for _ in range(H - 1)] + [d_y])
-        m = d_x + int(rng.integers(3, 20))
-        data = ls.generate_gaussian_data(d_x, d_y, m, seed=int(rng.integers(2**31)))
-        if not ls.check_assumption_h(data).holds:
-            continue
-        shape = ls.NetworkShape(dims)
-        spec = random_certified_spec(shape, d_y, rng)
-        a, b = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
-        if count == index:
-            w = build_critical_point(spec, ls.build_sigma_bundle(data), shape)
-            layers = [w.layer(1) * (b / a)] + list(w.layers[1:])
-            return ls.DataMatrices(data.X * a, data.Y * b), ls.Weights(layers, shape), spec.support
-        for _ in range(3):  # the corpus's certificate directions
-            random_direction(shape, rng)
-        count += 1
+    """Point `index` of the benchmark's certify corpus for `seed`
+    (``certify_corpus``).  Returns (data, weights, support)."""
+    return next(itertools.islice(certify_corpus(seed), index, None))[:3]
 
 
 def test_canonical_form_cuts_ranks_like_classify():
@@ -482,8 +462,9 @@ def test_support_recovery_refuses_a_global_map_off_the_optimum(small_problem):
     _, b, shape = small_problem
     w = ls.build_example_family(2, "tightened", b, shape)
     doubled = ls.Weights([2.0 * w.layer(1), w.layer(2), w.layer(3)], shape)
+    _analysis(doubled, b).gate = (0.0, 1.0)
     with pytest.raises(ls.NotCritical, match="global map is .* away from the support-S optimum"):
-        ls.associated_support(doubled, b, _gate=(0.0, 1.0))
+        ls.associated_support(doubled, b)
 
 
 def test_canonical_form_refuses_a_support_that_k_does_not_reach(small_problem, monkeypatch):

@@ -568,6 +568,25 @@ def test_ft_st_rejects_full_rank(deep_problem):
         ls.ft_st_decomposition(w, random_direction(shape, rng), b, data)
 
 
+def test_ft_st_refuses_a_seed_that_is_not_critical(small_problem):
+    # A spec built without the criticality check, with Z_3 Z_2 Z_1 of rank
+    # one: the seeded analysis tests the spec before trusting it, and the
+    # read-off path of the same layers finds a global map of rank 2 that
+    # is not in canonical form for support [1, 2].
+    data, b, shape = small_problem
+    rng = np.random.default_rng(48)
+    z = [rng.standard_normal(z_block_shape(shape, 1, h)) for h in (1, 2, 3)]
+    z[1] = np.outer(np.eye(4)[0], np.eye(4)[0])
+    spec = CriticalPointSpec(support=(1,), z_blocks=tuple(z))
+    w = ls.build_critical_point(spec, b, shape, require_certified=False)
+    v = random_direction(shape, rng)
+    with pytest.raises(ls.NeedsCanonicalization, match="seeded spec is not critical: Z_H..Z_1"):
+        ls.ft_st_decomposition(w, v, b, data)
+    with pytest.raises(ls.NeedsCanonicalization, match="canonical residual"):
+        ls.ft_st_decomposition(ls.Weights(w.layers, shape), v, b, data)
+    assert w._record.tightened is None
+
+
 def _count_tightened(monkeypatch):
     calls = []
     real = curvature._tightened
@@ -621,7 +640,7 @@ def test_ft_st_keeps_the_certificate_factors_per_bundle(deep_problem):
             assert dec.a1 == ref.a1 and dec.structure == ref.structure
             for name in ("A2", "A3", "A4"):
                 assert np.array_equal(getattr(dec, name), getattr(ref, name))
-    assert w._tightened[0]() is b2
+    assert w._record.bundle() is b2 and w._record.tightened is not None
     for k in range(2):
         assert decs[False, k].a1 != decs[True, k].a1
         assert not np.allclose(decs[False, k].A3, decs[True, k].A3)
@@ -635,7 +654,7 @@ def test_ft_st_keeps_nothing_for_a_point_that_fails(monkeypatch, deep_problem):
     for n in (1, 2):
         with pytest.raises(ls.NotTightened):
             ls.ft_st_decomposition(w, v, b, data)
-        assert len(calls) == n and w._tightened is None
+        assert len(calls) == n and w._record.tightened is None
 
 
 def test_ft_st_does_not_keep_its_bundle_alive(deep_problem):
@@ -644,10 +663,10 @@ def test_ft_st_does_not_keep_its_bundle_alive(deep_problem):
     w = ls.build_example_family(2, "tightened", bundle, shape)
     ls.ft_st_decomposition(w, random_direction(shape, np.random.default_rng(45)), bundle, data)
     ref = weakref.ref(bundle)
-    assert w._tightened is not None
+    assert w._record.tightened is not None
     del bundle
     gc.collect()
-    assert ref() is None and w._tightened is not None
+    assert ref() is None and w._record.tightened is not None
 
 
 def _depth_8_point():
@@ -947,9 +966,11 @@ def test_tightened_structure_without_p_or_q_is_inconsistent(monkeypatch, deep_pr
     # Tightness and the definitions of p and q guarantee both indices (see
     # _tightened); only zero tests that disagree with each other can miss
     # them, which these chains fake: no pivot is untightened, and no chain
-    # is zero (p), or only the suffixes are (q).
+    # is zero (p), or only the suffixes are (q).  The point is a copy without
+    # the builder's seed, whose chains the builder has made already.
     _, b, shape = deep_problem
     w = ls.build_example_family(2, "tightened", b, shape)
+    w = ls.Weights(w.layers, shape)
 
     class NoneZero(curvature._ZChains):
         def untightened_pivot(self):

@@ -12,6 +12,7 @@ from linsaddle.experiments import (
     ADAM_BETA2,
     ADAM_EPS,
     DIVERGE_LIMIT,
+    HISTOGRAM_BINS,
     EscapeRun,
     _adam_step,
     escape_epoch,
@@ -187,6 +188,38 @@ def test_csv_and_json_outputs(tmp_path):
     assert counts == 3  # every run lands in a bin or in 'never'
     obj = json.loads(summary_to_json([summarize_runs(runs[:2])]))
     assert obj["variants"][0]["n_runs"] == 2
+
+
+def test_csv_outputs_pin_epochs_edges_and_counts(tmp_path):
+    # An escaped run writes its escape epoch, a censored one an empty field;
+    # without max_epochs the histogram's upper edge is the largest escape
+    # epoch; each variant counts only its own runs.
+    runs = [
+        EscapeRun(0, "tightened", 12, 2.5, False),
+        EscapeRun(1, "tightened", None, 8.0, False),
+        EscapeRun(2, "tightened", 40, 2.0, False),
+        EscapeRun(0, "non_tightened", 3, 1.5, False),
+        EscapeRun(1, "non_tightened", 5, 1.0, False),
+    ]
+    rp = tmp_path / "runs.csv"
+    write_runs_csv(rp, runs)
+    assert [row[2] for row in list(csv.reader(rp.open()))[1:]] == ["12", "", "40", "3", "5"]
+    hp = tmp_path / "hist.csv"
+    write_histogram_csv(hp, runs)
+    rows = list(csv.reader(hp.open()))[1:]
+    edges = [float(r[2]) for r in rows if r[0] == "tightened" and r[1] != "never"]
+    assert len(edges) == HISTOGRAM_BINS and edges[-1] == 40.0
+    counts = {}
+    for var, _, _, n in rows:
+        counts.setdefault(var, []).append(int(n))
+
+    def binned(*epochs, never):  # the last bin holds its upper edge
+        out = [0] * HISTOGRAM_BINS + [never]
+        for e in epochs:
+            out[min(int(e * HISTOGRAM_BINS / 40), HISTOGRAM_BINS - 1)] += 1
+        return out
+
+    assert counts == {"tightened": binned(12, 40, never=1), "non_tightened": binned(3, 5, never=0)}
 
 
 def test_small_escape_contrast():

@@ -4,7 +4,7 @@ raise must fail tests/.
 Each listed mutant replaces one piece of source text that occurs exactly once
 in its file: a documented threshold, a self-check, an index range of the
 sum-of-squares certificate, the adjacent pivot's rank without an SVD, two
-terms of the Adam step, the support record's bundle-identity test, and one
+terms of the Adam step, the analysis record's bundle-identity test, and one
 sanity mutant that any working suite kills.  Besides these, every
 ``raise`` statement of src/ gives one mutant, addressed by file and line
 (two raises may read alike), in which ``raise X(...)`` becomes the bare call
@@ -55,7 +55,8 @@ MUTANTS = (
      "tests/test_thresholds.py",
      "(diag >= 0.25) & (diag <= 0.75)", "(diag >= 0.35) & (diag <= 0.65)"),
     ("witness c2 validation off", "classifier.py", "tests/test_classifier.py",
-     "if not (c2 < thr):", "if False:"),
+     "if not (c2 < thr if exact is None else c2 < 0.0 and abs(c2 - exact) <= -thr):",
+     "if False:"),
     ("global map rank vs |S| check off", "classifier.py", "tests/test_classifier.py",
      "if r != len(S):", "if False:"),
     ("pivot rank < r check off", "classifier.py", "tests/test_classifier.py",
@@ -75,9 +76,8 @@ MUTANTS = (
      "tmp += ADAM_EPS / (gscale * c)", "tmp += 0.0"),
     ("Adam step without the beta1 decay", "experiments.py", "tests/test_experiments.py",
      "m1 *= ADAM_BETA1", "m1 *= 1.0"),
-    ("support record read for any bundle", "critical_points.py",
-     "tests/test_support_record.py",
-     "record is not None and record[0]() is bundle else None", "record is not None else None"),
+    ("analysis record read for any bundle", "network.py", "tests/test_support_record.py",
+     "if record is None or record.bundle() is not bundle:", "if record is None:"),
     ("sanity: critical value adds the eigenvalues", "critical_points.py",
      "tests/test_critical_points.py", "sigma_yy_trace - sum(", "sigma_yy_trace + sum("),
 )
