@@ -22,12 +22,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .critical_points import _gradient_level, _recovered_support, critical_value, staircase
+from .critical_points import (_gradient_level, _recovered_support, associated_support,
+                              critical_value, staircase)
 from .curvature import CurvatureCache, WitnessCase, witness_eigenswap, witness_untightened
 from .data_model import DataMatrices, SigmaBundle
 from .errors import InternalInconsistency, NotApplicable
+# Not called here: perfbench's tracer test reads the binding classifier.gradient.
 from .network import Weights, global_map, gradient, partial_middle, partial_prefix, partial_suffix
-from .ranktol import (  # RankTolerance, numeric_rank and gradient are re-exported
+from .ranktol import (  # RankTolerance and numeric_rank are re-exported
     RankTolerance,
     criticality_tol,
     floored,
@@ -136,9 +138,8 @@ def classify(
     measured c2 is certified negative.  Gradient norms up to 100x the
     criticality tolerance are classified with the approximate flag set;
     beyond that the verdict is not_critical.  ``data`` is not read.  The
-    gradient level and a support recovery that is not approximate stay in
-    the analysis record of ``w`` for the bundle object, so that a
-    ``canonical_form`` of the same bundle object, ``rank_tol`` and tau reuses them.
+    gradient level and an exact support recovery stay in ``w``'s analysis
+    record, for ``canonical_form`` with equal bundle object, rank_tol and tau.
     """
     gn, scale = _gradient_level(w, bundle)
     tau = criticality_tol(tau_crit, scale)
@@ -149,7 +150,8 @@ def classify(
         )
 
     # Every rank cut floors rank_tol at the chain_floor of its own factors.
-    sup = _recovered_support(w, bundle, rank_tol, tau)
+    sup = (associated_support(w, bundle, tau, rank_tol) if gn <= tau
+           else _recovered_support(w, bundle, rank_tol, tau))
     S = sup.support
     if sup.approximate:
         # Rank decisions must not count noise-level singular values: loosen
@@ -174,10 +176,10 @@ def classify(
         )
 
     def validated(wit: WitnessCase) -> float:
-        # Along the eigenswap witness c2 is exactly lambda_j - lambda_i (``ranktol``).
+        # The eigenswap's exact c2 is lambda_j - lambda_i, past its rounding (``ranktol``).
         c2, thr = CurvatureCache(w, bundle).c2_threshold(wit.direction)
-        exact = wit.c2_predicted if wit.case == "eigenswap" else None
-        if not (c2 < thr if exact is None else c2 < 0.0 and abs(c2 - exact) <= -thr):
+        exact = wit.case == "eigenswap" and c2 < 0.0 and abs(c2 - wit.c2_predicted) <= -thr
+        if not (c2 < thr or exact):
             raise InternalInconsistency(
                 f"witness c2 = {c2:.3g} is not certifiably negative "
                 f"(threshold {thr:.3g}, predicted {wit.c2_predicted:.3g})"

@@ -172,15 +172,22 @@ def staircase(layers, middle_live, outer_live):
 
 class _ZChains:
     """Zero tests, each at its ``chain_floor``, on the chains of the blocks
-    Z_1..Z_H of a spec and G = Sigma_XY U_Q: pre[k] = Z_k..Z_1,
-    suf[h] = Z_H..Z_h, zg[k] = Z_k..Z_1 G (k < H), ||Z_h||_2 = norms[h - 1]."""
+    Z_1..Z_H of a spec and G = Sigma_XY U_Q, ||Z_h||_2 = norms[h - 1]:
+    pre[k] = Z_k..Z_1, suf[h] = Z_H..Z_h and zg[k] = Z_k..Z_1 G (k < H).
+    ``release`` drops the products, and ``form`` makes them again from G."""
 
     def __init__(self, z_blocks, G):
-        self.blocks = [np.ascontiguousarray(Z) for Z in z_blocks]
-        self.H = len(self.blocks)
+        self.blocks, self.H = list(z_blocks), len(z_blocks)
+        *self.norms, self.g_norm = spectral_norms(self.blocks + [G])
+        self.form(G)
+
+    def form(self, G):
         self.pre, self.suf = layer_products(self.blocks)
         self.zg = [P @ G for P in self.pre[:-1]]
-        *self.norms, self.g_norm = spectral_norms(self.blocks + [G])
+
+    def release(self):
+        del self.pre, self.suf, self.zg
+        return self
 
     def zero(self, P, factor_norms) -> bool:
         return frob(P) <= chain_floor(self.H, factor_norms)
@@ -221,19 +228,14 @@ def build_critical_point(
     """Materialize weights from a spec.  Raises NotCritical unless the spec
     meets the exact criticality condition of the module docstring, each
     product cut at its ``chain_floor``; require_certified=False skips that
-    check.  Omitted D blocks are identities, and the layers are then the
-    block matrices themselves, with the analysis record for ``bundle``
-    seeded with S, copies of the blocks Z and their ``_ZChains`` if checked."""
+    check.  Omitted D blocks are identities: the layers are the block matrices,
+    and ``w``'s analysis record is seeded with S, Z and the checked
+    ``_ZChains``, released until a certificate forms them again."""
     if shape.d_x != bundle.d_x or shape.d_y != bundle.d_y:
         raise InvalidShape("shape incompatible with bundle")
     spec.validate(shape, bundle.d_y)
-    r, z = spec.r, [np.array(Z, dtype=float) for Z in spec.z_blocks]
+    r, H, z = spec.r, shape.H, spec.z_blocks
     U_S, U_Q = bundle.u_cols(spec.support), bundle.u_complement(spec.support)
-    chains = _ZChains(z, bundle.sigma_xy @ U_Q) if require_certified else None
-    if chains is not None and (bad := chains.nonzero_product()):
-        raise NotCritical(f"the spec is not critical: {bad} is not zero")
-
-    H = shape.H
     layers = [np.vstack([U_S.T @ bundle.sigma_yx_sigma_xx_inv, z[0]])]
     for h in range(2, H):
         B = np.zeros((shape.dims[h], shape.dims[h - 1]))
@@ -241,8 +243,14 @@ def build_critical_point(
         B[r:, r:] = z[h - 1]
         layers.append(B)
     layers.append(np.hstack([U_S, U_Q @ z[-1]]))
-    if (d := spec.d_blocks) is None:
-        _analysis(w := Weights(layers, shape), bundle).seed = spec.support, z, chains
+    if (d := spec.d_blocks) is None:  # Z_1..Z_{H-1} as read-only views of the layers
+        W = (w := Weights(layers, shape)).layers
+        z = [W[0][r:]] + [B[r:, r:] for B in W[1:-1]] + [np.array(z[-1], dtype=float)]
+    chains = _ZChains(z, bundle.sigma_xy @ U_Q) if require_certified else None
+    if chains is not None and (bad := chains.nonzero_product()):
+        raise NotCritical(f"the spec is not critical: {bad} is not zero")
+    if d is None:
+        _analysis(w, bundle).seed = spec.support, z, chains and chains.release()
         return w
     for h, D in enumerate(d, start=1):  # W_h = D_h B_h D_{h-1}^{-1}
         _conditioned(D, f"D_{h}")
@@ -311,9 +319,8 @@ def associated_support(
     rank_tol: RankTolerance = RankTolerance(),
 ) -> SupportResult:
     """Recover the support S of a critical point (gradient norm at most tau)
-    from the column-space projector of K = W_H ... W_2 in the eigenbasis U.
-    The gradient level and the recovery stay in ``w``'s analysis record for
-    the bundle object: a later call with equal ``rank_tol`` and tau reuses them."""
+    from the column-space projector of K = W_H ... W_2 in the eigenbasis U,
+    kept in ``w``'s analysis record for equal bundle object, rank_tol and tau."""
     gn, scale = _gradient_level(w, bundle)
     tau = criticality_tol(tau_crit, scale)
     if gn > tau:

@@ -517,12 +517,11 @@ class FtStDecomposition:
 
 def _tightened(w: Weights, bundle: SigmaBundle):
     """The ``TightenedStructure`` of a tightened canonical point, r and the
-    ``_ZChains`` of its blocks: the seed of ``build_critical_point`` with
-    S = [1, r] (tested unless certified), else r, the rank of the global map
-    cut at the ``chain_floor`` of all layers, and blocks read off the layers.
-    The rest are zero tests on Z chains, since at canonical weights
-    rank(W_H..W_h) = r exactly when Z_H..Z_h = 0, and rank(W_k..W_1
-    Sigma_XY) = r exactly when Z_k..Z_1 G = 0.
+    ``_ZChains`` of its blocks: a seed with S = [1, r], tested unless
+    certified, else the rank of the global map at its ``chain_floor`` and the
+    blocks read off the layers.  The rest are zero tests on Z chains, since
+    at canonical weights rank(W_H..W_h) = r exactly when Z_H..Z_h = 0, and
+    rank(W_k..W_1 Sigma_XY) = r exactly when Z_k..Z_1 G = 0.
 
     The product identities that ``ft_st_decomposition`` uses follow from
     tightness and the definitions of p and q, so no chain is tested twice:
@@ -545,13 +544,14 @@ def _tightened(w: Weights, bundle: SigmaBundle):
                                                floored(RankTolerance(), H, w.layer_norms()))
     if r >= shape.r_max:
         raise NotApplicable("tightened analysis targets rank-deficient points")
+    G = bundle.sigma_xy @ bundle.U[:, r:]
     if seed is None:
         z = _ZChains(_canonical_blocks(w, bundle, tuple(range(1, r + 1)), w.frob_norm(),
-                                       NeedsCanonicalization), bundle.sigma_xy @ bundle.U[:, r:])
-    elif (z := seed[2]) is None:
-        z = _ZChains(seed[1], bundle.sigma_xy @ bundle.U[:, r:])
-        if bad := z.nonzero_product():
-            raise NeedsCanonicalization(f"the seeded spec is not critical: {bad} is not zero")
+                                       NeedsCanonicalization), G)
+    elif (z := seed[2]) is not None:
+        z.form(G)  # the builder's chains, their products released
+    elif bad := (z := _ZChains(seed[1], G)).nonzero_product():
+        raise NeedsCanonicalization(f"the seeded spec is not critical: {bad} is not zero")
     if (pivot := z.untightened_pivot()) is not None:
         raise NotTightened(f"pivot {pivot} is not tightened")
 
@@ -579,12 +579,11 @@ def ft_st_decomposition(
     second-order descent directions.
 
     The tightened structure (r, the rank-collapse indices p and q, and the
-    Z chains, seeded by ``build_critical_point`` where it can, ``_tightened``)
-    and the certificate's factors below (U_S, U_Q, P_S, delta_Q, X V_Q, Pi
-    and the eigenvalue gaps) depend on the point and the bundle only: the
-    first call keeps them in the analysis record of ``w`` for the bundle
-    object, and every later direction pays only for its own products.  A
-    point that fails the analysis keeps nothing and raises on every call.
+    Z chains, from the builder's seed where there is one) and the factors
+    below (U_S, U_Q, P_S, delta_Q, X V_Q, Pi and the eigenvalue gaps) depend
+    on the point and the bundle only: the first call keeps them in ``w``'s
+    analysis record for the bundle object, so that a later direction pays
+    only for its own products.  A point that fails keeps nothing.
 
     Only second moments enter.  With V_Q the right singular vectors of
     Sigma_YX Sigma_XX^{-1} X for lambda_{r+1..d_y}, X V_Q is

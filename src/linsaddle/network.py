@@ -13,15 +13,12 @@ shared by every later caller.  Building it costs 2H matrix products and O(H)
 memory.  Middle products W_{i-1}..W_{j+1} come from ``partial_middle``;
 there are O(H^2) of them, so they are formed on demand and not kept.
 
-Besides the table, a stack keeps its layers' spectral norms (``layer_norms``),
-which floor every rank cut on its products (``ranktol.chain_floor``), and
-the ``_Analysis`` of one bundle object, which ``_analysis``, the one function
-that writes a bundle-keyed entry onto weights, gets or makes.  The modules
-that compute its stages fill each once, on first use: the gradient level,
-the support recovery, the (S, Z) and Z chains that ``build_critical_point``
-seeds, and the tightened structure.  Nothing goes stale: the layers and the
-bundle's arrays are read-only, and the record holds its bundle through a
-weak reference and is read only for that same object.
+A stack also keeps its layers' spectral norms (``layer_norms``), which floor
+every rank cut on its products (``ranktol.chain_floor``), and the analysis
+record of one bundle object (``_analysis``, the one writer of bundle-keyed
+entries), whose stages other modules fill once each: ``build_critical_point``
+its seed, the rest on first use.  Nothing goes stale: layers and bundle arrays
+are read-only, and the record holds its bundle through a weak reference.
 
 ``layer_products`` builds the table.  The loss and its gradient read its
 prefixes and one ``residual_moment`` E = W_H..W_1 Sigma_XX - Sigma_YX:
@@ -185,10 +182,10 @@ def _product_table(w: _LayerStack):
 
 
 class _Analysis:
-    """What one stack and the bundle object ``bundle`` (a weak reference) give,
-    each stage None until first use: ``gate`` (gradient norm, scale),
-    ``support`` (rank_tol, tau, a ``SupportResult`` that is not approximate),
-    ``seed`` (S, Z_1..Z_H, ``_ZChains`` if certified) and ``tightened``."""
+    """A stack's stages for the bundle object ``bundle`` (a weak reference),
+    each None until filled: ``gate`` (gradient norm, scale), ``support``
+    (rank_tol, tau, an exact ``SupportResult``), ``seed`` (S, Z_1..Z_H,
+    ``_ZChains`` if certified, ``build_critical_point``) and ``tightened``."""
 
     __slots__ = ("bundle", "gate", "support", "seed", "tightened")
 

@@ -21,7 +21,7 @@ from linsaddle.critical_points import (
 )
 from linsaddle.curvature import MAX_DENSE_PARAMS, CurvatureCache, _line_orders
 from linsaddle.network import partial_suffix
-from linsaddle.ranktol import floored, spectral_norms
+from linsaddle.ranktol import TAU_CRIT_REL, criticality_scale, floored, spectral_norms
 
 from conftest import masked_critical_spec, random_certified_spec, random_direction, random_weights
 from oracles import all_pivots_sweep, spec_verdict
@@ -89,21 +89,25 @@ def test_classify_not_critical(small_problem):
     assert res.support is None
 
 
+def _nudged(w, b, rng, level):
+    """w moved along a Gaussian direction until its gradient norm is about
+    `level` times the default criticality tolerance tau; returns (point, tau)."""
+    tau = TAU_CRIT_REL * criticality_scale(w, b)
+    noise = [rng.standard_normal(M.shape) for M in w.layers]
+    s0 = 1e-8
+    probe = ls.Weights([M + s0 * N for M, N in zip(w.layers, noise)], w.shape)
+    rate = ls.gradient(probe, b).frob_norm() / s0  # gradient growth per unit step
+    s = level * tau / rate
+    return ls.Weights([M + s * N for M, N in zip(w.layers, noise)], w.shape), tau
+
+
 def test_classify_approximate_flag(small_problem):
     data, b, shape = small_problem
     rng = np.random.default_rng(4)
     spec = random_certified_spec(shape, b.d_y, rng, support=(1, 2))
     w = build_critical_point(spec, b, shape)
     # nudge the point so the gradient lands between tau and 100 tau
-    from linsaddle.ranktol import criticality_scale, TAU_CRIT_REL
-
-    tau = TAU_CRIT_REL * criticality_scale(w, b)
-    noise = [rng.standard_normal(M.shape) for M in w.layers]
-    s0 = 1e-8
-    probe = ls.Weights([M + s0 * N for M, N in zip(w.layers, noise)], shape)
-    rate = ls.gradient(probe, b).frob_norm() / s0  # gradient growth per unit step
-    s = 10 * tau / rate
-    nudged = ls.Weights([M + s * N for M, N in zip(w.layers, noise)], shape)
+    nudged, tau = _nudged(w, b, rng, 10)
     gn = ls.gradient(nudged, b).frob_norm()
     assert tau < gn < 100 * tau
     res = ls.classify(nudged, b, data)
@@ -111,6 +115,25 @@ def test_classify_approximate_flag(small_problem):
     assert res.verdict in ("strict_saddle", "non_strict_saddle", "global_minimizer")
     # The same point with its gradient at 300 tau is past the band.
     assert ls.classify(nudged, b, data, tau_crit=gn / 300).verdict == "not_critical"
+
+
+@pytest.mark.parametrize("level", [0.5, 10.0])
+def test_a_nudged_saddle_off_the_leading_support_keeps_its_eigenswap_witness(small_problem,
+                                                                             level):
+    # S = (2,) skips lambda_1, so the witness is the eigenswap, whose c2 is
+    # lambda_j - lambda_i only at the exact point.  Nudged to a gradient norm
+    # of `level` tau, the measured c2 leaves that value by far more than the
+    # witness threshold, and is still certifiably negative.
+    data, b, shape = small_problem
+    rng = np.random.default_rng(4)
+    w = build_critical_point(random_certified_spec(shape, b.d_y, rng, support=(2,)), b, shape)
+    nudged, tau = _nudged(w, b, rng, level)
+    gn = ls.gradient(nudged, b).frob_norm()
+    assert tau < gn < 100 * tau if level > 1 else gn <= tau
+    res = ls.classify(nudged, b, data)
+    assert (res.verdict, res.support, res.approximate) == ("strict_saddle", (2,), level > 1)
+    assert res.witness.case == "eigenswap" and res.witness_c2 < 0.0
+    assert abs(res.witness_c2 - res.witness.c2_predicted) > 1e-7 * abs(res.witness.c2_predicted)
 
 
 def test_h2_never_non_strict(shallow_problem):
@@ -455,13 +478,13 @@ def test_a_support_that_disagrees_with_the_map_rank_is_an_internal_inconsistency
         monkeypatch, deep_problem):
     data, b, shape = deep_problem
     w = ls.build_example_family(2, "tightened", b, shape)
-    support = classifier._recovered_support
+    support = classifier.associated_support
 
     def one_more(*args, **kwargs):
         sup = support(*args, **kwargs)
         return replace(sup, support=sup.support + (4,))
 
-    monkeypatch.setattr(classifier, "_recovered_support", one_more)
+    monkeypatch.setattr(classifier, "associated_support", one_more)
     with pytest.raises(ls.InternalInconsistency, match="rank 2 disagrees with support size 3"):
         ls.classify(w, b, data)
 

@@ -17,7 +17,7 @@ from linsaddle.critical_points import (
 from linsaddle.network import _analysis, partial_suffix
 from linsaddle.ranktol import criticality_scale
 
-from conftest import certify_corpus, random_certified_spec, random_weights
+from conftest import certify_corpus, random_certified_spec, random_direction, random_weights
 from oracles import spec_verdict
 
 
@@ -114,6 +114,27 @@ def test_omitted_d_blocks_build_the_identity_d_weights(deep_problem, seed):
     eye = replace(spec, d_blocks=tuple(np.eye(d) for d in shape.dims[1:-1]))
     w, w_eye = build_critical_point(spec, b, shape), build_critical_point(eye, b, shape)
     assert all(np.array_equal(W, W_eye) for W, W_eye in zip(w.layers, w_eye.layers))
+
+
+def test_the_seed_holds_views_of_the_layers_and_chains_without_products(deep_problem):
+    # With D = I the seed's Z_1..Z_{H-1} are views of the read-only layers,
+    # Z_H is a copy, and the checked chains keep their blocks and norms but
+    # neither their products nor G, which a certificate forms again.
+    data, b, shape = deep_problem
+    from dataclasses import replace
+
+    spec = replace(random_certified_spec(shape, b.d_y, np.random.default_rng(0)), d_blocks=None)
+    w = build_critical_point(spec, b, shape)
+    support, z, chains = _analysis(w, b).seed
+    assert support == spec.support and all(x is y for x, y in zip(chains.blocks, z))
+    assert all(np.shares_memory(Z, W) for Z, W in zip(z[:-1], w.layers))
+    assert not np.shares_memory(z[-1], spec.z_blocks[-1])
+    assert all(np.array_equal(Z, Y) for Z, Y in zip(z, spec.z_blocks))
+    assert set(vars(chains)) == {"blocks", "H", "norms", "g_norm"}
+    w = ls.build_example_family(2, "tightened", b, shape)
+    chains = _analysis(w, b).seed[2]
+    ls.ft_st_decomposition(w, random_direction(shape, np.random.default_rng(1)), b, data)
+    assert {"pre", "suf", "zg"} <= vars(chains).keys() and _analysis(w, b).tightened[2] is chains
 
 
 def test_build_validates_block_shapes(small_problem):

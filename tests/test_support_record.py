@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import linsaddle as ls
-from linsaddle import classifier, critical_points, curvature
+from linsaddle import critical_points, curvature
 from linsaddle.critical_points import canonical_form, transform_weights
 from linsaddle.network import partial_suffix
 from linsaddle.ranktol import TAU_CRIT_REL, criticality_scale
@@ -55,7 +55,6 @@ def counted(monkeypatch):
         counts["svd_K"] += a is counts["K"]
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(classifier, "gradient", counting_gradient)
     monkeypatch.setattr(critical_points, "gradient", counting_gradient)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     return counts

@@ -55,8 +55,9 @@ MUTANTS = (
      "tests/test_thresholds.py",
      "(diag >= 0.25) & (diag <= 0.75)", "(diag >= 0.35) & (diag <= 0.65)"),
     ("witness c2 validation off", "classifier.py", "tests/test_classifier.py",
-     "if not (c2 < thr if exact is None else c2 < 0.0 and abs(c2 - exact) <= -thr):",
-     "if False:"),
+     "if not (c2 < thr or exact):", "if False:"),
+    ("eigenswap c2 not checked against lambda_j - lambda_i", "classifier.py",
+     "tests/test_thresholds.py", 'exact = wit.case == "eigenswap" and', "exact = False and"),
     ("global map rank vs |S| check off", "classifier.py", "tests/test_classifier.py",
      "if r != len(S):", "if False:"),
     ("pivot rank < r check off", "classifier.py", "tests/test_classifier.py",
