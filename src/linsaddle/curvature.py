@@ -256,8 +256,8 @@ def hessian_dense(w: Weights, data: DataMatrices) -> np.ndarray:
     return np.column_stack([cache.hessian_matvec(e) for e in np.eye(n)])
 
 
-def _lanczos_min(matvec, n: int, tol: float):
-    """Smallest eigenpair (theta, x) of the symmetric operator `matvec` on R^n.
+def _lanczos_min(matvec, n: int, tol: float, vector: bool = False):
+    """Smallest eigenpair (theta, x) of symmetric `matvec` on R^n; x is None unless `vector`.
 
     Lanczos from a seeded start vector, with full reorthogonalization and no
     restarts, so that a zero eigenvalue is not skipped as it is by restarted
@@ -280,7 +280,7 @@ def _lanczos_min(matvec, n: int, tol: float):
     kmax = min(PROBE_MAXITER, n)
     q = np.random.default_rng(PROBE_SEED).standard_normal(n)
     Q = np.empty((min(kmax + 1, max(2, _BASIS_BYTES // (8 * n))), n))
-    T = np.zeros((kmax + 1, kmax + 1))
+    T = np.zeros((len(Q), len(Q)))
     Q[0] = q / np.linalg.norm(q)
     bound = b = 0.0  # Gershgorin bound on max|theta|, last off-diagonal entry
     for k in range(1, kmax + 1):
@@ -300,9 +300,10 @@ def _lanczos_min(matvec, n: int, tol: float):
             theta, s = np.linalg.eigh(T[:k, :k])
             scale = float(np.abs(theta).max())
             if abs(b * s[-1, 0]) <= tol * scale or b <= 1e-12 * scale:
-                return float(theta[0]), s[:, 0] @ Q[:k]
+                return float(theta[0]), s[:, 0] @ Q[:k] if vector else None
         if k == len(Q):
             Q = np.concatenate([Q, np.empty((min(k, kmax + 1 - k), n))])
+            T = np.pad(T, (0, len(Q) - k))
         np.divide(v, b, out=Q[k])
         T[k - 1, k] = T[k, k - 1] = b
     raise ProbeNotConverged(f"Lanczos probe did not converge in {k} steps")
@@ -334,7 +335,8 @@ def hessian_min_eig(
         vals, vecs = np.linalg.eigh(hessian_dense(w, data))
         lam, vec = float(vals[0]), vecs[:, 0]
     elif mode == "probe":
-        lam, vec = _lanczos_min(CurvatureCache(w, data).hessian_matvec, w.shape.n_params, tol)
+        lam, vec = _lanczos_min(CurvatureCache(w, data).hessian_matvec, w.shape.n_params, tol,
+                                return_vector)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return (lam, Direction(unflatten(vec, w.shape.dims), w.shape)) if return_vector else lam
@@ -580,10 +582,13 @@ def ft_st_decomposition(
 
     The tightened structure (r, the rank-collapse indices p and q, and the
     Z chains, from the builder's seed where there is one) and the factors
-    below (U_S, U_Q, P_S, delta_Q, X V_Q, Pi and the eigenvalue gaps) depend
-    on the point and the bundle only: the first call keeps them in ``w``'s
-    analysis record for the bundle object, so that a later direction pays
-    only for its own products.  A point that fails keeps nothing.
+    below (U_S, U_Q, P_S, delta_Q, X V_Q, Pi, the eigenvalue gaps, and
+    Z_{i-1}..Z_1 times Pi and X V_Q for i in [2, q]) depend on the point and
+    the bundle only: the first call keeps them in ``w``'s analysis record
+    for the bundle object, so that a later direction pays only for its own
+    products.  A point that fails keeps nothing.  At S = {} every term is
+    empty and c2 = 0 along every line: a point that passes every check gets
+    a1 = 0 with empty A2, A3 and A4, and keeps its structure, r and chains.
 
     Only second moments enter.  With V_Q the right singular vectors of
     Sigma_YX Sigma_XX^{-1} X for lambda_{r+1..d_y}, X V_Q is
@@ -596,7 +601,11 @@ def ft_st_decomposition(
     H = w.shape.H
     record = _analysis(w, bundle)
     if record.tightened is None:
-        st, r, z = _tightened(w, bundle)
+        record.tightened = _tightened(w, bundle)
+    st, r, z, *factors = record.tightened
+    if not r:  # S = {}: every term below is empty, and c2 = 0 along every line
+        return FtStDecomposition(0.0, np.empty((0, bundle.d_x)), *np.empty((2, bundle.d_y, 0)), st)
+    if not factors:
         lam = bundle.lambdas
         U_S, U_Q = bundle.U[:, :r], bundle.U[:, r:]
         C = bundle.sigma_yx_sigma_xx_inv
@@ -604,8 +613,9 @@ def ft_st_decomposition(
         XV_Q = bundle.sigma_xy @ U_Q / delta_q  # d_x x (d_y - r)
         Pi = np.eye(bundle.d_x) - (XV_Q / delta_q) @ U_Q.T @ C
         gaps = lam[:r][None, :] - lam[r:][:, None]  # (d_y - r) x r, all > 0
-        record.tightened = st, r, z, U_S, U_Q, U_S.T @ C, delta_q, XV_Q, Pi, gaps
-    st, r, z, U_S, U_Q, P_S, delta_q, XV_Q, Pi, gaps = record.tightened  # P_S = U_S^T C, r x d_x
+        zq = [(P @ Pi, P @ XV_Q) for P in z.pre[1:st.q]]  # Z_{i-1}..Z_1 times Pi, X V_Q; i in J3
+        record.tightened += (U_S, U_Q, U_S.T @ C, delta_q, XV_Q, Pi, gaps, zq)
+    U_S, U_Q, P_S, delta_q, XV_Q, Pi, gaps, zq = record.tightened[3:]  # P_S = U_S^T C, r x d_x
     p, q = st.p, st.q
 
     J1 = range(p, H)
@@ -625,14 +635,14 @@ def ft_st_decomposition(
         M = M + v.layer(i)[:r, :r] @ P_S
     for i in J2:
         M = M + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ z.pre[i - 1]
-    for i in J3:
-        M = M + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ (z.pre[i - 1] @ Pi)
+    for i, (zpi, _) in zip(J3, zq):
+        M = M + v.layer(i)[:r, :r] @ P_S + v.layer(i)[:r, r:] @ zpi
     A2 = (M + v.layer(1)[:r, :] @ Pi) @ bundle.L
 
     A3 = delta_q[:, None] * T1
     A4 = v.layer(1)[:r, :] @ XV_Q
-    for i in J3:
-        A4 = A4 + v.layer(i)[:r, r:] @ (z.pre[i - 1] @ XV_Q)
+    for i, (_, zxv) in zip(J3, zq):
+        A4 = A4 + v.layer(i)[:r, r:] @ zxv
     A4 = A4.T
 
     return FtStDecomposition(a1=a1, A2=A2, A3=A3, A4=A4, structure=st)

@@ -1,3 +1,4 @@
+import collections
 import gc
 import weakref
 
@@ -257,7 +258,7 @@ def test_lanczos_finds_a_multiple_zero_eigenvalue():
     eigs = np.random.default_rng(5).permutation(np.r_[np.zeros(20), np.linspace(0.5, 10.0, 180)])
     matvec, _ = _diagonal_operator(eigs)
     tol = 1e-8
-    lam, x = curvature._lanczos_min(matvec, eigs.size, tol)
+    lam, x = curvature._lanczos_min(matvec, eigs.size, tol, vector=True)
     assert abs(lam) <= tol * np.abs(eigs).max()
     _assert_ritz_pair(eigs, lam, x, tol)
 
@@ -274,10 +275,12 @@ def test_lanczos_stops_on_an_invariant_krylov_space(distinct):
     tol = 1e-10
     for stop in (tol, 0.0):
         matvecs.clear()
-        lam, x = curvature._lanczos_min(matvec, eigs.size, stop)
+        lam, x = curvature._lanczos_min(matvec, eigs.size, stop, vector=True)
         assert len(matvecs) == distinct
         assert lam == pytest.approx(-3.0, abs=10 * tol * 4.0)
         _assert_ritz_pair(eigs, lam, x, tol)
+        # Without `vector` the Ritz vector is not formed; theta is the same.
+        assert curvature._lanczos_min(matvec, eigs.size, stop) == (lam, None)
 
 
 @pytest.fixture(scope="module")
@@ -403,6 +406,12 @@ def test_untightened_witnesses_match_measured_c2(deep_problem):
             except ls.NotApplicable:
                 continue
             seen.add(wit.case)
+            # The label names each end of the witness's own pivot.
+            assert wit.pivot == (p.i, p.j)
+            kind, upper, lower = wit.case.split("_")
+            assert kind == "untightened"
+            assert (upper == "last") == (p.i == shape.H) and upper in ("last", "interior")
+            assert (lower == "first") == (p.j == 1) and lower in ("first", "interior")
             meas = ls.c2_value(w, wit.direction, data)
             assert meas == pytest.approx(wit.c2_predicted, rel=1e-6, abs=1e-10)
             assert meas < 0
@@ -669,24 +678,25 @@ def test_ft_st_does_not_keep_its_bundle_alive(deep_problem):
     assert ref() is None and w._record.tightened is not None
 
 
-def _depth_8_point():
+def _depth_8_point(r=1):
     # Z_4 = Z_5 = 0, Z_8 Z_7 Z_6 = 0 and Z_3 Z_2 Z_1 Sigma_XY U_Q = 0 while
     # Z_8 Z_7 and Z_2 Z_1 Sigma_XY U_Q are nonzero, so p = 6 and q = 3: the
     # certificate relies on the identities of W_{i-1}..W_2 for i = 6..8 and of
     # W_7..W_{i+1} for i = 1..3.  Adjacent widths differ, so a product taken on the wrong side
-    # fails.  Returns the data, bundle, shape, weights (r = 1) and the
-    # generator that drew them, for the directions.
+    # fails.  Returns the data, bundle, shape, weights (support [1, r]) and
+    # the generator that drew them, for the directions.
     data = ls.generate_gaussian_data(6, 4, 50, seed=3)
     b = ls.build_sigma_bundle(data)
     shape = ls.NetworkShape((6, 5, 6, 5, 6, 5, 5, 6, 4))
     rng = np.random.default_rng(7)
-    z = [rng.standard_normal(z_block_shape(shape, 1, h)) for h in range(1, 9)]
+    z = [rng.standard_normal(z_block_shape(shape, r, h)) for h in range(1, 9)]
     z[3][:] = z[4][:] = 0.0
-    N = z[1] @ z[0] @ b.sigma_xy @ b.U[:, 1:]
+    N = z[1] @ z[0] @ b.sigma_xy @ b.U[:, r:]
     z[2] -= z[2] @ N @ np.linalg.pinv(N)
     K = z[7] @ z[6]
     z[5] -= np.linalg.pinv(K) @ K @ z[5]
-    w = ls.build_critical_point(CriticalPointSpec(support=(1,), z_blocks=tuple(z)), b, shape)
+    support = tuple(range(1, r + 1))
+    w = ls.build_critical_point(CriticalPointSpec(support=support, z_blocks=tuple(z)), b, shape)
     return data, b, shape, w, rng
 
 
@@ -724,6 +734,110 @@ def test_ft_st_at_depth_8_under_a_change_of_units(a, b):
         dec_s = ls.ft_st_decomposition(w_s, covariant(v), bundle_s, scaled)
         assert (dec_s.structure.p, dec_s.structure.q) == (6, 3)
         assert dec_s.c2 == pytest.approx(b**2 * dec.c2, rel=1e-8)
+
+
+def _covariant(s, ratio):
+    return type(s)([s.layer(1) * ratio] + list(s.layers[1:]), s.shape)
+
+
+def _check_empty_support_point(w, data, a, b, bundle, rng):
+    # At S = {} every term of the certificate is empty: a point that
+    # _tightened accepts has c2 = 0 along every line, to the rounding of
+    # its summands, and a zero Hessian, and its decomposition is a1 = 0 with
+    # empty A2, A3 and A4.  A point that _tightened refuses is refused by
+    # ft_st_decomposition too.  w and the bundle are at X -> aX, Y -> bY,
+    # data at unit scale; directions scale like W_1, by b/a.  Returns
+    # whether the point was tightened.
+    shape, scaled = w.shape, ls.DataMatrices(data.X * a, data.Y * b)
+    v = _covariant(random_direction(shape, rng), b / a)
+    try:
+        st = curvature._tightened(w, bundle)[0]
+    except ls.NotTightened:
+        with pytest.raises(ls.NotTightened):
+            ls.ft_st_decomposition(w, v, bundle, None)
+        return False
+    dec = ls.ft_st_decomposition(w, v, bundle, None)
+    assert (dec.a1, dec.structure, dec.c2) == (0.0, st, 0.0)
+    assert dec.A2.shape == (0, shape.d_x) and dec.A3.shape == dec.A4.shape == (shape.d_y, 0)
+    cache = CurvatureCache(w, bundle)
+    for _ in range(3):
+        v = _covariant(random_direction(shape, rng), b / a)
+        assert abs(ls.c2_value(w, v, scaled)) <= -cache.c2_threshold(v)[1]
+    if shape.n_params <= 200:
+        # The census test's congruence gives back the Hessian of the unit
+        # point, held in the units of its loss.
+        j = np.ones(shape.n_params)
+        j[:shape.dims[0] * shape.dims[1]] = b / a
+        hess = ls.hessian_dense(w, scaled) * np.outer(j, j) / b**2
+        scale = (1.0 + _covariant(w, a / b).sq_norm()) * float(np.sum(data.X * data.X))
+        assert np.abs(hess).max() <= 1e-12 * scale
+    return True
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_empty_support_has_the_empty_certificate(seed):
+    # Census-style draws with S = {} at H = 3..5 from random_certified_spec,
+    # built with D = I (the seeded path) and with its random D (the read-off
+    # path), at unit scale and at X -> aX, Y -> bY with Z_1 scaled by b/a.
+    rng = np.random.default_rng(seed)
+    seen = collections.Counter()
+    for H in (3, 4, 5):
+        for _ in range(4):
+            d_x = int(rng.integers(2, 8))
+            d_y = int(rng.integers(1, d_x + 1))
+            shape = ls.NetworkShape((d_x, *rng.integers(1, 8, size=H - 1).tolist(), d_y))
+            data = ls.generate_gaussian_data(d_x, d_y, d_x + int(rng.integers(3, 15)),
+                                             seed=int(rng.integers(2**31)))
+            if not ls.check_assumption_h(data).holds:
+                continue
+            spec = random_certified_spec(shape, d_y, rng, support=())
+            for a, b in ((1.0, 1.0), 10.0 ** rng.uniform(-6, 6, size=2)):
+                bundle = ls.build_sigma_bundle(ls.DataMatrices(data.X * a, data.Y * b))
+                z = (spec.z_blocks[0] * (b / a),) + spec.z_blocks[1:]
+                for d in (None, spec.d_blocks):
+                    w = ls.build_critical_point(CriticalPointSpec((), z, d), bundle, shape)
+                    seen[_check_empty_support_point(w, data, a, b, bundle, rng)] += 1
+    assert seen[True] >= 4 and seen[False] >= 4
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 1.0), (1e-6, 1e6), (1e6, 1e-6)])
+def test_empty_support_certificate_where_chains_vanish_to_rounding(a, b):
+    # The depth-8 point at S = {}: Z_4 = Z_5 = 0, and Z_8 Z_7 Z_6 and
+    # Z_3 Z_2 Z_1 G vanish by projection, to rounding, with no zero block in
+    # them.  A_1 = 0, and A_2 is itself a rounding, so c2 = 2 <A_2, E> is
+    # held to the sum of the absolute values of A_2's terms, |A_2| being the
+    # order-2 term of the line through |W| along |V| (as in the census).
+    # The rescaled weights are fresh, so r comes from the global map.
+    data, _, shape, w, rng = _depth_8_point(r=0)
+    scaled = ls.DataMatrices(data.X * a, data.Y * b)
+    bundle, w = ls.build_sigma_bundle(scaled), _covariant(w, b / a)
+    cache = CurvatureCache(w, bundle)
+    for _ in range(3):
+        v = _covariant(random_direction(shape, rng), b / a)
+        dec = ls.ft_st_decomposition(w, v, bundle, None)
+        assert (dec.a1, dec.structure) == (0.0, curvature.TightenedStructure(p=6, q=3))
+        assert dec.A2.shape == (0, shape.d_x) and dec.A3.shape == dec.A4.shape == (4, 0)
+        A2_abs = curvature._line_orders(*(type(s)([np.abs(M) for M in s.layers], shape)
+                                          for s in (w, v)), 2)[2]
+        c2 = ls.c2_value(w, v, scaled)
+        assert abs(c2) <= 1e-8 * 2.0 * float(np.sum(A2_abs * np.abs(cache.E)))
+
+
+def test_empty_support_refuses_a_point_that_is_not_canonical(small_problem):
+    # S = {} with Z_1 = 0: the global map vanishes, but G Z_3 Z_2 does not,
+    # so the spec is not critical.  Its unchecked seed is refused, and so is
+    # the read-off of the same layers, whose W_3 W_2 is not zero.
+    data, b, shape = small_problem
+    rng = np.random.default_rng(49)
+    z = [rng.standard_normal(z_block_shape(shape, 0, h)) for h in (1, 2, 3)]
+    z[0][:] = 0.0
+    w = ls.build_critical_point(CriticalPointSpec((), tuple(z)), b, shape, require_certified=False)
+    v = random_direction(shape, rng)
+    with pytest.raises(ls.NeedsCanonicalization, match="seeded spec is not critical"):
+        ls.ft_st_decomposition(w, v, b, data)
+    with pytest.raises(ls.NeedsCanonicalization, match="canonical residual"):
+        ls.ft_st_decomposition(ls.Weights(w.layers, shape), v, b, data)
+    assert w._record.tightened is None
 
 
 def test_ft_st_matches_m_column_form_at_m_3000():

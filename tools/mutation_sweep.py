@@ -4,8 +4,9 @@ raise must fail tests/.
 Each listed mutant replaces one piece of source text that occurs exactly once
 in its file: a documented threshold, a self-check, an index range of the
 sum-of-squares certificate, the adjacent pivot's rank without an SVD, two
-terms of the Adam step, the analysis record's bundle-identity test, and one
-sanity mutant that any working suite kills.  Besides these, every
+terms of the Adam step, the analysis record's bundle-identity test, the
+certificate's empty decomposition at S = {}, and one sanity mutant that any
+working suite kills.  Besides these, every
 ``raise`` statement of src/ gives one mutant, addressed by file and line
 (two raises may read alike), in which ``raise X(...)`` becomes the bare call
 ``X(...)``: the exception is made and dropped, and the code runs on.  So a
@@ -73,6 +74,8 @@ MUTANTS = (
      "J3 = range(2, q + 1)", "J3 = range(2, q)"),
     ("p search starts at H - 1", "curvature.py", "tests/test_curvature.py",
      "for h in range(H, 2, -1) if z.zero(", "for h in range(H - 1, 2, -1) if z.zero("),
+    ("empty certificate below r = 2", "curvature.py", "tests/test_curvature.py",
+     "if not r:", "if r < 2:"),
     ("Adam step without eps'", "experiments.py", "tests/test_experiments.py",
      "tmp += ADAM_EPS / (gscale * c)", "tmp += 0.0"),
     ("Adam step without the beta1 decay", "experiments.py", "tests/test_experiments.py",
